@@ -37,10 +37,14 @@ HALF = _make(1, 2)
 def rat(a, b=None):
     """Build a backend rational from ints, "p/q" strings, or rationals.
 
-    Floats are rejected: they are never exact inputs in this model.
+    Floats and booleans are rejected: they are never exact inputs in this
+    model (a JSON ``true`` is not the rational 1).
     """
-    if isinstance(a, float) or isinstance(b, float):
-        raise TypeError("refusing float input to exact rational constructor: %r" % (a,))
+    if isinstance(a, (float, bool)) or isinstance(b, (float, bool)):
+        raise TypeError(
+            "refusing float or bool input to exact rational constructor: %r"
+            % (a if b is None else (a, b),)
+        )
     if b is not None:
         return _make(a, b)
     if isinstance(a, str):

@@ -9,7 +9,8 @@ Two subcommands:
 one JSON line per check to stdout followed by a summary line.  The
 environment variable FEM_LAB_OUT overrides --out for both.  Exit codes:
 0 on success, 1 when an assertion block or suite check fails, 2 on
-malformed input (parse or validation errors, unknown suite).
+malformed input (parse or validation errors, unknown suite, a suite
+--count below 1).
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     try:
+        if args.count < 1:
+            raise ValidationError("--count must be at least 1, got %d" % args.count)
         records, summary = run_suite(args.name, args.seed, args.count)
-    except UnknownSuite as exc:
+    except (UnknownSuite, ValidationError) as exc:
         print(
-            dumps_canonical({"error": "UnknownSuite", "message": str(exc)}),
+            dumps_canonical({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
         return 2

@@ -30,7 +30,11 @@ from .report import Report
 
 @dataclass(frozen=True)
 class EnergyContext:
-    """A level psi with its measure cached; the sector is its dual domain."""
+    """A level psi with its measure cached; the sector is its dual domain.
+
+    ``energy`` pairs with the cached measure whenever the potential shares
+    psi's grid, and recomputes MA(psi) only on a refined common grid.
+    """
 
     psi: ModelEnvelope
     psi_measure: object = field(init=False)
@@ -71,13 +75,15 @@ def energy(ctx: EnergyContext, u: GridPLConvex):
     """E(u) relative to the context level, exact.
 
     The potential must lie in the sector (same dual domain as psi); grids
-    may differ by refinement and are aligned losslessly.
+    may differ by refinement and are aligned losslessly.  MA(psi) is the
+    context's cached measure unless alignment refined psi's grid.
     """
     ctx.require_in_sector(u)
-    u2, psi2 = align(u, ctx.psi.potential)
+    psi = ctx.psi.potential
+    u2, psi2 = align(u, psi)
     diff = tuple(a - b for a, b in zip(u2.values, psi2.values))
     mu = monge_ampere(u2)
-    mpsi = monge_ampere(psi2)
+    mpsi = ctx.psi_measure if psi2 is psi else monge_ampere(psi2)
     return HALF * (_pairing(diff, mu) + _pairing(diff, mpsi))
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ._rational import ONE, rat, rat_str
 from .errors import (
@@ -72,13 +73,15 @@ class GridPLConvex:
     Between consecutive nodes the function is the chord; beyond the first
     and last node it follows slope_left / slope_right.  Validity means the
     slope sequence slope_left, chords..., slope_right is non-decreasing and
-    both end slopes sit inside the polytope.
+    both end slopes sit inside the polytope.  The chord slopes computed for
+    that check are kept, so conjugation and Monge-Ampere reuse them.
     """
 
     grid: Grid
     values: tuple
     slope_left: object
     slope_right: object
+    _chords: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(rat(v) for v in self.values)
@@ -94,22 +97,24 @@ class GridPLConvex:
                 "end slopes [%s, %s] leave polytope [%s, %s]"
                 % (rat_str(sl), rat_str(sr), rat_str(p_min), rat_str(p_max))
             )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slope_left", sl)
-        object.__setattr__(self, "slope_right", sr)
-        slopes = (sl,) + self.chord_slopes() + (sr,)
+        xs = self.grid.nodes
+        chords = tuple(
+            (values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
+        )
+        slopes = (sl,) + chords + (sr,)
         for i, (a, b) in enumerate(zip(slopes, slopes[1:])):
             if a > b:
                 raise ConvexityViolation(
                     "slope sequence decreases at position %d: %s > %s"
                     % (i, rat_str(a), rat_str(b))
                 )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slope_left", sl)
+        object.__setattr__(self, "slope_right", sr)
+        object.__setattr__(self, "_chords", chords)
 
     def chord_slopes(self) -> tuple:
-        xs, vs = self.grid.nodes, self.values
-        return tuple(
-            (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
-        )
+        return self._chords
 
     def dual_domain(self) -> tuple:
         return (self.slope_left, self.slope_right)
@@ -144,10 +149,12 @@ class DualPL:
     points is a tuple of (p, value) pairs with strictly increasing p; the
     function interpolates linearly between them and is +infinity outside
     [p_first, p_last].  A single point encodes the conjugate of an affine
-    potential.
+    potential.  The chord slopes computed for the convexity check are kept
+    for the conjugation walk.
     """
 
     points: tuple
+    _chords: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((rat(p), rat(w)) for p, w in self.points)
@@ -156,14 +163,15 @@ class DualPL:
         for (p, _), (q, _) in zip(pts, pts[1:]):
             if not p < q:
                 raise ValueError("dual breakpoints must increase strictly")
-        chords = [
+        chords = tuple(
             (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
             for i in range(len(pts) - 1)
-        ]
+        )
         for a, b in zip(chords, chords[1:]):
             if a > b:
                 raise ConvexityViolation("dual breakpoint data is not convex")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_chords", chords)
 
     @property
     def domain(self) -> tuple:
@@ -175,13 +183,16 @@ class DualPL:
         lo, hi = self.domain
         if p < lo or p > hi:
             raise ValueError("dual evaluated outside its domain")
-        ps = [q for q, _ in pts]
-        i = bisect_right(ps, p) - 1
-        if i == len(pts) - 1:
-            return pts[-1][1]
-        (p0, w0), (p1, w1) = pts[i], pts[i + 1]
-        t = (p - p0) / (p1 - p0)
-        return w0 + t * (w1 - w0)
+        return _interpolate(pts, bisect_right(pts, p, key=itemgetter(0)) - 1, p)
+
+
+def _interpolate(pts, i, p):
+    """Value at p of PL data pts, where pts[i][0] <= p < pts[i + 1][0] or p == pts[i][0]."""
+    p0, w0 = pts[i]
+    if p == p0:
+        return w0
+    p1, w1 = pts[i + 1]
+    return w0 + (p - p0) / (p1 - p0) * (w1 - w0)
 
 
 def legendre(u: GridPLConvex) -> DualPL:
@@ -192,15 +203,14 @@ def legendre(u: GridPLConvex) -> DualPL:
     with breakpoints at the distinct slopes of u.
     """
     xs, vs = u.grid.nodes, u.values
-    slopes = [u.slope_left] + list(u.chord_slopes()) + [u.slope_right]
+    slopes = (u.slope_left,) + u.chord_slopes() + (u.slope_right,)
     pts = []
     # slope slopes[k] is attained on the piece left of node k (clamped).
     for k, p in enumerate(slopes):
-        i = min(k, len(xs) - 1)
-        w = p * xs[i] - vs[i]
         if pts and pts[-1][0] == p:
             continue
-        pts.append((p, w))
+        i = min(k, len(xs) - 1)
+        pts.append((p, p * xs[i] - vs[i]))
     return DualPL(tuple(pts))
 
 
@@ -208,19 +218,32 @@ def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:
     """Conjugate back: sup_p (x p - dual(p)), sampled at grid nodes.
 
     The sup of this concave PL objective over a compact interval sits at a
-    breakpoint, so node values are exact maxima over the breakpoint list;
-    end slopes are the dual's domain endpoints.
+    breakpoint, and moving from breakpoint k to k + 1 raises it by
+    (p_{k+1} - p_k) (x - c_k), with c_k the dual's chord slope there.  The
+    chords do not decrease and the nodes increase, so one walk over the
+    nodes with one breakpoint pointer, advanced while c_k <= x, finds every
+    maximum: O(nodes + breakpoints) exact operations.  Ties leave the value
+    unchanged, so each node value is the exact maximum.  End slopes are
+    the dual's domain endpoints.
     """
-    pts = dual.points
+    pts, chords = dual.points, dual._chords
+    k, last = 0, len(chords)
     values = []
     for x in grid.nodes:
-        values.append(max(x * p - w for p, w in pts))
+        while k < last and chords[k] <= x:
+            k += 1
+        p, w = pts[k]
+        values.append(x * p - w)
     lo, hi = dual.domain
     return GridPLConvex(grid, tuple(values), lo, hi)
 
 
 def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
-    """Restrict a dual to [lo, hi] intersected with its own domain."""
+    """Restrict a dual to [lo, hi] intersected with its own domain.
+
+    One walk over the breakpoints keeps the interior ones and interpolates
+    the two new ends.
+    """
     lo, hi = rat(lo), rat(hi)
     d_lo, d_hi = dual.domain
     lo = max(lo, d_lo)
@@ -229,37 +252,67 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
         raise EmptyRooftop(
             "dual domains miss the interval [%s, %s]" % (rat_str(lo), rat_str(hi))
         )
+    pts = dual.points
+    i = 0
+    while i + 1 < len(pts) and pts[i + 1][0] <= lo:
+        i += 1
+    out = [(lo, _interpolate(pts, i, lo))]
     if lo == hi:
-        return DualPL(((lo, dual.evaluate(lo)),))
-    pts = [(lo, dual.evaluate(lo))]
-    for p, w in dual.points:
-        if lo < p < hi:
-            pts.append((p, w))
-    pts.append((hi, dual.evaluate(hi)))
-    return DualPL(tuple(pts))
+        return DualPL(tuple(out))
+    i += 1
+    while pts[i][0] < hi:
+        out.append(pts[i])
+        i += 1
+    out.append((hi, _interpolate(pts, i - 1, hi)))
+    return DualPL(tuple(out))
+
+
+def _merged_samples(d1: DualPL, d2: DualPL):
+    """(p, d1(p), d2(p)) at every breakpoint of either dual, p increasing.
+
+    Both duals share their domain; a two-pointer merge interpolates each
+    dual on the segment that holds the other's breakpoints.
+    """
+    a, b = d1.points, d2.points
+    i = j = 0
+    out = []
+    while i < len(a) and j < len(b):
+        p = min(a[i][0], b[j][0])
+        if a[i][0] == p:
+            w1 = a[i][1]
+            i += 1
+        else:
+            w1 = _interpolate(a, i - 1, p)
+        if b[j][0] == p:
+            w2 = b[j][1]
+            j += 1
+        else:
+            w2 = _interpolate(b, j - 1, p)
+        out.append((p, w1, w2))
+    return out
 
 
 def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
     """Pointwise max of two duals on a common domain, crossings inserted.
 
-    Both inputs must already share their domain (restrict first).  Within
-    each merged breakpoint interval both functions are affine, so at most
-    one strict crossing exists and it is an exact rational.
+    Both inputs must already share their domain (restrict first).  One
+    merged walk over both breakpoint lists samples each dual at every
+    breakpoint of either, O(m1 + m2).  Within each merged interval both
+    functions are affine, so at most one strict crossing exists and it is
+    an exact rational.
     """
     if d1.domain != d2.domain:
         raise ValueError("max_dual needs duals on a common domain")
-    ps = sorted({p for p, _ in d1.points} | {p for p, _ in d2.points})
     merged = []
     prev = None
-    for p in ps:
-        w1, w2 = d1.evaluate(p), d2.evaluate(p)
-        cur = (p, w1, w2)
+    for cur in _merged_samples(d1, d2):
+        p, w1, w2 = cur
         if prev is not None:
             q, u1, u2 = prev
             da, db = u1 - u2, w1 - w2
             if (da > 0 > db) or (da < 0 < db):
-                t = q + (p - q) * da / (da - db)
-                merged.append((t, d1.evaluate(t)))
+                s = da / (da - db)
+                merged.append((q + (p - q) * s, u1 + s * (w1 - u1)))
         merged.append((p, max(w1, w2)))
         prev = cur
     return DualPL(tuple(merged))
@@ -271,19 +324,30 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: new node values are exact evaluations.
+    PL refinement is lossless: new node values are exact evaluations, made
+    in one merged walk over the old and the new nodes.
     """
     if grid.polytope != u.grid.polytope:
         raise GridMismatch("refinement target has a different polytope")
-    old = set(u.grid.nodes)
-    if not old.issubset(set(grid.nodes)):
+    xs, vs = u.grid.nodes, u.values
+    chords = u.chord_slopes()
+    k, last = 0, len(xs)
+    values = []
+    for x in grid.nodes:
+        if k < last and xs[k] < x:
+            break
+        if k < last and xs[k] == x:
+            values.append(vs[k])
+            k += 1
+        elif k == 0:
+            values.append(vs[0] + u.slope_left * (x - xs[0]))
+        elif k == last:
+            values.append(vs[-1] + u.slope_right * (x - xs[-1]))
+        else:
+            values.append(vs[k - 1] + chords[k - 1] * (x - xs[k - 1]))
+    if k < last:
         raise GridMismatch("refinement target must contain all existing nodes")
-    return GridPLConvex(
-        grid,
-        tuple(u.evaluate(x) for x in grid.nodes),
-        u.slope_left,
-        u.slope_right,
-    )
+    return GridPLConvex(grid, tuple(values), u.slope_left, u.slope_right)
 
 
 def align(*us: GridPLConvex):
@@ -367,12 +431,6 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
         t * u.slope_left + s * v.slope_left,
         t * u.slope_right + s * v.slope_right,
     )
-
-
-def node_diff(u: GridPLConvex, v: GridPLConvex):
-    """(aligned grid, tuple of u - v at its nodes)."""
-    u, v = align(u, v)
-    return u.grid, tuple(a - b for a, b in zip(u.values, v.values))
 
 
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:

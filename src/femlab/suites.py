@@ -12,7 +12,7 @@ import random
 
 from ._rational import rat
 from .energy import EnergyContext, energy, energy_diff_report
-from .errors import UnknownSuite
+from .errors import UnknownSuite, ValidationError
 from .grid_convex import (
     Grid,
     affine_combine,
@@ -298,10 +298,13 @@ def run_suite(name: str, seed: int, count: int, grid=None, reference=None):
 
     With no grid the suite runs on a built-in five-node harness; passing a
     grid (and optionally a reference on it) reruns the same properties on
-    caller-supplied geometry.
+    caller-supplied geometry.  A negative count raises ValidationError;
+    count 0 gives the summary alone.
     """
     if name not in _RUNNERS:
         raise UnknownSuite("no suite named %r; known: %s" % (name, ", ".join(SUITES)))
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValidationError("suite count must be a non-negative integer, got %r" % (count,))
     records = _RUNNERS[name](seed, count, grid, reference)
     passes = sum(1 for r in records if r["pass"])
     summary = {

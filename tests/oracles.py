@@ -91,6 +91,68 @@ def project_by_minimax(psi, u):
     )
 
 
+def envelope_values_by_minimax(nodes, values, s_lo, s_hi):
+    """Node values of biconjugate_by_minimax at every node, in one sweep.
+
+    The same candidate slopes and the same exact maximum, but each
+    candidate's conjugate is computed once instead of once per query, so
+    the sweep stays affordable on 65-node grids.
+    """
+    s_lo, s_hi = rat(s_lo), rat(s_hi)
+    candidates = {s_lo, s_hi}
+    for (xi, fi), (xj, fj) in itertools.combinations(zip(nodes, values), 2):
+        s = (fi - fj) / (xi - xj)
+        if s_lo <= s <= s_hi:
+            candidates.add(s)
+    conj = [(s, max(s * x - f for x, f in zip(nodes, values))) for s in candidates]
+    return tuple(max(s * x - c for s, c in conj) for x in nodes)
+
+
+def dual_value(points, p):
+    """Evaluate dual breakpoint data at p by a linear scan over its segments."""
+    p = rat(p)
+    if points[0][0] == p:
+        return points[0][1]
+    for (p0, w0), (p1, w1) in zip(points, points[1:]):
+        if p0 <= p <= p1:
+            return w0 + (w1 - w0) * (p - p0) / (p1 - p0)
+    raise AssertionError("dual evaluated outside its domain")
+
+
+def biconjugate_by_enumeration(dual, grid):
+    """Node values of sup_p (x p - dual(p)): a max over every breakpoint."""
+    return tuple(max(x * p - w for p, w in dual.points) for x in grid.nodes)
+
+
+def restrict_by_sampling(dual, lo, hi):
+    """Breakpoints of dual on [lo, hi]: both ends plus every interior breakpoint."""
+    lo, hi = rat(lo), rat(hi)
+    ps = sorted({lo, hi} | {p for p, _ in dual.points if lo < p < hi})
+    return tuple((p, dual_value(dual.points, p)) for p in ps)
+
+
+def max_dual_by_sampling(d1, d2):
+    """{p: max(d1(p), d2(p))} at every abscissa where max(d1, d2) may kink.
+
+    Those are the breakpoints of either dual and every point where a
+    segment of one crosses a segment of the other, found by intersecting
+    all segment pairs.  Two PL functions whose kinks lie in this set and
+    which agree on it agree on the whole common domain.
+    """
+    a, b = d1.points, d2.points
+    ps = {p for p, _ in a} | {p for p, _ in b}
+    for (p0, v0), (p1, v1) in zip(a, a[1:]):
+        for (q0, w0), (q1, w1) in zip(b, b[1:]):
+            sa, sb = (v1 - v0) / (p1 - p0), (w1 - w0) / (q1 - q0)
+            if sa == sb:
+                continue
+            # v0 + sa (t - p0) == w0 + sb (t - q0)
+            t = (w0 - v0 + sa * p0 - sb * q0) / (sa - sb)
+            if max(p0, q0) <= t <= min(p1, q1):
+                ps.add(t)
+    return {p: max(dual_value(a, p), dual_value(b, p)) for p in ps}
+
+
 TINY = rat(1, 10**6)
 
 

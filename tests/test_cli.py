@@ -161,6 +161,31 @@ def test_unknown_suite_name_exits_two():
     assert json.loads(proc.stderr)["error"] == "UnknownSuite"
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_suite_count_below_one_exits_two(count):
+    proc = run_cli("suite", "gh", "--seed", "1", "--count", count)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ValidationError"
+    assert "--count must be at least 1" in err["message"]
+
+
+def test_boolean_rational_in_a_scenario_exits_two(tmp_path):
+    doc = {
+        "grid": {"nodes": ["-1/1", "0/1", "1/1"], "polytope": ["0/1", "1/1"]},
+        "reference": {"values": ["0/1", "1/4", True], "slope_left": "0/1", "slope_right": "1/1"},
+        "experiments": [{"kind": "suite", "suite": "chains", "seed": 1, "count": 1}],
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(dumps_canonical(doc))
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ParseError"
+    assert "reference.values" in err["message"] and "bool" in err["message"]
+
+
 def test_main_is_callable_in_process(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FEM_LAB_OUT", raising=False)
     code = main(["suite", "gh", "--seed", "2", "--count", "2"])

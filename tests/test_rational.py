@@ -29,6 +29,15 @@ def test_floats_are_rejected():
         rat(1, 2.0)
 
 
+def test_booleans_are_rejected():
+    with pytest.raises(TypeError, match="bool"):
+        rat(True)
+    with pytest.raises(TypeError, match="bool"):
+        rat(False)
+    with pytest.raises(TypeError, match="bool"):
+        rat(1, True)
+
+
 def test_canonical_form_always_carries_denominator():
     assert rat_str(rat(0)) == "0/1"
     assert rat_str(rat(4, 2)) == "2/1"

@@ -61,6 +61,17 @@ def test_floats_are_not_rationals():
         parse_scenario(doc)
 
 
+def test_booleans_are_not_rationals():
+    doc = base_doc()
+    doc["reference"]["slope_left"] = False
+    with pytest.raises(ParseError, match="reference.slope_left: .*bool"):
+        parse_scenario(doc)
+    doc = base_doc()
+    doc["reference"]["values"][2] = True
+    with pytest.raises(ParseError, match="reference.values: .*bool"):
+        parse_scenario(doc)
+
+
 def test_empty_intervals_are_rejected():
     doc = base_doc()
     doc["families"] = {"f": {"levels": [["1/2", "1/2"]], "limit": ["0/1", "1/2"]}}

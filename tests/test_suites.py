@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from femlab import SUITES, Grid, make_pl, rat, run_suite
-from femlab.errors import UnknownSuite
+from femlab.errors import UnknownSuite, ValidationError
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 REF_ND = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
@@ -51,6 +51,12 @@ def test_count_zero_yields_summary_only():
     records, summary = run_suite("chains", seed=3, count=0)
     assert records == []
     assert summary["checks"] == summary["passes"] == summary["failures"] == 0
+
+
+@pytest.mark.parametrize("count", [-1, -3, True, "2"])
+def test_bad_counts_are_rejected(count):
+    with pytest.raises(ValidationError, match="count must be a non-negative integer"):
+        run_suite("chains", seed=3, count=count)
 
 
 def test_unknown_suite_is_rejected():
