@@ -40,6 +40,9 @@ def rat(a, b=None):
     Floats and booleans are rejected: they are never exact inputs in this
     model (a JSON ``true`` is not the rational 1).
     """
+    if b is None and type(a) is Rational:
+        if type(a.numerator) is int and type(a.denominator) is int:
+            return a  # the backend keeps its values in lowest terms
     if isinstance(a, (float, bool)) or isinstance(b, (float, bool)):
         raise TypeError(
             "refusing float or bool input to exact rational constructor: %r"

@@ -194,14 +194,6 @@ class BigSpace:
         )
 
 
-def quasi_dist(space: BigSpace, p: BigPoint, q: BigPoint):
-    return space.quasi(p, q)
-
-
-def chain_dist(space: BigSpace, p: BigPoint, q: BigPoint, nodes=()) -> ChainResult:
-    return space.chain(p, q, nodes)
-
-
 def default_node_pools(space: BigSpace, level: int):
     """One pool per other level, plus their union: the adversarial menu."""
     members = range(len(space.generator.members))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._rational import HALF, ZERO, rat
+from ._rational import HALF, rat
 from .errors import PreconditionViolated, SingularityMismatch
 from .grid_convex import (
     GridPLConvex,
@@ -24,16 +24,19 @@ from .grid_convex import (
     is_leq,
     pointwise_max,
 )
-from .measures import integrate, monge_ampere
+from .measures import _charged_sum, monge_ampere
 from .report import Report
 
 
 @dataclass(frozen=True)
 class EnergyContext:
-    """A level psi with its measure cached; the sector is its dual domain.
+    """A level psi with its measure cached: the one context of E and of d.
 
-    ``energy`` pairs with the cached measure whenever the potential shares
-    psi's grid, and recomputes MA(psi) only on a refined common grid.
+    The sector is psi's dual domain; ``energy``, ``dist`` and every check
+    built on them take this context.  ``energy`` pairs with the cached
+    measure whenever the potential shares psi's grid, and recomputes MA(psi)
+    only on a refined common grid.  A degenerate sector (zero mass) is
+    representable; on it the distance vanishes identically.
     """
 
     psi: ModelEnvelope
@@ -59,18 +62,6 @@ class EnergyContext:
             )
 
 
-def energy_context(psi: ModelEnvelope) -> EnergyContext:
-    return EnergyContext(psi)
-
-
-def _pairing(diff_values, measure):
-    acc = ZERO
-    for d, m in zip(diff_values, measure.masses):
-        if m != 0:
-            acc += d * m
-    return acc
-
-
 def energy(ctx: EnergyContext, u: GridPLConvex):
     """E(u) relative to the context level, exact.
 
@@ -84,7 +75,7 @@ def energy(ctx: EnergyContext, u: GridPLConvex):
     diff = tuple(a - b for a, b in zip(u2.values, psi2.values))
     mu = monge_ampere(u2)
     mpsi = ctx.psi_measure if psi2 is psi else monge_ampere(psi2)
-    return HALF * (_pairing(diff, mu) + _pairing(diff, mpsi))
+    return HALF * (_charged_sum(diff, mu.masses) + _charged_sum(diff, mpsi.masses))
 
 
 def energy_diff_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> Report:
@@ -99,8 +90,8 @@ def energy_diff_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> 
     eu, ev = energy(ctx, u), energy(ctx, v)
     u2, v2 = align(u, v)
     diff = tuple(a - b for a, b in zip(u2.values, v2.values))
-    iu = _pairing(diff, monge_ampere(u2))
-    iv = _pairing(diff, monge_ampere(v2))
+    iu = _charged_sum(diff, monge_ampere(u2).masses)
+    iv = _charged_sum(diff, monge_ampere(v2).masses)
     lhs = eu - ev
     identity_ok = lhs == HALF * (iu + iv)
     sandwich_ok = iu <= lhs <= iv

@@ -34,7 +34,7 @@ class BadReference(FemlabError):
 
 
 class BadExponent(FemlabError):
-    """Mixed-measure or Darboux exponent outside 0..n."""
+    """Darboux exponent outside 0..n, or a dimension below one."""
 
 
 class NotNormalized(FemlabError):

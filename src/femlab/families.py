@@ -27,7 +27,7 @@ from .grid_convex import (
     sup_diff,
 )
 from .measures import entropy, monge_ampere, normalize
-from .metric import MetricContext, dist
+from .metric import dist
 from .report import Report
 
 
@@ -69,10 +69,8 @@ class ModelFamily:
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
         object.__setattr__(self, "direction", "decreasing" if decreasing else "increasing")
-        object.__setattr__(
-            self, "contexts", tuple(MetricContext(EnergyContext(env)) for env in levels)
-        )
-        object.__setattr__(self, "limit_context", MetricContext(EnergyContext(self.limit)))
+        object.__setattr__(self, "contexts", tuple(EnergyContext(env) for env in levels))
+        object.__setattr__(self, "limit_context", EnergyContext(self.limit))
 
     @property
     def reference(self) -> GridPLConvex:

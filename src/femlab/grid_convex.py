@@ -352,14 +352,13 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
 
 def align(*us: GridPLConvex):
     """Bring potentials onto their common node-union grid, exactly."""
-    grids = {u.grid for u in us}
-    if len(grids) == 1:
+    first = us[0].grid
+    if all(u.grid == first for u in us):
         return us if len(us) > 1 else us[0]
-    polytopes = {g.polytope for g in grids}
-    if len(polytopes) != 1:
+    if any(u.grid.polytope != first.polytope for u in us):
         raise GridMismatch("potentials live over different polytopes")
-    nodes = sorted(set().union(*(g.nodes for g in grids)))
-    grid = Grid(tuple(nodes), next(iter(polytopes)))
+    nodes = sorted(set().union(*(u.grid.nodes for u in us)))
+    grid = Grid(tuple(nodes), first.polytope)
     out = tuple(refine_to(u, grid) for u in us)
     return out if len(out) > 1 else out[0]
 

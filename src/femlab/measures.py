@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._rational import ZERO, rat, rat_str
-from .errors import (
-    BadExponent,
-    GridMismatch,
-    NotNormalized,
-    PreconditionViolated,
-)
+from .errors import GridMismatch, NotNormalized, PreconditionViolated
 from .grid_convex import (
     Grid,
     GridPLConvex,
@@ -69,17 +64,13 @@ def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
     return AtomicMeasure(u.grid, jumps)
 
 
-def mixed_monge_ampere(u: GridPLConvex, v: GridPLConvex, j: int) -> AtomicMeasure:
-    """Mixed measure MA(u^j, v^(1-j)); in dimension one only j in {0, 1}."""
-    if j == 1:
-        return monge_ampere(u)
-    if j == 0:
-        return monge_ampere(v)
-    raise BadExponent("mixed exponent must be 0 or 1 in dimension one, got %r" % (j,))
-
-
-def total_mass(u: GridPLConvex):
-    return u.slope_right - u.slope_left
+def _charged_sum(values, masses):
+    """Sum of value * mass over the charged nodes; values are trusted rationals."""
+    acc = ZERO
+    for d, m in zip(values, masses):
+        if m != 0:
+            acc += d * m
+    return acc
 
 
 def integrate(g, mu: AtomicMeasure):
@@ -92,14 +83,10 @@ def integrate(g, mu: AtomicMeasure):
     if isinstance(g, GridPLConvex):
         vals = [g.evaluate(x) for x in mu.grid.nodes]
     else:
-        vals = list(g)
+        vals = [rat(v) for v in g]
         if len(vals) != len(mu.grid.nodes):
             raise ValueError("value sequence does not match the measure's grid")
-    acc = ZERO
-    for v, m in zip(vals, mu.masses):
-        if m != 0:
-            acc += rat(v) * m
-    return acc
+    return _charged_sum(vals, mu.masses)
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:

@@ -8,21 +8,19 @@ and the chain-sum convergence rate can be asserted with ==, not tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._rational import ONE, ZERO, rat
 from .errors import BadExponent, EmptyFamily, NotComparable
-from .energy import EnergyContext, energy
+from .energy import EnergyContext, energy, energy_diff_report
 from .grid_convex import (
     GridPLConvex,
-    ModelEnvelope,
     affine_combine,
     align,
     is_leq,
     rooftop,
     sup_diff,
 )
-from .measures import monge_ampere
+from .measures import _charged_sum, monge_ampere
 from .report import Report
 
 
@@ -33,48 +31,15 @@ def double_inequality_constant(n: int):
     return rat(1, 3 * 2 ** (n + 2) * (n + 1))
 
 
-@dataclass(frozen=True)
-class MetricContext:
-    """Energy context plus the cached constants of the distance estimates.
-
-    A degenerate sector (zero mass) is representable; on it the distance
-    vanishes identically, which callers can detect via `degenerate`.
-    """
-
-    energy_ctx: EnergyContext
-    n: int = 1
-    lower_constant: object = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower_constant", double_inequality_constant(self.n))
-
-    @property
-    def psi(self) -> ModelEnvelope:
-        return self.energy_ctx.psi
-
-    @property
-    def mass(self):
-        return self.energy_ctx.mass
-
-    @property
-    def degenerate(self) -> bool:
-        return self.energy_ctx.degenerate
-
-    def require_in_sector(self, u: GridPLConvex):
-        self.energy_ctx.require_in_sector(u)
+_LINE_CONSTANT = double_inequality_constant(1)
 
 
-def metric_context(psi: ModelEnvelope) -> MetricContext:
-    return MetricContext(EnergyContext(psi))
-
-
-def dist(ctx: MetricContext, u: GridPLConvex, v: GridPLConvex):
+def dist(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex):
     """d(u, v), exact and non-negative; zero iff u == v when the mass is positive."""
     ctx.require_in_sector(u)
     ctx.require_in_sector(v)
     p = rooftop(u, v)
-    e = ctx.energy_ctx
-    return energy(e, u) + energy(e, v) - 2 * energy(e, p)
+    return energy(ctx, u) + energy(ctx, v) - 2 * energy(ctx, p)
 
 
 def rho(u: GridPLConvex, v: GridPLConvex):
@@ -89,15 +54,11 @@ def rho(u: GridPLConvex, v: GridPLConvex):
     else:
         raise NotComparable("rho needs a pointwise-ordered pair")
     a, b = align(hi, lo)
-    mu = monge_ampere(b)
-    acc = ZERO
-    for x, y, m in zip(a.values, b.values, mu.masses):
-        if m != 0:
-            acc += (x - y) * m
-    return acc
+    diff = tuple(x - y for x, y in zip(a.values, b.values))
+    return _charged_sum(diff, monge_ampere(b).masses)
 
 
-def chain_rho(ctx: MetricContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
+def chain_rho(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
     """Sum of rho along the affine chain w_j = (j/N) u + ((N-j)/N) v.
 
     Exact; always >= dist(ctx, u, v) with defect O(1/N).
@@ -115,30 +76,42 @@ def chain_rho(ctx: MetricContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
     return acc
 
 
+def chain_defect_report(ctx: EnergyContext, hi: GridPLConvex, lo: GridPLConvex, steps) -> Report:
+    """The chain defect law: chain_rho(N) - d == gap / 2N for each N, exactly.
+
+    gap = I(lo) - I(hi) with I(w) = integral (hi - lo) dMA(w), from the
+    energy difference report.  lhs is d, rhs the gap; one row per N.
+    """
+    d = dist(ctx, hi, lo)
+    rep = energy_diff_report(ctx, hi, lo)
+    gap = rep.witnesses["int_against_ma_v"] - rep.witnesses["int_against_ma_u"]
+    rows, passed = [], True
+    for n in steps:
+        value = chain_rho(ctx, hi, lo, n)
+        defect = value - d
+        rows.append({"N": n, "chain": value, "defect": defect})
+        passed = passed and defect >= 0 and defect * (2 * n) == gap
+    return Report(name="chain_defect_law", passed=passed, lhs=d, rhs=gap, witnesses={"rows": rows})
+
+
 def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
     """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
     a, b = align(u, v)
-    mu = monge_ampere(a)
-    mv = monge_ampere(b)
-    acc = ZERO
-    for x, y, m0, m1 in zip(a.values, b.values, mu.masses, mv.masses):
-        w = m0 + m1
-        if w != 0:
-            acc += abs(x - y) * w
-    return acc
+    diff = tuple(abs(x - y) for x, y in zip(a.values, b.values))
+    return _charged_sum(diff, monge_ampere(a).masses) + _charged_sum(diff, monge_ampere(b).masses)
 
 
-def double_inequality_report(ctx: MetricContext, u: GridPLConvex, v: GridPLConvex) -> Report:
-    """c_n * integral |u-v| d(MA(u)+MA(v)) <= d(u,v) <= that integral, exactly."""
+def double_inequality_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> Report:
+    """c_1 * integral |u-v| d(MA(u)+MA(v)) <= d(u,v) <= that integral, exactly."""
     d = dist(ctx, u, v)
     pairing = abs_diff_pairing(u, v)
-    lower = ctx.lower_constant * pairing
+    lower = _LINE_CONSTANT * pairing
     return Report(
         name="double_inequality",
         passed=lower <= d <= pairing,
         lhs=d,
         rhs=pairing,
-        witnesses={"lower": lower, "constant": ctx.lower_constant},
+        witnesses={"lower": lower, "constant": _LINE_CONSTANT},
     )
 
 
@@ -159,7 +132,7 @@ def darboux_limit(n: int, s: int):
     return rat(1, math.comb(n, s) * (n + 1))
 
 
-def estimate_sup_bound_constants(ctx: MetricContext, family):
+def estimate_sup_bound_constants(ctx: EnergyContext, family):
     """Fit the smallest constants in V * sup(u - psi) <= A d(psi, u) + B.
 
     B is forced by the members at distance zero, then A is the exact sweep

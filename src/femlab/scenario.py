@@ -40,7 +40,7 @@ from .errors import (
     SlopeOutOfPolytope,
     ValidationError,
 )
-from .energy import energy_diff_report
+from .energy import EnergyContext
 from .families import (
     entropy_cap_filter,
     family_from_intervals,
@@ -56,7 +56,7 @@ from .grid_convex import (
     pointwise_max,
 )
 from .measures import is_nondegenerate_reference
-from .metric import chain_rho, dist, metric_context
+from .metric import chain_defect_report
 from .report import encode_value
 from .sampling import random_candidates
 from .serialize import write_csv, write_json, write_jsonl
@@ -129,12 +129,11 @@ def _seed(block, where):
     return value
 
 
-def _count(block, where, default=None):
-    value = block.get("count", default)
-    if value is None:
-        raise ParseError("missing key 'count' in %s" % where)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ParseError("%s: count must be a non-negative integer" % where)
+def _count(block, where, positive):
+    value = _require(block, "count", where)
+    if not isinstance(value, int) or isinstance(value, bool) or value < int(positive):
+        kind = "positive" if positive else "non-negative"
+        raise ParseError("%s: count must be a %s integer" % (where, kind))
     return value
 
 
@@ -198,7 +197,7 @@ def parse_scenario(doc) -> Scenario:
     samples = doc.get("samples")
     if samples is not None:
         _seed(samples, "samples")
-        _count(samples, "samples")
+        _count(samples, "samples", positive=False)
 
     def resolve(table, key, block, where, label):
         name = _require(block, key, where)
@@ -221,7 +220,7 @@ def parse_scenario(doc) -> Scenario:
             if suite not in SUITES:
                 raise ValidationError("%s: unknown suite %r" % (where, suite))
             _seed(block, where)
-            _count(block, where)
+            _count(block, where, positive=True)
         elif kind == "converge":
             resolve(families, "family", block, where, "family")
             resolve(potentials, "first", block, where, "potential")
@@ -287,29 +286,24 @@ def _run_chain_block(scn, block, index, out_dir):
     else:
         interval = _interval(interval, "experiments[%d].interval" % index)
     psi = model_from_interval(scn.grid, interval, scn.reference)
-    ctx = metric_context(psi)
     base = model_project(psi, scn.potentials[block["base"]])
     other = model_project(psi, scn.potentials[block["other"]])
-    hi, lo = pointwise_max(base, other), base
-    d = dist(ctx, hi, lo)
-    rep = energy_diff_report(ctx.energy_ctx, hi, lo)
-    gap = rep.witnesses["int_against_ma_v"] - rep.witnesses["int_against_ma_u"]
-    rows, passed = [], True
-    for n in block.get("steps", DEFAULT_CHAIN_STEPS):
-        value = chain_rho(ctx, hi, lo, n)
-        defect = value - d
-        rows.append({"N": n, "chain": value, "defect": defect})
-        passed = passed and defect >= 0 and defect * (2 * n) == gap
+    rep = chain_defect_report(
+        EnergyContext(psi),
+        pointwise_max(base, other),
+        base,
+        block.get("steps", DEFAULT_CHAIN_STEPS),
+    )
     payload = {
-        "check": "chain_defect_law",
-        "pass": passed,
-        "d": encode_value(d),
-        "gap": encode_value(gap),
-        "rows": encode_value(rows),
+        "check": rep.name,
+        "pass": rep.passed,
+        "d": encode_value(rep.lhs),
+        "gap": encode_value(rep.rhs),
+        "rows": encode_value(rep.witnesses["rows"]),
     }
     path = os.path.join(out_dir, "chain_%d.json" % index)
     write_json(path, payload)
-    return passed, [path], payload
+    return rep.passed, [path], payload
 
 
 def _run_gh_block(scn, block, index, out_dir, tolerance):

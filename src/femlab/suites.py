@@ -27,13 +27,7 @@ from .measures import (
     check_model_mass_bound,
     check_rooftop_mass_bound,
 )
-from .metric import (
-    chain_rho,
-    dist,
-    double_inequality_report,
-    metric_context,
-    rho,
-)
+from .metric import chain_defect_report, dist, double_inequality_report, rho
 from .ghlimits import (
     distortion,
     gh_exact,
@@ -85,7 +79,7 @@ def _suite_metric_axioms(seed, count, grid=None, reference=None):
     records = []
     for t in range(count):
         interval = random_subinterval(rng, grid.polytope)
-        ctx = metric_context(model_from_interval(grid, interval, ref))
+        ctx = EnergyContext(model_from_interval(grid, interval, ref))
         u = random_sector_potential(rng, grid, interval)
         v = random_sector_potential(rng, grid, interval)
         w = random_sector_potential(rng, grid, interval)
@@ -205,7 +199,7 @@ def _suite_contraction(seed, count, grid=None, reference=None):
         q2 = random_subinterval(rng, q1)
         psi1 = model_from_interval(grid, q1, ref)
         psi2 = model_from_interval(grid, q2, ref)
-        ctx1, ctx2 = metric_context(psi1), metric_context(psi2)
+        ctx1, ctx2 = EnergyContext(psi1), EnergyContext(psi2)
         u = random_sector_potential(rng, grid, q1)
         v = random_sector_potential(rng, grid, q1)
         pu, pv = model_project(psi2, u), model_project(psi2, v)
@@ -243,17 +237,10 @@ def _suite_chains(seed, count, grid=None, reference=None):
     records = []
     for t in range(count):
         interval = random_subinterval(rng, grid.polytope)
-        ctx = metric_context(model_from_interval(grid, interval, ref))
+        ctx = EnergyContext(model_from_interval(grid, interval, ref))
         hi, lo = random_ordered_pair(rng, grid, interval)
-        d = dist(ctx, hi, lo)
-        erep = energy_diff_report(ctx.energy_ctx, hi, lo)
-        a_int = erep.witnesses["int_against_ma_u"]
-        b_int = erep.witnesses["int_against_ma_v"]
-        ok = True
-        for big_n in (1, 2, 4, 8):
-            cr = chain_rho(ctx, hi, lo, big_n)
-            ok = ok and cr >= d and (cr - d) * (2 * big_n) == b_int - a_int
-        _rec(records, "chain_defect_law", seed, t, ok, {"d": d, "gap": b_int - a_int})
+        rep = chain_defect_report(ctx, hi, lo, (1, 2, 4, 8))
+        _rec(records, "chain_defect_law", seed, t, rep.passed, {"d": rep.lhs, "gap": rep.rhs})
     return records
 
 
@@ -263,7 +250,7 @@ def _suite_gh(seed, count, grid=None, reference=None):
     records = []
     for t in range(count):
         interval = random_subinterval(rng, grid.polytope)
-        ctx = metric_context(model_from_interval(grid, interval, ref))
+        ctx = EnergyContext(model_from_interval(grid, interval, ref))
         xs = [random_sector_potential(rng, grid, interval) for _ in range(3)]
         ys = [random_sector_potential(rng, grid, interval) for _ in range(3)]
         space_x = space_from_potentials(ctx, xs)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from femlab import (
+    EnergyContext,
     Grid,
-    energy_context,
     make_pl,
     metric_context,
     model_from_interval,
@@ -55,7 +55,7 @@ def ctx3(psi3):
 
 @pytest.fixture(scope="session")
 def ectx3(psi3):
-    return energy_context(psi3)
+    return EnergyContext(psi3)
 
 
 @pytest.fixture(scope="session")

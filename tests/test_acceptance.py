@@ -15,7 +15,6 @@ from femlab import (
     BigSpace,
     Grid,
     affine_combine,
-    chain_dist,
     chain_rho,
     darboux_limit,
     darboux_sum,
@@ -221,7 +220,7 @@ def test_criterion_07_cross_level_consistency():
         floor = space.volume_gap(a, b)
         nodes = [pt for pt in union_pool if pt.level not in (la, lb)]
         ok = ok and floor > 0
-        ok = ok and chain_dist(space, a, b, nodes).value >= floor
+        ok = ok and space.chain(a, b, nodes).value >= floor
     assert _verdict(7, "chained-distance-consistency", ok)
 
 

@@ -11,7 +11,6 @@ from femlab import (
     BigSpace,
     Grid,
     SampledFamily,
-    chain_dist,
     default_node_pools,
     dist,
     entropy_cap_filter,
@@ -21,7 +20,6 @@ from femlab import (
     member_cap,
     model_project,
     pl_equal,
-    quasi_dist,
     rat,
 )
 from femlab.errors import PreconditionViolated
@@ -64,8 +62,8 @@ def test_quasi_between_envelope_bottoms_is_the_volume_gap():
     q = sp.make_point(1, sp.envs[1].potential)
     first, sup_term, dv = sp.quasi_parts(p, q)
     assert (first, sup_term, dv) == (0, 0, rat(1, 2))
-    assert quasi_dist(sp, p, q) == rat(1, 2)
-    assert quasi_dist(sp, q, p) == rat(1, 2)
+    assert sp.quasi(p, q) == rat(1, 2)
+    assert sp.quasi(q, p) == rat(1, 2)
 
 
 def test_quasi_first_term_vanishes_on_the_projection():
@@ -75,7 +73,7 @@ def test_quasi_first_term_vanishes_on_the_projection():
     q = sp.make_point(1, model_project(sp.envs[1], u))
     first, sup_term, dv = sp.quasi_parts(p, q)
     assert first == 0
-    assert quasi_dist(sp, p, q) >= dv
+    assert sp.quasi(p, q) >= dv
 
 
 def test_make_point_requires_the_level_interval():
@@ -113,9 +111,9 @@ def test_quasi_restricts_to_dist_on_a_shared_level():
     for a in pts:
         for b in pts:
             d = dist(sp.ctxs[0], a.potential, b.potential)
-            assert quasi_dist(sp, a, b) == d
+            assert sp.quasi(a, b) == d
             if not pl_equal(a.potential, b.potential):
-                assert quasi_dist(sp, a, b) > 0
+                assert sp.quasi(a, b) > 0
 
 
 def test_quasi_dominates_the_volume_gap_across_levels():
@@ -126,17 +124,17 @@ def test_quasi_dominates_the_volume_gap_across_levels():
         for b in lower:
             gap = sp.volume_gap(a, b)
             assert gap == rat(3, 8)
-            q = quasi_dist(sp, a, b)
+            q = sp.quasi(a, b)
             assert q >= gap > 0
-            assert quasi_dist(sp, b, a) == q
+            assert sp.quasi(b, a) == q
 
 
 def test_chain_with_no_nodes_is_the_single_edge():
     sp = two_level_space()
     p = sp.make_point(0, sp.envs[0].potential)
     q = sp.make_point(1, sp.envs[1].potential)
-    res = chain_dist(sp, p, q)
-    assert res.value == quasi_dist(sp, p, q)
+    res = sp.chain(p, q)
+    assert res.value == sp.quasi(p, q)
     assert res.path == (0, 1)
     assert res.points == (p, q)
     assert len(res.edge_parts) == 1
@@ -148,9 +146,9 @@ def test_chain_never_exceeds_the_direct_edge_and_pools_only_help():
     b = sp.point_from_member(2, 1)
     small = [sp.point_from_member(1, i) for i in range(2)]
     big = small + [sp.point_from_member(3, i) for i in range(3)]
-    direct = quasi_dist(sp, a, b)
-    c_small = chain_dist(sp, a, b, small).value
-    c_big = chain_dist(sp, a, b, big).value
+    direct = sp.quasi(a, b)
+    c_small = sp.chain(a, b, small).value
+    c_big = sp.chain(a, b, big).value
     assert c_big <= c_small <= direct
 
 
@@ -159,8 +157,8 @@ def test_chain_triangle_through_an_explicit_node():
     a = sp.point_from_member(0, 0)
     m = sp.point_from_member(2, 0)
     b = sp.point_from_member(4, 1)
-    via = chain_dist(sp, a, b, [m]).value
-    assert via <= quasi_dist(sp, a, m) + quasi_dist(sp, m, b)
+    via = sp.chain(a, b, [m]).value
+    assert via <= sp.quasi(a, m) + sp.quasi(m, b)
 
 
 def test_default_node_pools_cover_the_other_levels_and_their_union():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from femlab import dumps_canonical
+from femlab import dumps_canonical, load_json
 from femlab.cli import main
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
@@ -169,6 +169,21 @@ def test_suite_count_below_one_exits_two(count):
     err = json.loads(proc.stderr)
     assert err["error"] == "ValidationError"
     assert "--count must be at least 1" in err["message"]
+
+
+def test_suite_block_with_count_zero_exits_two(tmp_path):
+    doc = load_json(SCENARIO)
+    doc["experiments"] = [{"kind": "suite", "suite": "chains", "seed": 1, "count": 0}]
+    path = tmp_path / "zero.json"
+    path.write_text(dumps_canonical(doc))
+    out = tmp_path / "out"
+    proc = run_cli("run", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert not out.exists()
+    err = json.loads(proc.stderr)
+    assert proc.stderr == dumps_canonical(err) + "\n"
+    assert err["error"] == "ParseError"
+    assert "count must be a positive integer" in err["message"]
 
 
 def test_boolean_rational_in_a_scenario_exits_two(tmp_path):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import oracles
 import strategies as own
 from femlab import (
+    EnergyContext,
     Grid,
     affine_combine,
     canonical_approximant,
     energy,
-    energy_context,
     energy_diff_report,
     is_leq,
     model_from_interval,
@@ -26,7 +26,7 @@ from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
 REF5 = nondegenerate_reference(GRID5)
-ECTX5 = energy_context(model_from_interval(GRID5, GRID5.polytope, REF5))
+ECTX5 = EnergyContext(model_from_interval(GRID5, GRID5.polytope, REF5))
 
 
 def test_energy_frozen_values(ectx3, tent3, ref3):
@@ -84,7 +84,7 @@ def test_refined_upper_bound_on_ordered_pairs(u, v):
 def test_energy_rejects_potentials_from_another_sector():
     half = model_from_interval(GRID5, (0, rat(1, 2)), REF5)
     with pytest.raises(SingularityMismatch):
-        energy(energy_context(half), ECTX5.psi.potential)
+        energy(EnergyContext(half), ECTX5.psi.potential)
 
 
 @given(u=own.potentials_on(GRID5), j=st.integers(1, 12))
@@ -101,6 +101,6 @@ def test_canonical_approximant_descends_to_u(u, j):
 def test_canonical_approximant_validates_inputs():
     with pytest.raises(ValueError):
         canonical_approximant(ECTX5, ECTX5.psi.potential, 0)
-    half = energy_context(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
+    half = EnergyContext(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
     with pytest.raises(PreconditionViolated):
         canonical_approximant(half, ECTX5.psi.potential, 1)

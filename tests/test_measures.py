@@ -21,16 +21,14 @@ from femlab import (
     normalize,
     pointwise_max,
     rat,
-    total_mass,
 )
-from femlab.errors import BadExponent, NotNormalized, SingularityMismatch
+from femlab.errors import NotNormalized, SingularityMismatch
 from femlab.measures import (
     AtomicMeasure,
     check_comparison_principle,
     check_model_mass_bound,
     check_rooftop_mass_bound,
     entropy_terms,
-    mixed_monge_ampere,
 )
 from femlab.sampling import nondegenerate_reference
 
@@ -53,7 +51,6 @@ def test_total_mass_is_dual_domain_length(data):
     q = data.draw(own.subintervals())
     u = data.draw(own.sector_potentials(GRID5, q))
     assert monge_ampere(u).total == q[1] - q[0]
-    assert total_mass(u) == q[1] - q[0]
 
 
 def test_reference_measure_is_the_documented_one():
@@ -84,15 +81,6 @@ def test_integration_is_linear(u, v, c):
 def test_normalize_rejects_zero_mass():
     with pytest.raises(NotNormalized):
         normalize(AtomicMeasure(GRID5, (0, 0, 0, 0, 0)))
-
-
-def test_mixed_measure_only_supports_endpoint_exponents():
-    u = make_pl(GRID5, (0, 0, 0, 0, 0), 0, 0)
-    v = REF5
-    assert mixed_monge_ampere(u, v, 1).masses == monge_ampere(u).masses
-    assert mixed_monge_ampere(u, v, 0).masses == monge_ampere(v).masses
-    with pytest.raises(BadExponent):
-        mixed_monge_ampere(u, v, 2)
 
 
 def test_entropy_frozen_value():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import strategies as own
 from femlab import (
     Grid,
+    chain_defect_report,
     chain_rho,
     darboux_limit,
     darboux_sum,
@@ -17,6 +18,7 @@ from femlab import (
     double_inequality_report,
     energy,
     estimate_sup_bound_constants,
+    make_pl,
     metric_context,
     model_from_interval,
     pl_equal,
@@ -40,6 +42,23 @@ def test_frozen_three_node_distances(ctx3, ref3, tent3):
     assert chain_rho(ctx3, ref3, tent3, 1) == rat(1, 2)
     assert chain_rho(ctx3, ref3, tent3, 2) == rat(3, 8)
     assert abs(chain_rho(ctx3, ref3, tent3, 64) - rat(1, 4)) <= rat(1, 64)
+
+
+def test_chain_defect_report_on_the_canonical_pair(ctx3, ref3, tent3):
+    rep = chain_defect_report(ctx3, ref3, tent3, (1, 2, 4, 8, 16))
+    assert rep.passed
+    assert rep.lhs == rat(1, 4)
+    assert rep.rhs == rat(1, 2)
+    assert [row["defect"] for row in rep.witnesses["rows"]] == [
+        rat(1, 4),
+        rat(1, 8),
+        rat(1, 16),
+        rat(1, 32),
+        rat(1, 64),
+    ]
+    crossing = make_pl(ctx3.psi.grid, (rat(1, 2), rat(1, 2), rat(1, 2)), 0, 1)
+    with pytest.raises(NotComparable):
+        chain_defect_report(ctx3, crossing, tent3, (1,))
 
 
 @given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5))

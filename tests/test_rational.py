@@ -22,6 +22,15 @@ def test_constructors_agree():
     assert rat(Fraction(5, 10)) == rat(1, 2)
 
 
+def test_backend_rationals_come_back_as_they_are():
+    q = rat(3, 7)
+    assert rat(q) is q
+    assert type(rat(q)) is Rational
+    assert rat("2/4") == rat(1, 2)
+    assert rat(2, 4) == rat(1, 2)
+    assert type(rat("2/4")) is Rational
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         rat(0.5)

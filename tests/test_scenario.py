@@ -145,9 +145,10 @@ def test_seed_and_count_must_be_honest_integers():
     with pytest.raises(ParseError, match="seed must be an integer"):
         parse_scenario(doc)
     doc = base_doc()
-    doc["experiments"][0]["count"] = -3
-    with pytest.raises(ParseError, match="count must be a non-negative integer"):
-        parse_scenario(doc)
+    for count in (-3, 0):
+        doc["experiments"][0]["count"] = count
+        with pytest.raises(ParseError, match="count must be a positive integer"):
+            parse_scenario(doc)
     doc = base_doc()
     doc["experiments"][0]["seed"] = True
     with pytest.raises(ParseError, match="seed must be an integer"):
