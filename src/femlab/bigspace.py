@@ -56,7 +56,9 @@ class BigSpace:
     """A family with a shared generator and every cache the queries need.
 
     Level indices run over the family levels, with one extra index for the
-    limit envelope.
+    limit envelope.  Projections and level distances are cached by value,
+    keyed by level and potentials, so every query reuses them; the caches
+    live and die with the space.
     """
 
     family: ModelFamily
@@ -70,7 +72,7 @@ class BigSpace:
         object.__setattr__(self, "ctxs", ctxs)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_proj", {})
-        object.__setattr__(self, "_pair", {})
+        object.__setattr__(self, "_dist", {})
         object.__setattr__(self, "_sup", {})
         object.__setattr__(self, "_edge", {})
         object.__setattr__(self, "_points", {})
@@ -83,11 +85,22 @@ class BigSpace:
     def limit_level(self) -> int:
         return len(self.envs) - 1
 
-    def projection(self, level: int, i: int) -> GridPLConvex:
-        key = (level, i)
+    def project(self, level: int, u: GridPLConvex) -> GridPLConvex:
+        """model_project of u to a level, computed once per (level, u) value."""
+        key = (level, u)
         if key not in self._proj:
-            self._proj[key] = model_project(self.envs[level], self.generator.members[i])
+            self._proj[key] = model_project(self.envs[level], u)
         return self._proj[key]
+
+    def level_dist(self, level: int, u: GridPLConvex, v: GridPLConvex):
+        """dist on one level, computed once per (level, u, v) value, either order."""
+        key = (level, u, v)
+        if key not in self._dist:
+            self._dist[key] = self._dist[(level, v, u)] = dist(self.ctxs[level], u, v)
+        return self._dist[key]
+
+    def projection(self, level: int, i: int) -> GridPLConvex:
+        return self.project(level, self.generator.members[i])
 
     def make_point(self, level: int, potential: GridPLConvex) -> BigPoint:
         if potential.dual_domain() != self.envs[level].Q:
@@ -105,14 +118,7 @@ class BigSpace:
         return self._points[key]
 
     def pair_dist(self, level: int, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        key = (level, i, j)
-        if key not in self._pair:
-            self._pair[key] = dist(
-                self.ctxs[level], self.projection(level, i), self.projection(level, j)
-            )
-        return self._pair[key]
+        return self.level_dist(level, self.projection(level, i), self.projection(level, j))
 
     def _sup_term(self, hi_level: int, lo_level: int, cap_limit: float):
         key = (hi_level, lo_level, cap_limit)
@@ -138,10 +144,9 @@ class BigSpace:
 
     def quasi_parts(self, p: BigPoint, q: BigPoint):
         hi, lo = self._ordered(p, q)
-        lo_env, lo_ctx = self.envs[lo.level], self.ctxs[lo.level]
-        first = dist(lo_ctx, lo.potential, model_project(lo_env, hi.potential))
+        first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         sup_term = self._sup_term(hi.level, lo.level, max(p.cap, q.cap))
-        dv = self.envs[hi.level].mass - lo_env.mass
+        dv = self.envs[hi.level].mass - self.envs[lo.level].mass
         return first, sup_term, dv
 
     def quasi(self, p: BigPoint, q: BigPoint):
@@ -223,7 +228,7 @@ def level_restriction_check(space: BigSpace, level: int, member_indices, pools=N
     checked = 0
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
-            exact = dist(space.ctxs[level], pts[a].potential, pts[b].potential)
+            exact = space.level_dist(level, pts[a].potential, pts[b].potential)
             for pi, pool in enumerate(pools):
                 res = space.chain(pts[a], pts[b], pool)
                 defect = exact - res.value

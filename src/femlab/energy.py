@@ -11,7 +11,7 @@ form, sandwich bounds) are emitted as reports with both sides included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._rational import HALF, rat
 from .errors import PreconditionViolated, SingularityMismatch
@@ -28,22 +28,17 @@ from .measures import _charged_sum, monge_ampere
 from .report import Report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyContext:
-    """A level psi with its measure cached: the one context of E and of d.
+    """A level psi: the one context of E and of d.
 
     The sector is psi's dual domain; ``energy``, ``dist`` and every check
-    built on them take this context.  ``energy`` pairs with the cached
-    measure whenever the potential shares psi's grid, and recomputes MA(psi)
-    only on a refined common grid.  A degenerate sector (zero mass) is
-    representable; on it the distance vanishes identically.
+    built on them take this context.  Contexts compare by identity, so a
+    potential's memo keeps one energy per context.  A degenerate sector
+    (zero mass) is representable; on it the distance vanishes identically.
     """
 
     psi: ModelEnvelope
-    psi_measure: object = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi_measure", monge_ampere(self.psi.potential))
 
     @property
     def mass(self):
@@ -63,19 +58,22 @@ class EnergyContext:
 
 
 def energy(ctx: EnergyContext, u: GridPLConvex):
-    """E(u) relative to the context level, exact.
+    """E(u) relative to the context level, exact, computed once per (ctx, u).
 
     The potential must lie in the sector (same dual domain as psi); grids
-    may differ by refinement and are aligned losslessly.  MA(psi) is the
-    context's cached measure unless alignment refined psi's grid.
+    may differ by refinement and are aligned losslessly.
     """
     ctx.require_in_sector(u)
-    psi = ctx.psi.potential
-    u2, psi2 = align(u, psi)
+    memo = u._memo
+    if ctx in memo:
+        return memo[ctx]
+    u2, psi2 = align(u, ctx.psi.potential)
     diff = tuple(a - b for a, b in zip(u2.values, psi2.values))
-    mu = monge_ampere(u2)
-    mpsi = ctx.psi_measure if psi2 is psi else monge_ampere(psi2)
-    return HALF * (_charged_sum(diff, mu.masses) + _charged_sum(diff, mpsi.masses))
+    e = HALF * (
+        _charged_sum(diff, monge_ampere(u2).masses) + _charged_sum(diff, monge_ampere(psi2).masses)
+    )
+    memo[ctx] = e
+    return e
 
 
 def energy_diff_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> Report:

@@ -241,15 +241,17 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(
     envs = list(family.levels) + [family.limit]
     ctxs = list(family.contexts) + [family.limit_context]
     projections = [list(project_family(env, generator).members) for env in envs]
-    lipschitz_ok = True
-    for k in range(len(envs)):
-        for j in range(k + 1, len(envs)):
-            for a in range(len(generator.members)):
-                for b in range(a + 1, len(generator.members)):
-                    upper = dist(ctxs[k], projections[k][a], projections[k][b])
-                    lower = dist(ctxs[j], projections[j][a], projections[j][b])
-                    if lower > upper:
-                        lipschitz_ok = False
+    n = len(generator.members)
+    tables = [
+        [dist(ctx, proj[a], proj[b]) for a in range(n) for b in range(a + 1, n)]
+        for ctx, proj in zip(ctxs, projections)
+    ]
+    lipschitz_ok = all(
+        lower <= upper
+        for k in range(len(envs))
+        for j in range(k + 1, len(envs))
+        for upper, lower in zip(tables[k], tables[j])
+    )
     compose_ok = True
     for k in range(len(envs) - 1):
         for a, u in enumerate(projections[k]):

@@ -75,6 +75,10 @@ class GridPLConvex:
     slope sequence slope_left, chords..., slope_right is non-decreasing and
     both end slopes sit inside the polytope.  The chord slopes computed for
     that check are kept, so conjugation and Monge-Ampere reuse them.
+
+    A potential is immutable, so every pure function of it is computed at
+    most once: ``_memo`` holds its hash, ``legendre(u)``, ``monge_ampere(u)``
+    and ``energy(ctx, u)`` per context, and lives and dies with it.
     """
 
     grid: Grid
@@ -82,6 +86,7 @@ class GridPLConvex:
     slope_left: object
     slope_right: object
     _chords: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(rat(v) for v in self.values)
@@ -112,6 +117,13 @@ class GridPLConvex:
         object.__setattr__(self, "slope_left", sl)
         object.__setattr__(self, "slope_right", sr)
         object.__setattr__(self, "_chords", chords)
+        object.__setattr__(self, "_memo", {})
+
+    def __hash__(self):
+        memo = self._memo
+        if "hash" not in memo:
+            memo["hash"] = hash((self.grid, self.values, self.slope_left, self.slope_right))
+        return memo["hash"]
 
     def chord_slopes(self) -> tuple:
         return self._chords
@@ -200,8 +212,12 @@ def legendre(u: GridPLConvex) -> DualPL:
 
     Walks the subdifferential: for p between consecutive chord slopes the
     sup sits at the node separating them, so u* is assembled in one pass
-    with breakpoints at the distinct slopes of u.
+    with breakpoints at the distinct slopes of u.  Computed once per
+    potential.
     """
+    memo = u._memo
+    if "legendre" in memo:
+        return memo["legendre"]
     xs, vs = u.grid.nodes, u.values
     slopes = (u.slope_left,) + u.chord_slopes() + (u.slope_right,)
     pts = []
@@ -211,7 +227,8 @@ def legendre(u: GridPLConvex) -> DualPL:
             continue
         i = min(k, len(xs) - 1)
         pts.append((p, p * xs[i] - vs[i]))
-    return DualPL(tuple(pts))
+    memo["legendre"] = dual = DualPL(tuple(pts))
+    return dual
 
 
 def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:

@@ -58,10 +58,17 @@ class AtomicMeasure:
 
 
 def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
-    """Atomic measure of slope jumps; total equals the dual domain length."""
+    """Atomic measure of slope jumps; total equals the dual domain length.
+
+    Computed once per potential.
+    """
+    memo = u._memo
+    if "monge_ampere" in memo:
+        return memo["monge_ampere"]
     slopes = (u.slope_left,) + u.chord_slopes() + (u.slope_right,)
     jumps = tuple(slopes[i + 1] - slopes[i] for i in range(len(slopes) - 1))
-    return AtomicMeasure(u.grid, jumps)
+    memo["monge_ampere"] = mu = AtomicMeasure(u.grid, jumps)
+    return mu
 
 
 def _charged_sum(values, masses):

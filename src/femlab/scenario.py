@@ -19,6 +19,8 @@ only in caps and tolerances):
       ]
     }
 
+A block may carry only the keys shown for its kind ("interval", "steps"
+and "tolerance" are optional); caps and tolerances must be JSON numbers.
 Every block with randomness carries an explicit seed, so identical files
 produce byte-identical outputs.  An empty document runs nothing and
 succeeds.  Output files are written before any failure is raised, so a
@@ -68,7 +70,13 @@ DEFAULT_CHAIN_STEPS = (1, 2, 4, 8, 16)
 _TOP_KEYS = frozenset(
     ("grid", "reference", "potentials", "families", "samples", "experiments")
 )
-_KINDS = frozenset(("suite", "converge", "chain", "gh"))
+# The keys each experiment kind reads; any other key is rejected.
+_BLOCK_KEYS = {
+    "suite": frozenset(("kind", "suite", "seed", "count")),
+    "converge": frozenset(("kind", "family", "first", "second", "tolerance")),
+    "chain": frozenset(("kind", "base", "other", "interval", "steps")),
+    "gh": frozenset(("kind", "family", "caps", "tolerance")),
+}
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,17 @@ def _rational(value, where):
         raise ParseError("%s: %s" % (where, exc))
 
 
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError("%s must be a number" % where)
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ParseError("%s: expected an object" % where)
+    return value
+
+
 def _interval(value, where):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError("%s: interval must be a [lo, hi] pair" % where)
@@ -111,8 +130,7 @@ def _interval(value, where):
 
 
 def _potential(grid, spec, where):
-    if not isinstance(spec, dict):
-        raise ParseError("%s: expected an object" % where)
+    _object(spec, where)
     values = [_rational(v, where + ".values") for v in _require(spec, "values", where)]
     sl = _rational(_require(spec, "slope_left", where), where + ".slope_left")
     sr = _rational(_require(spec, "slope_right", where), where + ".slope_right")
@@ -172,7 +190,7 @@ def parse_scenario(doc) -> Scenario:
         )
 
     potentials = {}
-    for name, spec in doc.get("potentials", {}).items():
+    for name, spec in _object(doc.get("potentials", {}), "potentials").items():
         where = "potentials.%s" % name
         u = _potential(grid, spec, where)
         if u.dual_domain() != grid.polytope:
@@ -183,8 +201,9 @@ def parse_scenario(doc) -> Scenario:
         potentials[name] = u
 
     families = {}
-    for name, spec in doc.get("families", {}).items():
+    for name, spec in _object(doc.get("families", {}), "families").items():
         where = "families.%s" % name
+        _object(spec, where)
         levels = [
             _interval(iv, where + ".levels") for iv in _require(spec, "levels", where)
         ]
@@ -196,8 +215,12 @@ def parse_scenario(doc) -> Scenario:
 
     samples = doc.get("samples")
     if samples is not None:
+        _object(samples, "samples")
         _seed(samples, "samples")
         _count(samples, "samples", positive=False)
+        for key in ("cap", "sup_bound"):
+            if key in samples:
+                _number(samples[key], "samples.%s" % key)
 
     def resolve(table, key, block, where, label):
         name = _require(block, key, where)
@@ -208,13 +231,19 @@ def parse_scenario(doc) -> Scenario:
     checked = []
     for i, block in enumerate(experiments):
         where = "experiments[%d]" % i
-        if not isinstance(block, dict):
-            raise ParseError("%s: expected an object" % where)
+        _object(block, where)
         kind = _require(block, "kind", where)
-        if kind not in _KINDS:
+        if kind not in _BLOCK_KEYS:
             raise ValidationError(
-                "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_KINDS)))
+                "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_BLOCK_KEYS)))
             )
+        unknown = set(block) - _BLOCK_KEYS[kind]
+        if unknown:
+            raise ValidationError(
+                "%s: unknown keys for a %s block: %s" % (where, kind, ", ".join(sorted(unknown)))
+            )
+        if "tolerance" in block:
+            _number(block["tolerance"], where + ".tolerance")
         if kind == "suite":
             suite = _require(block, "suite", where)
             if suite not in SUITES:
@@ -230,7 +259,10 @@ def parse_scenario(doc) -> Scenario:
             resolve(potentials, "other", block, where, "potential")
             if "interval" in block:
                 _interval(block["interval"], where + ".interval")
-            for n in block.get("steps", DEFAULT_CHAIN_STEPS):
+            steps = block.get("steps", DEFAULT_CHAIN_STEPS)
+            if not isinstance(steps, (list, tuple)) or not steps:
+                raise ParseError("%s: steps must be a non-empty list" % where)
+            for n in steps:
                 if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                     raise ParseError("%s: steps must be positive integers" % where)
         else:
@@ -238,6 +270,8 @@ def parse_scenario(doc) -> Scenario:
             caps = _require(block, "caps", where)
             if not isinstance(caps, list) or not caps:
                 raise ParseError("%s: caps must be a non-empty list" % where)
+            for c in caps:
+                _number(c, where + ".caps")
             if samples is None:
                 raise ValidationError(
                     "%s: gh experiments need a samples block for their seed" % where

@@ -9,6 +9,7 @@ import pytest
 
 from femlab import (
     BigSpace,
+    EnergyContext,
     Grid,
     SampledFamily,
     default_node_pools,
@@ -22,7 +23,7 @@ from femlab import (
     pl_equal,
     rat,
 )
-from femlab.errors import PreconditionViolated
+from femlab.errors import PreconditionViolated, SingularityMismatch
 from femlab.sampling import random_candidates
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
@@ -114,6 +115,30 @@ def test_quasi_restricts_to_dist_on_a_shared_level():
             assert sp.quasi(a, b) == d
             if not pl_equal(a.potential, b.potential):
                 assert sp.quasi(a, b) > 0
+
+
+def test_quasi_first_term_matches_a_computation_without_the_space():
+    sp = seeded_space(seed=3, count=6)
+    envs = sp.family.levels + (sp.family.limit,)
+    ctxs = [EnergyContext(env) for env in envs]
+    members = range(len(sp.generator.members))
+    pts = [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
+    for p in pts:
+        for q in pts:
+            # decreasing schedule: the deeper level is the lower one; on a
+            # shared level the second point is, as in BigSpace._ordered
+            lo, hi = (p, q) if p.level > q.level else (q, p)
+            expected = dist(ctxs[lo.level], lo.potential, model_project(envs[lo.level], hi.potential))
+            assert sp.quasi_parts(p, q)[0] == expected
+
+
+def test_a_cached_level_distance_still_checks_the_other_levels_sector():
+    sp = seeded_space(seed=3, count=6)
+    u, v = sp.projection(sp.limit_level, 0), sp.projection(sp.limit_level, 1)
+    d = sp.level_dist(sp.limit_level, u, v)
+    assert sp.level_dist(sp.limit_level, v, u) == d == dist(sp.ctxs[-1], u, v)
+    with pytest.raises(SingularityMismatch):
+        sp.level_dist(0, u, v)
 
 
 def test_quasi_dominates_the_volume_gap_across_levels():

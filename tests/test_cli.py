@@ -186,6 +186,54 @@ def test_suite_block_with_count_zero_exits_two(tmp_path):
     assert "count must be a positive integer" in err["message"]
 
 
+def _run_mutated_canonical(tmp_path, mutate):
+    doc = load_json(SCENARIO)
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(dumps_canonical(doc))
+    out = tmp_path / "out"
+    proc = run_cli("run", str(path), "--out", str(out))
+    return proc, out
+
+
+def _set_block(kind, key, value):
+    def mutate(doc):
+        next(b for b in doc["experiments"] if b["kind"] == kind)[key] = value
+
+    return mutate
+
+
+def test_chain_block_with_no_steps_exits_two(tmp_path):
+    proc, out = _run_mutated_canonical(tmp_path, _set_block("chain", "steps", []))
+    assert proc.returncode == 2
+    assert not out.exists()
+    err = json.loads(proc.stderr)
+    assert proc.stderr == dumps_canonical(err) + "\n"
+    assert err["error"] == "ParseError"
+    assert "steps must be a non-empty list" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["samples"].update(cap="abc"),
+        lambda d: d["samples"].update(sup_bound=True),
+        _set_block("gh", "caps", ["x"]),
+        _set_block("converge", "tolerance", "0.1"),
+        lambda d: d.update(potentials=[1, 2]),
+        lambda d: d.update(families=[1, 2]),
+        _set_block("converge", "tolerence", 0.5),
+    ],
+    ids=["cap", "sup_bound", "caps", "tolerance", "potentials", "families", "unknown_key"],
+)
+def test_mistyped_scenario_fields_exit_two_without_a_traceback(tmp_path, mutate):
+    proc, out = _run_mutated_canonical(tmp_path, mutate)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] in ("ParseError", "ValidationError")
+    assert not out.exists()
+
+
 def test_boolean_rational_in_a_scenario_exits_two(tmp_path):
     doc = {
         "grid": {"nodes": ["-1/1", "0/1", "1/1"], "polytope": ["0/1", "1/1"]},

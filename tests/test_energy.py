@@ -16,7 +16,10 @@ from femlab import (
     energy,
     energy_diff_report,
     is_leq,
+    legendre,
+    make_pl,
     model_from_interval,
+    monge_ampere,
     pl_equal,
     pointwise_max,
     rat,
@@ -41,6 +44,31 @@ def test_energy_of_the_envelope_itself_is_zero():
 @given(u=own.potentials_on(GRID5))
 def test_energy_matches_path_integration_oracle(u):
     assert energy(ECTX5, u) == oracles.energy_by_path_integration(ECTX5, u)
+
+
+@given(u=own.potentials_on(GRID5))
+def test_memoized_values_equal_those_of_a_fresh_equal_copy(u):
+    first = (legendre(u), monge_ampere(u), energy(ECTX5, u))
+    again = (legendre(u), monge_ampere(u), energy(ECTX5, u))
+    copy = make_pl(u.grid, u.values, u.slope_left, u.slope_right)
+    assert again == first == (legendre(copy), monge_ampere(copy), energy(ECTX5, copy))
+    assert first[2] == oracles.energy_by_path_integration(ECTX5, u)
+
+
+HALF_Q = (0, rat(1, 2))
+CTX_HALF = EnergyContext(model_from_interval(GRID5, HALF_Q, REF5))
+CTX_HALF_RAISED = EnergyContext(model_from_interval(GRID5, HALF_Q, REF5.shift(1)))
+
+
+@given(u=own.sector_potentials(GRID5, HALF_Q))
+def test_one_potential_keeps_one_energy_per_context(u):
+    # same sector, references one apart: psi rises by 1, so E drops by the mass
+    e = energy(CTX_HALF, u)
+    e_raised = energy(CTX_HALF_RAISED, u)
+    assert e == oracles.energy_by_path_integration(CTX_HALF, u)
+    assert e_raised == oracles.energy_by_path_integration(CTX_HALF_RAISED, u)
+    assert e - e_raised == CTX_HALF.mass
+    assert energy(CTX_HALF, u) == e
 
 
 @given(u=own.potentials_on(GRID5), c=own.rationals(-3, 3))

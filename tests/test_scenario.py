@@ -26,6 +26,10 @@ def base_doc():
     }
 
 
+def _set_first(doc, kind, key, value):
+    next(b for b in doc["experiments"] if b["kind"] == kind)[key] = value
+
+
 def test_canonical_file_parses():
     scn = parse_scenario(load_json(SCENARIO))
     assert set(scn.potentials) == {"tent", "ramp"}
@@ -161,6 +165,42 @@ def test_chain_steps_must_be_positive_integers():
         if block["kind"] == "chain":
             block["steps"] = [1, 0]
     with pytest.raises(ParseError, match="steps must be positive integers"):
+        parse_scenario(doc)
+    _set_first(doc, "chain", "steps", [])
+    with pytest.raises(ParseError, match="steps must be a non-empty list"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("suite", "tolerance"), ("converge", "tolerence"), ("chain", "seed"), ("gh", "count")],
+)
+def test_unknown_block_keys_are_rejected(kind, key):
+    doc = load_json(SCENARIO)
+    _set_first(doc, kind, key, 1)
+    with pytest.raises(ValidationError, match="unknown keys for a %s block: %s" % (kind, key)):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["samples"].update(cap="abc"), "samples.cap must be a number"),
+        (lambda d: d["samples"].update(sup_bound=True), "samples.sup_bound must be a number"),
+        (lambda d: _set_first(d, "gh", "caps", [1.0, "x"]), "caps must be a number"),
+        (lambda d: _set_first(d, "gh", "caps", [False]), "caps must be a number"),
+        (lambda d: _set_first(d, "converge", "tolerance", "0.1"), "tolerance must be a number"),
+        (lambda d: _set_first(d, "gh", "tolerance", None), "tolerance must be a number"),
+        (lambda d: d.update(potentials=[1, 2]), "potentials: expected an object"),
+        (lambda d: d.update(families=[1, 2]), "families: expected an object"),
+        (lambda d: d["families"].update(nested=3), "families.nested: expected an object"),
+        (lambda d: d.update(samples=[1]), "samples: expected an object"),
+    ],
+)
+def test_numeric_and_object_fields_are_type_checked(mutate, message):
+    doc = load_json(SCENARIO)
+    mutate(doc)
+    with pytest.raises(ParseError, match=message):
         parse_scenario(doc)
 
 
