@@ -9,8 +9,9 @@ Two subcommands:
 one JSON line per check to stdout followed by a summary line.  The
 environment variable FEM_LAB_OUT overrides --out for both.  Exit codes:
 0 on success, 1 when an assertion block or suite check fails, 2 on
-malformed input (parse or validation errors, unknown suite, a suite
---count below 1).
+malformed input or any other package error it leads to (parse or
+validation errors, unknown suite, a suite --count below 1).  Errors go to
+stderr as one canonical JSON object, never as a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .errors import AssertionFailed, ParseError, UnknownSuite, ValidationError
+from .errors import AssertionFailed, FemlabError, ValidationError
 from .scenario import DEFAULT_TOLERANCE, run_scenario
 from .serialize import dumps_canonical, load_json, write_jsonl
 from .suites import run_suite
@@ -61,21 +62,20 @@ def _out_dir(cli_value):
     return os.environ.get("FEM_LAB_OUT") or cli_value
 
 
+def _fail(exc, code, **extra) -> int:
+    payload = {"error": type(exc).__name__, "message": str(exc), **extra}
+    print(dumps_canonical(payload), file=sys.stderr)
+    return code
+
+
 def _cmd_run(args) -> int:
     try:
         doc = load_json(args.scenario)
         run_scenario(doc, _out_dir(args.out), args.tolerance)
     except AssertionFailed as exc:
-        payload = {"error": "AssertionFailed", "message": str(exc)}
-        payload["witnesses"] = getattr(exc, "witnesses", [])
-        print(dumps_canonical(payload), file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError) as exc:
-        print(
-            dumps_canonical({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(exc, 1, witnesses=getattr(exc, "witnesses", []))
+    except FemlabError as exc:
+        return _fail(exc, 2)
     return 0
 
 
@@ -84,12 +84,8 @@ def _cmd_suite(args) -> int:
         if args.count < 1:
             raise ValidationError("--count must be at least 1, got %d" % args.count)
         records, summary = run_suite(args.name, args.seed, args.count)
-    except (UnknownSuite, ValidationError) as exc:
-        print(
-            dumps_canonical({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+    except FemlabError as exc:
+        return _fail(exc, 2)
     rows = records + [summary]
     for row in rows:
         print(dumps_canonical(row))

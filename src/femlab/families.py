@@ -63,9 +63,6 @@ class ModelFamily:
         increasing = all(
             _contains(b, a) and a != b for a, b in zip(qs, qs[1:])
         ) and all(_contains(self.limit.Q, q) for q in qs)
-        if len(qs) == 1:
-            decreasing = _contains(qs[0], self.limit.Q)
-            increasing = _contains(self.limit.Q, qs[0])
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
         object.__setattr__(self, "direction", "decreasing" if decreasing else "increasing")

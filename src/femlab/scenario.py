@@ -20,7 +20,11 @@ only in caps and tolerances):
     }
 
 A block may carry only the keys shown for its kind ("interval", "steps"
-and "tolerance" are optional); caps and tolerances must be JSON numbers.
+and "tolerance" are optional).  Rationals are JSON integers or strings
+"p" or "p/q" of ASCII digits, optionally preceded by "-".  Caps and
+tolerances must be finite JSON numbers, and caps must be non-negative.
+Every interval must lie inside the polytope, and a gh block needs a
+decreasing family.
 Every block with randomness carries an explicit seed, so identical files
 produce byte-identical outputs.  An empty document runs nothing and
 succeeds.  Output files are written before any failure is raised, so a
@@ -29,8 +33,10 @@ red run still leaves its full evidence on disk.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+import re
 from dataclasses import dataclass, field
 
 from ._rational import rat, rat_str
@@ -67,6 +73,8 @@ from .suites import SUITES, run_suite
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_CHAIN_STEPS = (1, 2, 4, 8, 16)
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXPECTED = {dict: "an object", list: "a list", str: "a string"}
 _TOP_KEYS = frozenset(
     ("grid", "reference", "potentials", "families", "samples", "experiments")
 )
@@ -91,10 +99,10 @@ class Scenario:
     experiments: tuple = ()
 
 
-def _require(doc, key, where):
+def _require(doc, key, where, kind=object):
     if key not in doc:
         raise ParseError("missing key %r in %s" % (key, where))
-    return doc[key]
+    return _expect(doc[key], kind, "%s.%s" % (where, key))
 
 
 def _rational(value, where):
@@ -102,36 +110,55 @@ def _rational(value, where):
         raise ParseError(
             "%s: floats are not exact; write the rational as \"p/q\"" % where
         )
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, str) and _RATIONAL.fullmatch(value)
+    ):
+        raise ParseError(
+            "%s: expected an integer or a \"p/q\" string, got %s %r"
+            % (where, type(value).__name__, value)
+        )
     try:
         return rat(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("%s: %s" % (where, exc))
 
 
-def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError("%s must be a number" % where)
+def _number(value, where, non_negative=False):
+    try:
+        # json reads NaN and Infinity as floats; neither is a usable bound.
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ParseError("%s must be a number, got %r" % (where, value))
+    if non_negative and value < 0:
+        raise ValidationError("%s must be non-negative, got %r" % (where, value))
 
 
-def _object(value, where):
-    if not isinstance(value, dict):
-        raise ParseError("%s: expected an object" % where)
+def _expect(value, kind, where):
+    if not isinstance(value, kind):
+        raise ParseError("%s: expected %s" % (where, _EXPECTED[kind]))
     return value
 
 
-def _interval(value, where):
+def _interval(value, where, polytope=None):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError("%s: interval must be a [lo, hi] pair" % where)
     lo = _rational(value[0], where)
     hi = _rational(value[1], where)
     if lo >= hi:
         raise ValidationError("%s: interval [%s, %s] is empty" % (where, rat_str(lo), rat_str(hi)))
+    if polytope is not None and not polytope[0] <= lo < hi <= polytope[1]:
+        raise ValidationError(
+            "%s: interval [%s, %s] leaves the polytope [%s, %s]"
+            % (where, rat_str(lo), rat_str(hi), rat_str(polytope[0]), rat_str(polytope[1]))
+        )
     return (lo, hi)
 
 
 def _potential(grid, spec, where):
-    _object(spec, where)
-    values = [_rational(v, where + ".values") for v in _require(spec, "values", where)]
+    _expect(spec, dict, where)
+    values = [_rational(v, where + ".values") for v in _require(spec, "values", where, list)]
     sl = _rational(_require(spec, "slope_left", where), where + ".slope_left")
     sr = _rational(_require(spec, "slope_right", where), where + ".slope_right")
     try:
@@ -174,8 +201,8 @@ def parse_scenario(doc) -> Scenario:
     if not experiments:
         return Scenario(experiments=())
 
-    grid_spec = _require(doc, "grid", "scenario")
-    nodes = [_rational(x, "grid.nodes") for x in _require(grid_spec, "nodes", "grid")]
+    grid_spec = _require(doc, "grid", "scenario", dict)
+    nodes = [_rational(x, "grid.nodes") for x in _require(grid_spec, "nodes", "grid", list)]
     polytope = _interval(_require(grid_spec, "polytope", "grid"), "grid.polytope")
     try:
         grid = Grid(nodes=tuple(nodes), polytope=polytope)
@@ -190,7 +217,7 @@ def parse_scenario(doc) -> Scenario:
         )
 
     potentials = {}
-    for name, spec in _object(doc.get("potentials", {}), "potentials").items():
+    for name, spec in _expect(doc.get("potentials", {}), dict, "potentials").items():
         where = "potentials.%s" % name
         u = _potential(grid, spec, where)
         if u.dual_domain() != grid.polytope:
@@ -201,13 +228,14 @@ def parse_scenario(doc) -> Scenario:
         potentials[name] = u
 
     families = {}
-    for name, spec in _object(doc.get("families", {}), "families").items():
+    for name, spec in _expect(doc.get("families", {}), dict, "families").items():
         where = "families.%s" % name
-        _object(spec, where)
+        _expect(spec, dict, where)
         levels = [
-            _interval(iv, where + ".levels") for iv in _require(spec, "levels", where)
+            _interval(iv, where + ".levels", grid.polytope)
+            for iv in _require(spec, "levels", where, list)
         ]
-        limit = _interval(_require(spec, "limit", where), where + ".limit")
+        limit = _interval(_require(spec, "limit", where), where + ".limit", grid.polytope)
         try:
             families[name] = family_from_intervals(grid, levels, limit, reference)
         except ScheduleInvalid as exc:
@@ -215,15 +243,15 @@ def parse_scenario(doc) -> Scenario:
 
     samples = doc.get("samples")
     if samples is not None:
-        _object(samples, "samples")
+        _expect(samples, dict, "samples")
         _seed(samples, "samples")
         _count(samples, "samples", positive=False)
         for key in ("cap", "sup_bound"):
             if key in samples:
-                _number(samples[key], "samples.%s" % key)
+                _number(samples[key], "samples.%s" % key, non_negative=True)
 
     def resolve(table, key, block, where, label):
-        name = _require(block, key, where)
+        name = _require(block, key, where, str)
         if name not in table:
             raise ValidationError("%s: unknown %s %r" % (where, label, name))
         return name
@@ -231,8 +259,8 @@ def parse_scenario(doc) -> Scenario:
     checked = []
     for i, block in enumerate(experiments):
         where = "experiments[%d]" % i
-        _object(block, where)
-        kind = _require(block, "kind", where)
+        entry = dict(_expect(block, dict, where))
+        kind = _require(block, "kind", where, str)
         if kind not in _BLOCK_KEYS:
             raise ValidationError(
                 "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_BLOCK_KEYS)))
@@ -257,26 +285,31 @@ def parse_scenario(doc) -> Scenario:
         elif kind == "chain":
             resolve(potentials, "base", block, where, "potential")
             resolve(potentials, "other", block, where, "potential")
+            entry["interval"] = grid.polytope
             if "interval" in block:
-                _interval(block["interval"], where + ".interval")
-            steps = block.get("steps", DEFAULT_CHAIN_STEPS)
+                entry["interval"] = _interval(block["interval"], where + ".interval", grid.polytope)
+            steps = entry.setdefault("steps", DEFAULT_CHAIN_STEPS)
             if not isinstance(steps, (list, tuple)) or not steps:
                 raise ParseError("%s: steps must be a non-empty list" % where)
             for n in steps:
                 if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                     raise ParseError("%s: steps must be positive integers" % where)
         else:
-            resolve(families, "family", block, where, "family")
+            name = resolve(families, "family", block, where, "family")
+            if families[name].direction != "decreasing":
+                raise ValidationError(
+                    "%s: gh experiments need a decreasing family; %r is increasing" % (where, name)
+                )
             caps = _require(block, "caps", where)
             if not isinstance(caps, list) or not caps:
                 raise ParseError("%s: caps must be a non-empty list" % where)
             for c in caps:
-                _number(c, where + ".caps")
+                _number(c, where + ".caps", non_negative=True)
             if samples is None:
                 raise ValidationError(
                     "%s: gh experiments need a samples block for their seed" % where
                 )
-        checked.append(dict(block))
+        checked.append(entry)
 
     return Scenario(
         grid=grid,
@@ -314,20 +347,10 @@ def _run_converge_block(scn, block, index, out_dir, tolerance):
 
 
 def _run_chain_block(scn, block, index, out_dir):
-    interval = block.get("interval")
-    if interval is None:
-        interval = scn.grid.polytope
-    else:
-        interval = _interval(interval, "experiments[%d].interval" % index)
-    psi = model_from_interval(scn.grid, interval, scn.reference)
+    psi = model_from_interval(scn.grid, block["interval"], scn.reference)
     base = model_project(psi, scn.potentials[block["base"]])
     other = model_project(psi, scn.potentials[block["other"]])
-    rep = chain_defect_report(
-        EnergyContext(psi),
-        pointwise_max(base, other),
-        base,
-        block.get("steps", DEFAULT_CHAIN_STEPS),
-    )
+    rep = chain_defect_report(EnergyContext(psi), pointwise_max(base, other), base, block["steps"])
     payload = {
         "check": rep.name,
         "pass": rep.passed,

@@ -11,6 +11,7 @@ import pytest
 
 from femlab import dumps_canonical, load_json
 from femlab.cli import main
+from femlab.errors import ScheduleInvalid
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
 
@@ -223,8 +224,32 @@ def test_chain_block_with_no_steps_exits_two(tmp_path):
         lambda d: d.update(potentials=[1, 2]),
         lambda d: d.update(families=[1, 2]),
         _set_block("converge", "tolerence", 0.5),
+        _set_block("gh", "caps", [-1.0]),
+        lambda d: d["samples"].update(sup_bound=-1),
+        _set_block("gh", "caps", [float("nan")]),
+        _set_block("converge", "tolerance", float("nan")),
+        lambda d: d["samples"].update(cap=float("nan")),
+        _set_block("chain", "interval", [0, 2]),
+        lambda d: d["families"]["nested"].update(levels=[[0, 2], [0, "3/4"]]),
+        lambda d: d["families"]["nested"].update(levels=[[0, "5/8"], [0, "3/4"]], limit=[0, 1]),
     ],
-    ids=["cap", "sup_bound", "caps", "tolerance", "potentials", "families", "unknown_key"],
+    ids=[
+        "cap",
+        "sup_bound",
+        "caps",
+        "tolerance",
+        "potentials",
+        "families",
+        "unknown_key",
+        "caps_negative",
+        "sup_bound_negative",
+        "caps_nan",
+        "tolerance_nan",
+        "samples_cap_nan",
+        "chain_interval_outside",
+        "family_level_outside",
+        "gh_on_increasing_family",
+    ],
 )
 def test_mistyped_scenario_fields_exit_two_without_a_traceback(tmp_path, mutate):
     proc, out = _run_mutated_canonical(tmp_path, mutate)
@@ -255,3 +280,20 @@ def test_main_is_callable_in_process(tmp_path, capsys, monkeypatch):
     assert code == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rows[-1]["suite"] == "gh"
+
+
+def test_library_errors_exit_two_with_json_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+
+    def fail(*args, **kwargs):
+        raise ScheduleInvalid("cap -1.0 keeps no candidates")
+
+    expected = dumps_canonical(
+        {"error": "ScheduleInvalid", "message": "cap -1.0 keeps no candidates"}
+    )
+    monkeypatch.setattr("femlab.cli.run_scenario", fail)
+    assert main(["run", SCENARIO, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == expected + "\n"
+    monkeypatch.setattr("femlab.cli.run_suite", fail)
+    assert main(["suite", "gh", "--seed", "1", "--count", "1"]) == 2
+    assert capsys.readouterr().err == expected + "\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -74,6 +75,31 @@ def test_booleans_are_not_rationals():
     doc["reference"]["values"][2] = True
     with pytest.raises(ParseError, match="reference.values: .*bool"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("literal", ["0.25", "1e3", " 1/2", "1/4 ", "+1", "1/-4", ""])
+def test_rationals_follow_the_strict_grammar(literal):
+    doc = base_doc()
+    doc["reference"]["values"][1] = literal
+    with pytest.raises(ParseError, match='reference.values: expected an integer or a "p/q" string'):
+        parse_scenario(doc)
+
+
+def test_integers_and_signed_p_over_q_strings_are_rationals():
+    doc = base_doc()
+    doc["grid"]["nodes"] = [-1, "0", "1/1"]
+    doc["reference"]["values"] = ["0", "1/4", 1]
+    doc["potentials"] = {"p": {"values": ["-1/2", "-1/2", "1/2"], "slope_left": 0, "slope_right": 1}}
+    scn = parse_scenario(doc)
+    assert scn.grid.nodes == (-1, 0, 1)
+    assert scn.potentials["p"].values[0] == Fraction(-1, 2)
+
+
+def test_chain_interval_is_parsed_once_into_the_block():
+    doc = load_json(SCENARIO)
+    assert parse_scenario(doc).experiments[2]["interval"] == (0, 1)
+    _set_first(doc, "chain", "interval", ["0", "1/2"])
+    assert parse_scenario(doc).experiments[2]["interval"] == (0, Fraction(1, 2))
 
 
 def test_empty_intervals_are_rejected():
@@ -195,6 +221,12 @@ def test_unknown_block_keys_are_rejected(kind, key):
         (lambda d: d.update(families=[1, 2]), "families: expected an object"),
         (lambda d: d["families"].update(nested=3), "families.nested: expected an object"),
         (lambda d: d.update(samples=[1]), "samples: expected an object"),
+        (lambda d: d.update(grid=None), "scenario.grid: expected an object"),
+        (lambda d: d["grid"].update(nodes=None), "grid.nodes: expected a list"),
+        (lambda d: d["reference"].update(values=3), "reference.values: expected a list"),
+        (lambda d: d["families"]["nested"].update(levels=None), "nested.levels: expected a list"),
+        (lambda d: _set_first(d, "suite", "kind", []), r"\]\.kind: expected a string"),
+        (lambda d: _set_first(d, "gh", "family", []), r"\]\.family: expected a string"),
     ],
 )
 def test_numeric_and_object_fields_are_type_checked(mutate, message):
