@@ -15,10 +15,9 @@ from .bigspace import (
     default_node_pools,
     level_restriction_check,
 )
-from .energy import EnergyContext, canonical_approximant, energy, energy_diff_report
+from .energy import EnergyContext, energy, energy_diff_report
 from .families import (
     ModelFamily,
-    ProjectedFamily,
     SampledFamily,
     density_approximant,
     entropy_cap_filter,
@@ -50,7 +49,6 @@ from .grid_convex import (
     check_reference,
     compare_singularity,
     is_leq,
-    is_model_type,
     legendre,
     make_pl,
     model_from_interval,
@@ -81,22 +79,7 @@ from .metric import (
 )
 from .report import Report, encode_value
 from .scenario import Scenario, parse_scenario, run_scenario
-from .serialize import (
-    dumps_canonical,
-    envelope_from_dict,
-    envelope_to_dict,
-    grid_from_dict,
-    load_json,
-    measure_from_dict,
-    measure_to_dict,
-    potential_from_dict,
-    potential_to_dict,
-    space_from_dict,
-    space_to_dict,
-    write_csv,
-    write_json,
-    write_jsonl,
-)
+from .serialize import dumps_canonical, load_json, write_csv, write_json, write_jsonl
 from .suites import SUITES, run_suite
 
 # The distance is built from the energy alone, so it shares energy's context.
@@ -124,7 +107,6 @@ __all__ = [
     "check_reference",
     "model_from_interval",
     "model_project",
-    "is_model_type",
     "AtomicMeasure",
     "monge_ampere",
     "integrate",
@@ -134,7 +116,6 @@ __all__ = [
     "EnergyContext",
     "energy",
     "energy_diff_report",
-    "canonical_approximant",
     "metric_context",
     "dist",
     "rho",
@@ -147,7 +128,6 @@ __all__ = [
     "estimate_sup_bound_constants",
     "ModelFamily",
     "SampledFamily",
-    "ProjectedFamily",
     "family_from_intervals",
     "project_family",
     "split_caps",
@@ -178,15 +158,6 @@ __all__ = [
     "run_scenario",
     "SUITES",
     "run_suite",
-    "potential_to_dict",
-    "potential_from_dict",
-    "grid_from_dict",
-    "measure_to_dict",
-    "measure_from_dict",
-    "envelope_to_dict",
-    "envelope_from_dict",
-    "space_to_dict",
-    "space_from_dict",
     "dumps_canonical",
     "load_json",
     "write_json",

@@ -10,8 +10,9 @@ one JSON line per check to stdout followed by a summary line.  The
 environment variable FEM_LAB_OUT overrides --out for both.  Exit codes:
 0 on success, 1 when an assertion block or suite check fails, 2 on
 malformed input or any other package error it leads to (parse or
-validation errors, unknown suite, a suite --count below 1).  Errors go to
-stderr as one canonical JSON object, never as a traceback.
+validation errors, unknown suite, a suite --count below 1), 3 on any other
+exception (a defect, or an output directory that cannot be written).
+Errors go to stderr as one canonical JSON object, never as a traceback.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _cmd_run(args) -> int:
         doc = load_json(args.scenario)
         run_scenario(doc, _out_dir(args.out), args.tolerance)
     except AssertionFailed as exc:
-        return _fail(exc, 1, witnesses=getattr(exc, "witnesses", []))
+        return _fail(exc, 1, witnesses=exc.witnesses)
     except FemlabError as exc:
         return _fail(exc, 2)
     return 0
@@ -98,9 +99,11 @@ def _cmd_suite(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_suite(args)
+    command = _cmd_run if args.command == "run" else _cmd_suite
+    try:
+        return command(args)
+    except Exception as exc:
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

@@ -13,17 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import HALF, rat
-from .errors import PreconditionViolated, SingularityMismatch
-from .grid_convex import (
-    GridPLConvex,
-    ModelEnvelope,
-    SingularityOrder,
-    align,
-    compare_singularity,
-    is_leq,
-    pointwise_max,
-)
+from ._rational import HALF
+from .errors import SingularityMismatch
+from .grid_convex import GridPLConvex, ModelEnvelope, align, is_leq
 from .measures import _charged_sum, monge_ampere
 from .report import Report
 
@@ -109,20 +101,3 @@ def energy_diff_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> 
             "refined": refined_ok,
         },
     )
-
-
-def canonical_approximant(ctx: EnergyContext, u: GridPLConvex, j) -> GridPLConvex:
-    """max(u, psi - j): the bounded approximant of a more singular u.
-
-    Crossing abscissas become new grid nodes so the result is the exact
-    pointwise max; its dual domain is the full sector, so its energy is
-    defined and decreases to E(u) as j grows (stabilizing at finite j when
-    u is itself in the sector).
-    """
-    j = rat(j)
-    if j <= 0:
-        raise ValueError("approximation parameter must be positive")
-    order = compare_singularity(u, ctx.psi.potential)
-    if order not in (SingularityOrder.MORE_SINGULAR, SingularityOrder.EQUIVALENT):
-        raise PreconditionViolated("approximant needs u at least as singular as psi")
-    return pointwise_max(u, ctx.psi.potential.shift(-j))

@@ -86,8 +86,8 @@ class ValidationError(FemlabError):
 
 
 class AssertionFailed(FemlabError):
-    """A scenario assertion block failed; carries a witness payload."""
+    """Scenario assertion blocks failed; carries one witness per failed block."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witnesses=()):
         super().__init__(message)
-        self.witness = witness if witness is not None else {}
+        self.witnesses = list(witnesses)

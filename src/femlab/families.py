@@ -73,9 +73,6 @@ class ModelFamily:
     def reference(self) -> GridPLConvex:
         return self.levels[0].reference
 
-    def lengths(self):
-        return tuple(env.Q[1] - env.Q[0] for env in self.levels), self.limit.Q[1] - self.limit.Q[0]
-
 
 def family_from_intervals(grid, intervals, limit_interval, reference) -> ModelFamily:
     levels = tuple(
@@ -142,30 +139,12 @@ def entropy_cap_filter(candidates, cap: float, sup_bound, reference: GridPLConve
     return SampledFamily(tuple(kept), cap, sup_bound, reference)
 
 
-@dataclass(frozen=True)
-class ProjectedFamily:
-    """Envelope projections of a SampledFamily; member i images source member i."""
-
-    psi: ModelEnvelope
-    source: SampledFamily
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def pairs(self):
-        return tuple(zip(self.source.members, self.members))
-
-
-def project_family(psi: ModelEnvelope, family: SampledFamily) -> ProjectedFamily:
+def project_family(psi: ModelEnvelope, family: SampledFamily) -> tuple:
+    """The level-psi images of the members, image i of member i."""
     for u in family:
         if u.grid.polytope != psi.grid.polytope:
             raise GridMismatch("family and envelope live on different polytopes")
-    images = tuple(model_project(psi, u) for u in family)
-    return ProjectedFamily(psi, family, images)
+    return tuple(model_project(psi, u) for u in family)
 
 
 def density_approximant(psi: ModelEnvelope, u: GridPLConvex, j) -> GridPLConvex:

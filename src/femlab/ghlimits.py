@@ -198,12 +198,10 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
         kept = entropy_cap_filter([reference] + list(candidates), cap, cap, reference)
         if not kept.members:
             raise ScheduleInvalid("cap %s keeps no candidates" % cap)
-        limit_proj = project_family(family.limit, kept)
-        limit_space = space_from_potentials(family.limit_context, limit_proj.members)
+        limit_space = space_from_potentials(family.limit_context, project_family(family.limit, kept))
         previous = None
         for k, env in enumerate(family.levels):
-            level_proj = project_family(env, kept)
-            level_space = space_from_potentials(family.contexts[k], level_proj.members)
+            level_space = space_from_potentials(family.contexts[k], project_family(env, kept))
             rel = identity_correspondence(level_space, limit_space)
             value = distortion(rel)
             rows.append({"cap": cap, "level": k, "distortion": value, "members": len(kept)})
@@ -240,7 +238,7 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")
     envs = list(family.levels) + [family.limit]
     ctxs = list(family.contexts) + [family.limit_context]
-    projections = [list(project_family(env, generator).members) for env in envs]
+    projections = [project_family(env, generator) for env in envs]
     n = len(generator.members)
     tables = [
         [dist(ctx, proj[a], proj[b]) for a in range(n) for b in range(a + 1, n)]

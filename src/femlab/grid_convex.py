@@ -593,9 +593,3 @@ def model_project(psi: ModelEnvelope, u: GridPLConvex) -> GridPLConvex:
     """
     dual = restrict_dual(legendre(u), *psi.Q)
     return biconjugate(dual, u.grid)
-
-
-def is_model_type(u: GridPLConvex, reference: GridPLConvex) -> bool:
-    """Does u equal the model envelope of its own dual domain?"""
-    env = model_from_interval(u.grid, u.dual_domain(), reference)
-    return pl_equal(env.potential, u)

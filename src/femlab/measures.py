@@ -5,8 +5,7 @@ purely atomic: the mass at a node is the slope jump there, counting the end
 slopes as the slopes beyond the first and last node.  Total mass is the
 length of the dual domain, so it never exceeds the polytope length for a
 measure that arises from a potential.  Relative entropy is the single place
-floats appear; exact numerator/denominator pairs are exposed alongside so
-tests can recompute it.
+floats appear; it reads exact masses and converts only at the final log.
 """
 
 from __future__ import annotations
@@ -128,12 +127,6 @@ def entropy(nu: AtomicMeasure, mu: AtomicMeasure) -> float:
             return math.inf
         acc += float(n) * math.log(float(n / m))
     return acc
-
-
-def entropy_terms(nu: AtomicMeasure, mu: AtomicMeasure) -> tuple:
-    """Exact (nu_i, mu_i) pairs over nu's support, for recomputation."""
-    _check_probability_pair(nu, mu)
-    return tuple((n, m) for n, m in zip(nu.masses, mu.masses) if n != 0)
 
 
 def is_nondegenerate_reference(reference: GridPLConvex) -> bool:

@@ -423,9 +423,8 @@ def run_scenario(doc, out_dir, tolerance: float = DEFAULT_TOLERANCE):
         if not passed:
             failures.append({"block": i, "kind": kind, "witness": witness})
     if failures:
-        exc = AssertionFailed(
-            "%d of %d experiment blocks failed" % (len(failures), len(scn.experiments))
+        raise AssertionFailed(
+            "%d of %d experiment blocks failed" % (len(failures), len(scn.experiments)),
+            failures,
         )
-        exc.witnesses = failures
-        raise exc
     return written

@@ -1,8 +1,8 @@
-"""JSON and CSV round-trips with canonical rational strings.
+"""Canonical JSON and CSV writers and the one JSON reader.
 
-Every rational is written as "p/q" with an explicit denominator, so equal
-inputs serialize to identical bytes; json dumps always sort keys and csv
-rows always use bare newlines.
+json dumps always sort keys and strip spaces, so equal inputs serialize to
+identical bytes; csv rows always use bare newlines.  ``load_json`` turns
+every way a document can fail to load into a ParseError.
 """
 
 from __future__ import annotations
@@ -10,90 +10,7 @@ from __future__ import annotations
 import csv
 import json
 
-from ._rational import parse_rat, rat_str
 from .errors import ParseError
-from .grid_convex import Grid, GridPLConvex, ModelEnvelope, make_pl, model_from_interval
-from .ghlimits import FiniteMetricSpace
-from .measures import AtomicMeasure
-
-
-def potential_to_dict(u: GridPLConvex) -> dict:
-    return {
-        "nodes": [rat_str(x) for x in u.grid.nodes],
-        "polytope": [rat_str(p) for p in u.grid.polytope],
-        "values": [rat_str(v) for v in u.values],
-        "slope_left": rat_str(u.slope_left),
-        "slope_right": rat_str(u.slope_right),
-    }
-
-
-def _require(mapping: dict, key: str):
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise ParseError("missing field %r" % key) from None
-
-
-def _rats(values):
-    try:
-        return tuple(parse_rat(v) for v in values)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational: %s" % exc) from None
-
-
-def grid_from_dict(data: dict) -> Grid:
-    return Grid(_rats(_require(data, "nodes")), _rats(_require(data, "polytope")))
-
-
-def potential_from_dict(data: dict) -> GridPLConvex:
-    grid = grid_from_dict(data)
-    return make_pl(
-        grid,
-        _rats(_require(data, "values")),
-        parse_rat(_require(data, "slope_left")),
-        parse_rat(_require(data, "slope_right")),
-    )
-
-
-def measure_to_dict(mu: AtomicMeasure) -> dict:
-    return {
-        "nodes": [rat_str(x) for x in mu.grid.nodes],
-        "polytope": [rat_str(p) for p in mu.grid.polytope],
-        "masses": [rat_str(m) for m in mu.masses],
-    }
-
-
-def measure_from_dict(data: dict) -> AtomicMeasure:
-    return AtomicMeasure(grid_from_dict(data), _rats(_require(data, "masses")))
-
-
-def envelope_to_dict(psi: ModelEnvelope) -> dict:
-    return {
-        "Q": [rat_str(psi.Q[0]), rat_str(psi.Q[1])],
-        "reference": potential_to_dict(psi.reference),
-    }
-
-
-def envelope_from_dict(data: dict) -> ModelEnvelope:
-    reference = potential_from_dict(_require(data, "reference"))
-    lo, hi = _rats(_require(data, "Q"))
-    return model_from_interval(reference.grid, (lo, hi), reference)
-
-
-def space_to_dict(space: FiniteMetricSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "basepoint": space.basepoint,
-        "matrix": [[rat_str(v) for v in row] for row in space.matrix],
-    }
-
-
-def space_from_dict(data: dict) -> FiniteMetricSpace:
-    return FiniteMetricSpace(
-        tuple(_require(data, "labels")),
-        tuple(_rats(row) for row in _require(data, "matrix")),
-        int(data.get("basepoint", 0)),
-    )
 
 
 def dumps_canonical(obj) -> str:
@@ -122,7 +39,10 @@ def write_csv(path, header, rows):
 
 def load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, non-UTF-8 bytes and over-long integers.
         raise ParseError("invalid JSON: %s" % exc) from None

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femlab import dumps_canonical, load_json
 from femlab.cli import main
@@ -297,3 +303,96 @@ def test_library_errors_exit_two_with_json_in_process(tmp_path, capsys, monkeypa
     monkeypatch.setattr("femlab.cli.run_suite", fail)
     assert main(["suite", "gh", "--seed", "1", "--count", "1"]) == 2
     assert capsys.readouterr().err == expected + "\n"
+
+
+def _write_huge_seed(path):
+    doc = load_json(SCENARIO)
+    doc["experiments"][0]["seed"] = 424242
+    path.write_text(dumps_canonical(doc).replace("424242", "9" * 5000))
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [(None, "cannot read"), (_write_huge_seed, "invalid JSON")],
+    ids=["missing_path", "seed_of_5000_digits"],
+)
+def test_unreadable_scenarios_exit_two(tmp_path, write, message):
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    if write is not None:
+        write(path)
+    proc = run_cli("run", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert proc.stderr == dumps_canonical(err) + "\n"
+    assert err["error"] == "ParseError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_other_exceptions_exit_three_with_json_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    expected = dumps_canonical({"error": "RuntimeError", "message": "unexpected"})
+    monkeypatch.setattr("femlab.cli.run_scenario", fail)
+    assert main(["run", SCENARIO, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == expected + "\n"
+    monkeypatch.setattr("femlab.cli.run_suite", fail)
+    assert main(["suite", "gh", "--seed", "1", "--count", "1"]) == 3
+    assert capsys.readouterr().err == expected + "\n"
+
+
+_CANONICAL = load_json(SCENARIO)
+_DELETE = object()
+_REPLACEMENTS = (
+    _DELETE, None, True, -1, 0, 3, 0.5, float("nan"), float("inf"),
+    "x", "1/3", "1/0", [], [0, 1], {},
+)
+
+
+def _paths(node, path=()):
+    """Every key or index path below node, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The canonical scenario cut to one experiment block, one field replaced or removed."""
+    doc = copy.deepcopy(_CANONICAL)
+    doc["experiments"] = [draw(st.sampled_from(doc["experiments"]))]
+    *parents, key = draw(st.sampled_from(list(_paths(doc))))
+    target = doc
+    for step in parents:
+        target = target[step]
+    value = draw(st.sampled_from(_REPLACEMENTS))
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = copy.deepcopy(value)
+    return doc
+
+
+@settings(max_examples=100)
+@given(doc=_mutated_scenarios())
+def test_mutated_scenarios_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "mutated.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            fh.write(dumps_canonical(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["run", path, "--out", out])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), err
+        assert err == "" or err == dumps_canonical(json.loads(err)) + "\n"
+        if code == 2:
+            assert not os.path.exists(out)

@@ -1,10 +1,9 @@
-"""Energy functional: frozen values, exact identities, approximants."""
+"""Energy functional: frozen values and exact identities."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 import strategies as own
@@ -12,7 +11,6 @@ from femlab import (
     EnergyContext,
     Grid,
     affine_combine,
-    canonical_approximant,
     energy,
     energy_diff_report,
     is_leq,
@@ -20,11 +18,10 @@ from femlab import (
     make_pl,
     model_from_interval,
     monge_ampere,
-    pl_equal,
     pointwise_max,
     rat,
 )
-from femlab.errors import PreconditionViolated, SingularityMismatch
+from femlab.errors import SingularityMismatch
 from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
@@ -113,22 +110,3 @@ def test_energy_rejects_potentials_from_another_sector():
     half = model_from_interval(GRID5, (0, rat(1, 2)), REF5)
     with pytest.raises(SingularityMismatch):
         energy(EnergyContext(half), ECTX5.psi.potential)
-
-
-@given(u=own.potentials_on(GRID5), j=st.integers(1, 12))
-def test_canonical_approximant_descends_to_u(u, j):
-    ectx = ECTX5
-    vj = canonical_approximant(ectx, u, j)
-    assert is_leq(u, vj)
-    assert is_leq(canonical_approximant(ectx, u, j + 1), vj)
-    assert energy(ectx, vj) >= energy(ectx, u)
-    big = canonical_approximant(ectx, u, 64)
-    assert pl_equal(big, u)
-
-
-def test_canonical_approximant_validates_inputs():
-    with pytest.raises(ValueError):
-        canonical_approximant(ECTX5, ECTX5.psi.potential, 0)
-    half = EnergyContext(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
-    with pytest.raises(PreconditionViolated):
-        canonical_approximant(half, ECTX5.psi.potential, 1)

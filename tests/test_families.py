@@ -49,9 +49,8 @@ def canonical_family():
 def test_family_direction_and_lengths():
     fam = canonical_family()
     assert fam.direction == "decreasing"
-    lengths, limit_length = fam.lengths()
-    assert lengths == (1, rat(3, 4), rat(5, 8), rat(9, 16))
-    assert limit_length == rat(1, 2)
+    assert tuple(env.mass for env in fam.levels) == (1, rat(3, 4), rat(5, 8), rat(9, 16))
+    assert fam.limit.mass == rat(1, 2)
     up = family_from_intervals(
         GRID3, ((0, rat(1, 2)), (0, rat(3, 4))), (0, 1), REF_ND
     )
@@ -160,7 +159,7 @@ def test_project_family_images_align_with_sources():
     fam = entropy_cap_filter((tent, REF_ND), 1.0, rat(2), REF_ND)
     pf = project_family(psi, fam)
     assert len(pf) == len(fam)
-    for src, img in pf.pairs():
+    for src, img in zip(fam.members, pf):
         assert pl_equal(img, model_project(psi, src))
         assert img.dual_domain() == psi.Q
 

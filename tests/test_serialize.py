@@ -1,4 +1,4 @@
-"""Round-trips, canonical JSON bytes, newline discipline."""
+"""Canonical JSON bytes, newline discipline, load errors."""
 
 from __future__ import annotations
 
@@ -6,92 +6,17 @@ import json
 import math
 
 import pytest
-from hypothesis import given
 
-import strategies as own
 from femlab import (
-    Grid,
     dumps_canonical,
     encode_value,
-    envelope_from_dict,
-    envelope_to_dict,
-    grid_from_dict,
     load_json,
-    make_pl,
-    measure_from_dict,
-    measure_to_dict,
-    model_from_interval,
-    monge_ampere,
-    pl_equal,
-    potential_from_dict,
-    potential_to_dict,
     rat,
-    space_from_dict,
-    space_to_dict,
     write_csv,
     write_json,
     write_jsonl,
 )
 from femlab.errors import ParseError
-from femlab.ghlimits import FiniteMetricSpace
-
-GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
-REF_ND = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
-
-
-@given(u=own.potentials_on(GRID3))
-def test_potential_round_trip(u):
-    again = potential_from_dict(potential_to_dict(u))
-    assert pl_equal(again, u)
-    assert again.grid == u.grid
-    assert (again.slope_left, again.slope_right) == (u.slope_left, u.slope_right)
-
-
-def test_potential_dict_uses_explicit_denominators():
-    doc = potential_to_dict(REF_ND)
-    assert doc["values"] == ["0/1", "1/4", "1/1"]
-    assert doc["slope_left"] == "0/1"
-    assert doc["nodes"] == ["-1/1", "0/1", "1/1"]
-
-
-def test_grid_round_trip():
-    doc = {"nodes": ["-1/1", "0/1", "1/1"], "polytope": ["0/1", "1/1"]}
-    assert grid_from_dict(doc) == GRID3
-
-
-@given(u=own.potentials_on(GRID3))
-def test_measure_round_trip(u):
-    mu = monge_ampere(u)
-    again = measure_from_dict(measure_to_dict(mu))
-    assert again.grid == mu.grid
-    assert again.masses == mu.masses
-
-
-def test_envelope_round_trip():
-    psi = model_from_interval(GRID3, (rat(0), rat(3, 4)), REF_ND)
-    again = envelope_from_dict(envelope_to_dict(psi))
-    assert again.Q == psi.Q
-    assert pl_equal(again.potential, psi.potential)
-    assert pl_equal(again.reference, psi.reference)
-
-
-def test_space_round_trip():
-    x = FiniteMetricSpace(("a", "b"), ((0, rat(1, 2)), (rat(1, 2), 0)), 1)
-    again = space_from_dict(space_to_dict(x))
-    assert again.labels == x.labels
-    assert again.matrix == x.matrix
-    assert again.basepoint == 1
-
-
-def test_parse_errors_name_the_missing_piece():
-    with pytest.raises(ParseError, match="missing field 'values'"):
-        potential_from_dict({"nodes": ["0/1", "1/1"], "polytope": ["0/1", "1/1"]})
-    with pytest.raises(ParseError, match="bad rational"):
-        grid_from_dict({"nodes": ["zero"], "polytope": ["0/1", "1/1"]})
-    with pytest.raises(ParseError, match="bad rational"):
-        grid_from_dict({"nodes": ["1/0"], "polytope": ["0/1", "1/1"]})
-    with pytest.raises(ParseError, match="missing field"):
-        measure_from_dict(None)
 
 
 def test_dumps_canonical_sorts_keys_and_strips_spaces():
@@ -133,4 +58,20 @@ def test_load_json_raises_parse_error_on_junk(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     with pytest.raises(ParseError, match="invalid JSON"):
+        load_json(path)
+
+
+@pytest.mark.parametrize(
+    "write, match",
+    [
+        (lambda p: p.mkdir(), "cannot read"),
+        (lambda p: p.write_bytes(b'{"x": "\xff"}'), "invalid JSON"),
+        (lambda p: p.write_text("[" * 100000 + "]" * 100000), "invalid JSON"),
+    ],
+    ids=["directory", "not_utf8", "nested_too_deep"],
+)
+def test_load_json_maps_read_failures_to_parse_error(tmp_path, write, match):
+    path = tmp_path / "doc.json"
+    write(path)
+    with pytest.raises(ParseError, match=match):
         load_json(path)
