@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 from ._rational import ZERO
-from .errors import LevelsNotOrdered, PreconditionViolated
+from .errors import PreconditionViolated
 from .families import ModelFamily, SampledFamily, member_cap
-from .grid_convex import GridPLConvex, model_project, pl_equal
+from .grid_convex import GridPLConvex, _contains, model_project, pl_equal
 from .metric import dist
 from .report import Report
 
@@ -134,16 +134,9 @@ class BigSpace:
             self._sup[key] = best
         return self._sup[key]
 
-    def _ordered(self, p: BigPoint, q: BigPoint):
-        qp, qq = self.envs[p.level].Q, self.envs[q.level].Q
-        if qp[0] <= qq[0] and qq[1] <= qp[1]:
-            return p, q
-        if qq[0] <= qp[0] and qp[1] <= qq[1]:
-            return q, p
-        raise LevelsNotOrdered("levels are not nested, the family is not totally ordered")
-
     def quasi_parts(self, p: BigPoint, q: BigPoint):
-        hi, lo = self._ordered(p, q)
+        # ModelFamily nests any two of its levels, limit included
+        hi, lo = (p, q) if _contains(self.envs[p.level].Q, self.envs[q.level].Q) else (q, p)
         first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         sup_term = self._sup_term(hi.level, lo.level, max(p.cap, q.cap))
         dv = self.envs[hi.level].mass - self.envs[lo.level].mass

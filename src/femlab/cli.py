@@ -10,8 +10,9 @@ one JSON line per check to stdout followed by a summary line.  The
 environment variable FEM_LAB_OUT overrides --out for both.  Exit codes:
 0 on success, 1 when an assertion block or suite check fails, 2 on
 malformed input or any other package error it leads to (parse or
-validation errors, unknown suite, a suite --count below 1), 3 on any other
-exception (a defect, or an output directory that cannot be written).
+validation errors, unknown suite, a suite --count below 1, an output path
+that exists and is not a directory; all refused before any work), 3 on any
+other exception (a defect, or an output directory that cannot be created).
 Errors go to stderr as one canonical JSON object, never as a traceback.
 """
 
@@ -60,7 +61,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(cli_value):
-    return os.environ.get("FEM_LAB_OUT") or cli_value
+    out = os.environ.get("FEM_LAB_OUT") or cli_value
+    if out and os.path.exists(out) and not os.path.isdir(out):
+        raise ValidationError("output path %r exists and is not a directory" % out)
+    return out
 
 
 def _fail(exc, code, **extra) -> int:
@@ -71,8 +75,8 @@ def _fail(exc, code, **extra) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        doc = load_json(args.scenario)
-        run_scenario(doc, _out_dir(args.out), args.tolerance)
+        out = _out_dir(args.out)
+        run_scenario(load_json(args.scenario), out, args.tolerance)
     except AssertionFailed as exc:
         return _fail(exc, 1, witnesses=exc.witnesses)
     except FemlabError as exc:
@@ -82,18 +86,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     try:
+        out = _out_dir(args.out)
         if args.count < 1:
             raise ValidationError("--count must be at least 1, got %d" % args.count)
         records, summary = run_suite(args.name, args.seed, args.count)
     except FemlabError as exc:
         return _fail(exc, 2)
     rows = records + [summary]
-    for row in rows:
-        print(dumps_canonical(row))
-    out = _out_dir(args.out)
     if out:
         os.makedirs(out, exist_ok=True)
         write_jsonl(os.path.join(out, "suite_%s.jsonl" % args.name), rows)
+    for row in rows:
+        print(dumps_canonical(row))
     return 0 if summary["failures"] == 0 else 1
 
 

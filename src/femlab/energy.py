@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from ._rational import HALF
 from .errors import SingularityMismatch
-from .grid_convex import GridPLConvex, ModelEnvelope, align, is_leq
-from .measures import _charged_sum, monge_ampere
+from .grid_convex import GridPLConvex, ModelEnvelope, is_leq
+from .measures import _pairings
 from .report import Report
 
 
@@ -59,12 +59,8 @@ def energy(ctx: EnergyContext, u: GridPLConvex):
     memo = u._memo
     if ctx in memo:
         return memo[ctx]
-    u2, psi2 = align(u, ctx.psi.potential)
-    diff = tuple(a - b for a, b in zip(u2.values, psi2.values))
-    e = HALF * (
-        _charged_sum(diff, monge_ampere(u2).masses) + _charged_sum(diff, monge_ampere(psi2).masses)
-    )
-    memo[ctx] = e
+    iu, ipsi = _pairings(u, ctx.psi.potential)
+    memo[ctx] = e = HALF * (iu + ipsi)
     return e
 
 
@@ -77,12 +73,8 @@ def energy_diff_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> 
     """
     ctx.require_in_sector(u)
     ctx.require_in_sector(v)
-    eu, ev = energy(ctx, u), energy(ctx, v)
-    u2, v2 = align(u, v)
-    diff = tuple(a - b for a, b in zip(u2.values, v2.values))
-    iu = _charged_sum(diff, monge_ampere(u2).masses)
-    iv = _charged_sum(diff, monge_ampere(v2).masses)
-    lhs = eu - ev
+    iu, iv = _pairings(u, v)
+    lhs = energy(ctx, u) - energy(ctx, v)
     identity_ok = lhs == HALF * (iu + iv)
     sandwich_ok = iu <= lhs <= iv
     refined_applies = is_leq(u, v)

@@ -57,10 +57,6 @@ class PreconditionViolated(FemlabError):
     """A documented hypothesis of an operation fails on the given input."""
 
 
-class LevelsNotOrdered(FemlabError):
-    """Two singularity levels are not nested either way."""
-
-
 class NotTotal(FemlabError):
     """A correspondence misses some point on one side."""
 

@@ -19,8 +19,7 @@ from .errors import GridMismatch, PreconditionViolated, ScheduleInvalid, Validat
 from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
-    SingularityOrder,
-    compare_singularity,
+    _contains,
     model_from_interval,
     model_project,
     pointwise_max,
@@ -29,10 +28,6 @@ from .grid_convex import (
 from .measures import entropy, monge_ampere, normalize
 from .metric import dist
 from .report import Report
-
-
-def _contains(outer, inner) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,8 @@ class ModelFamily:
 
 
 def family_from_intervals(grid, intervals, limit_interval, reference) -> ModelFamily:
-    levels = tuple(
-        model_from_interval(grid, (rat(a), rat(b)), reference) for a, b in intervals
-    )
-    limit = model_from_interval(
-        grid, (rat(limit_interval[0]), rat(limit_interval[1])), reference
-    )
-    return ModelFamily(levels, limit)
+    levels = tuple(model_from_interval(grid, q, reference) for q in intervals)
+    return ModelFamily(levels, model_from_interval(grid, limit_interval, reference))
 
 
 def split_caps(u: GridPLConvex, reference: GridPLConvex):
@@ -156,8 +146,7 @@ def density_approximant(psi: ModelEnvelope, u: GridPLConvex, j) -> GridPLConvex:
     j = rat(j)
     if j <= 0:
         raise ValueError("approximation parameter must be positive")
-    order = compare_singularity(u, psi.potential)
-    if order not in (SingularityOrder.MORE_SINGULAR, SingularityOrder.EQUIVALENT):
+    if not _contains(psi.Q, u.dual_domain()):
         raise PreconditionViolated("approximant needs u at least as singular as the level")
     clipped = pointwise_max(u, psi.reference.shift(-j))
     return model_project(psi, clipped)

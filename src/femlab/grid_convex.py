@@ -66,6 +66,15 @@ class Grid:
         return Grid(tuple(nodes), self.polytope)
 
 
+def _contains(outer, inner) -> bool:
+    """Interval inner lies inside interval outer; both are (lo, hi) pairs.
+
+    The one test of singularity order: u is at least as singular as v
+    exactly when v's dual domain contains u's.
+    """
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
 @dataclass(frozen=True)
 class GridPLConvex:
     """Convex PL potential: node values plus end slopes.
@@ -73,8 +82,9 @@ class GridPLConvex:
     Between consecutive nodes the function is the chord; beyond the first
     and last node it follows slope_left / slope_right.  Validity means the
     slope sequence slope_left, chords..., slope_right is non-decreasing and
-    both end slopes sit inside the polytope.  The chord slopes computed for
-    that check are kept, so conjugation and Monge-Ampere reuse them.
+    both end slopes sit inside the polytope.  That sequence is kept as
+    ``_slopes`` for evaluation, conjugation, refinement and Monge-Ampere:
+    ``_slopes[k]`` is the slope between nodes k - 1 and k, rays included.
 
     A potential is immutable, so every pure function of it is computed at
     most once: ``_memo`` holds its hash, ``legendre(u)``, ``monge_ampere(u)``
@@ -85,7 +95,7 @@ class GridPLConvex:
     values: tuple
     slope_left: object
     slope_right: object
-    _chords: tuple = field(init=False, repr=False, compare=False)
+    _slopes: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,16 +107,17 @@ class GridPLConvex:
         sl = rat(self.slope_left)
         sr = rat(self.slope_right)
         p_min, p_max = self.grid.polytope
-        if sl < p_min or sr > p_max:
+        if not _contains(self.grid.polytope, (sl, sr)):
             raise SlopeOutOfPolytope(
                 "end slopes [%s, %s] leave polytope [%s, %s]"
                 % (rat_str(sl), rat_str(sr), rat_str(p_min), rat_str(p_max))
             )
         xs = self.grid.nodes
-        chords = tuple(
-            (values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
+        slopes = (
+            sl,
+            *((values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)),
+            sr,
         )
-        slopes = (sl,) + chords + (sr,)
         for i, (a, b) in enumerate(zip(slopes, slopes[1:])):
             if a > b:
                 raise ConvexityViolation(
@@ -116,7 +127,7 @@ class GridPLConvex:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slope_left", sl)
         object.__setattr__(self, "slope_right", sr)
-        object.__setattr__(self, "_chords", chords)
+        object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_memo", {})
 
     def __hash__(self):
@@ -125,22 +136,15 @@ class GridPLConvex:
             memo["hash"] = hash((self.grid, self.values, self.slope_left, self.slope_right))
         return memo["hash"]
 
-    def chord_slopes(self) -> tuple:
-        return self._chords
-
     def dual_domain(self) -> tuple:
         return (self.slope_left, self.slope_right)
 
     def evaluate(self, x):
         x = rat(x)
-        xs, vs = self.grid.nodes, self.values
-        if x <= xs[0]:
-            return vs[0] + self.slope_left * (x - xs[0])
-        if x >= xs[-1]:
-            return vs[-1] + self.slope_right * (x - xs[-1])
-        i = bisect_right(xs, x) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return vs[i] + t * (vs[i + 1] - vs[i])
+        xs = self.grid.nodes
+        k = bisect_right(xs, x)
+        j = max(k - 1, 0)
+        return self.values[j] + self._slopes[k] * (x - xs[j])
 
     def shift(self, c) -> "GridPLConvex":
         c = rat(c)
@@ -219,10 +223,9 @@ def legendre(u: GridPLConvex) -> DualPL:
     if "legendre" in memo:
         return memo["legendre"]
     xs, vs = u.grid.nodes, u.values
-    slopes = (u.slope_left,) + u.chord_slopes() + (u.slope_right,)
     pts = []
-    # slope slopes[k] is attained on the piece left of node k (clamped).
-    for k, p in enumerate(slopes):
+    # slope _slopes[k] is attained on the piece left of node k (clamped).
+    for k, p in enumerate(u._slopes):
         if pts and pts[-1][0] == p:
             continue
         i = min(k, len(xs) - 1)
@@ -346,8 +349,7 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """
     if grid.polytope != u.grid.polytope:
         raise GridMismatch("refinement target has a different polytope")
-    xs, vs = u.grid.nodes, u.values
-    chords = u.chord_slopes()
+    xs, vs, slopes = u.grid.nodes, u.values, u._slopes
     k, last = 0, len(xs)
     values = []
     for x in grid.nodes:
@@ -356,12 +358,9 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
         if k < last and xs[k] == x:
             values.append(vs[k])
             k += 1
-        elif k == 0:
-            values.append(vs[0] + u.slope_left * (x - xs[0]))
-        elif k == last:
-            values.append(vs[-1] + u.slope_right * (x - xs[-1]))
         else:
-            values.append(vs[k - 1] + chords[k - 1] * (x - xs[k - 1]))
+            j = max(k - 1, 0)
+            values.append(vs[j] + slopes[k] * (x - xs[j]))
     if k < last:
         raise GridMismatch("refinement target must contain all existing nodes")
     return GridPLConvex(grid, tuple(values), u.slope_left, u.slope_right)
@@ -458,7 +457,7 @@ def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     u, v = align(u, v)
     if any(a > b for a, b in zip(u.values, v.values)):
         return False
-    return u.slope_left >= v.slope_left and u.slope_right <= v.slope_right
+    return _contains(v.dual_domain(), u.dual_domain())
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -469,7 +468,7 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     with the favorable slope signs.
     """
     u, v = align(u, v)
-    if u.slope_left < v.slope_left or u.slope_right > v.slope_right:
+    if not _contains(v.dual_domain(), u.dual_domain()):
         return math.inf
     return max(a - b for a, b in zip(u.values, v.values))
 
@@ -484,13 +483,12 @@ class SingularityOrder(enum.Enum):
 
 
 def compare_singularity(u: GridPLConvex, v: GridPLConvex) -> SingularityOrder:
-    a, b = u.dual_domain()
-    c, d = v.dual_domain()
-    if (a, b) == (c, d):
+    du, dv = u.dual_domain(), v.dual_domain()
+    if du == dv:
         return SingularityOrder.EQUIVALENT
-    if a >= c and b <= d:
+    if _contains(dv, du):
         return SingularityOrder.MORE_SINGULAR
-    if a <= c and b >= d:
+    if _contains(du, dv):
         return SingularityOrder.LESS_SINGULAR
     return SingularityOrder.INCOMPARABLE
 
@@ -570,7 +568,7 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
     if a > b:
         raise IntervalOutOfPolytope("interval endpoints out of order")
     p_min, p_max = grid.polytope
-    if a < p_min or b > p_max:
+    if not _contains(grid.polytope, (a, b)):
         raise IntervalOutOfPolytope(
             "[%s, %s] leaves polytope [%s, %s]"
             % (rat_str(a), rat_str(b), rat_str(p_min), rat_str(p_max))

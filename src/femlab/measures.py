@@ -6,6 +6,11 @@ slopes as the slopes beyond the first and last node.  Total mass is the
 length of the dual domain, so it never exceeds the polytope length for a
 measure that arises from a potential.  Relative entropy is the single place
 floats appear; it reads exact masses and converts only at the final log.
+
+Every mass pairing goes through ``_charged_sum``; ``_pairings`` pairs u - v
+with MA(u) and MA(v) for the energy.  The checks are the comparison
+principle and one contact-mass law, MA(P) <= sum over w of 1_{P=w} MA(w),
+for the rooftop P(u, v) and the model projection P[psi](u).
 """
 
 from __future__ import annotations
@@ -19,13 +24,9 @@ from .grid_convex import (
     Grid,
     GridPLConvex,
     ModelEnvelope,
-    SingularityOrder,
+    _contains,
     align,
-    check_reference,
-    compare_singularity,
     model_project,
-    pointwise_max,
-    refine_to,
     rooftop,
 )
 from .report import Report
@@ -64,8 +65,7 @@ def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
     memo = u._memo
     if "monge_ampere" in memo:
         return memo["monge_ampere"]
-    slopes = (u.slope_left,) + u.chord_slopes() + (u.slope_right,)
-    jumps = tuple(slopes[i + 1] - slopes[i] for i in range(len(slopes) - 1))
+    jumps = tuple(b - a for a, b in zip(u._slopes, u._slopes[1:]))
     memo["monge_ampere"] = mu = AtomicMeasure(u.grid, jumps)
     return mu
 
@@ -77,6 +77,13 @@ def _charged_sum(values, masses):
         if m != 0:
             acc += d * m
     return acc
+
+
+def _pairings(u: GridPLConvex, v: GridPLConvex):
+    """(integral (u - v) dMA(u), integral (u - v) dMA(v)), on the aligned grid."""
+    u, v = align(u, v)
+    diff = tuple(a - b for a, b in zip(u.values, v.values))
+    return _charged_sum(diff, monge_ampere(u).masses), _charged_sum(diff, monge_ampere(v).masses)
 
 
 def integrate(g, mu: AtomicMeasure):
@@ -131,121 +138,61 @@ def entropy(nu: AtomicMeasure, mu: AtomicMeasure) -> float:
 
 def is_nondegenerate_reference(reference: GridPLConvex) -> bool:
     """Spans the polytope and charges every node, so entropies stay finite."""
-    try:
-        check_reference(reference.grid, reference)
-    except Exception:
-        return False
-    return all(m > 0 for m in monge_ampere(reference).masses)
+    return reference.dual_domain() == reference.grid.polytope and all(
+        m > 0 for m in monge_ampere(reference).masses
+    )
 
 
 # --- inequality checks ------------------------------------------------------
 
 
-def _negative_intervals(u: GridPLConvex, v: GridPLConvex):
-    """Open intervals where u < v, endpoints exact (None encodes infinity)."""
-    u, v = align(u, v)
-    w = pointwise_max(u, v)  # its grid contains every crossing of u and v
-    grid = w.grid
-    uu = refine_to(u, grid)
-    vv = refine_to(v, grid)
-    xs = grid.nodes
-    diffs = [a - b for a, b in zip(uu.values, vv.values)]
-    # piece sign probes: left ray, each segment midpoint, right ray
-    probes = [(None, xs[0])] + [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)] + [(xs[-1], None)]
-    signs = []
-    for lo, hi in probes:
-        if lo is None:
-            x = xs[0] - 1
-        elif hi is None:
-            x = xs[-1] + 1
-        else:
-            x = (lo + hi) / 2
-        signs.append(uu.evaluate(x) - vv.evaluate(x) < 0)
-    intervals = []
-    i = 0
-    while i < len(probes):
-        if not signs[i]:
-            i += 1
-            continue
-        j = i
-        # extend the run while the next piece is negative and the shared
-        # node does not touch zero (a zero node splits the open set)
-        while j + 1 < len(probes) and signs[j + 1] and diffs[j] < 0:
-            j += 1
-        intervals.append((probes[i][0], probes[j][1]))
-        i = j + 1
-    return intervals, grid, diffs
-
-
 def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
     """MA(u)({v < u}) <= MA(v)({v < u}) for u at least as singular as v."""
-    order = compare_singularity(u, v)
-    if order not in (SingularityOrder.MORE_SINGULAR, SingularityOrder.EQUIVALENT):
+    if not _contains(v.dual_domain(), u.dual_domain()):
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
     u, v = align(u, v)
     mu, mv = monge_ampere(u), monge_ampere(v)
     inside = [i for i, (a, b) in enumerate(zip(v.values, u.values)) if a < b]
     lhs = sum((mu.masses[i] for i in inside), ZERO)
     rhs = sum((mv.masses[i] for i in inside), ZERO)
-    intervals, _, _ = _negative_intervals(v, u)
-    witness_intervals = [
-        ["-inf" if a is None else rat_str(a), "+inf" if b is None else rat_str(b)]
-        for a, b in intervals
-    ]
     return Report(
         name="comparison_principle",
         passed=lhs <= rhs,
         lhs=lhs,
         rhs=rhs,
-        witnesses={"set_v_below_u": witness_intervals, "charged_nodes": inside},
+        witnesses={"charged_nodes": inside},
+    )
+
+
+def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
+    """The contact-mass law MA(p) <= sum over w in bounds of 1_{p=w} MA(w), node by node.
+
+    lhs is the mass of p, rhs the total mass of the bounds; the witnesses
+    are the violating nodes and, per bound w, the contact nodes where p = w.
+    """
+    p, *ws = align(p, *bounds)
+    mws = [monge_ampere(w) for w in ws]
+    contact = [[i for i, (a, b) in enumerate(zip(p.values, w.values)) if a == b] for w in ws]
+    bound = [ZERO] * len(p.values)
+    for mw, nodes in zip(mws, contact):
+        for i in nodes:
+            bound[i] += mw.masses[i]
+    mp = monge_ampere(p)
+    bad = [i for i, (m, b) in enumerate(zip(mp.masses, bound)) if m > b]
+    return Report(
+        name=name,
+        passed=not bad,
+        lhs=mp.total,
+        rhs=sum((mw.total for mw in mws), ZERO),
+        witnesses={"violating_nodes": bad, "contact": contact},
     )
 
 
 def check_rooftop_mass_bound(u: GridPLConvex, v: GridPLConvex) -> Report:
     """MA(P(u,v)) <= 1_{P=u} MA(u) + 1_{P=v} MA(v), node by node."""
-    p = rooftop(u, v)
-    u2, v2, p2 = align(u, v, p)
-    mp, mu, mv = monge_ampere(p2), monge_ampere(u2), monge_ampere(v2)
-    bad = []
-    for i in range(len(p2.values)):
-        bound = ZERO
-        if p2.values[i] == u2.values[i]:
-            bound += mu.masses[i]
-        if p2.values[i] == v2.values[i]:
-            bound += mv.masses[i]
-        if mp.masses[i] > bound:
-            bad.append(i)
-    return Report(
-        name="rooftop_mass_bound",
-        passed=not bad,
-        lhs=mp.total,
-        rhs=mu.total + mv.total,
-        witnesses={
-            "violating_nodes": bad,
-            "contact_u": [i for i in range(len(p2.values)) if p2.values[i] == u2.values[i]],
-            "contact_v": [i for i in range(len(p2.values)) if p2.values[i] == v2.values[i]],
-        },
-    )
+    return _contact_mass_report("rooftop_mass_bound", rooftop(u, v), (u, v))
 
 
 def check_model_mass_bound(psi: ModelEnvelope, u: GridPLConvex) -> Report:
     """MA(P[psi](u)) <= 1_{P[psi](u)=u} MA(u), node by node."""
-    p = model_project(psi, u)
-    u2, p2 = align(u, p)
-    mp, mu = monge_ampere(p2), monge_ampere(u2)
-    bad = []
-    contact = []
-    for i in range(len(p2.values)):
-        touching = p2.values[i] == u2.values[i]
-        if touching:
-            contact.append(i)
-        bound = mu.masses[i] if touching else ZERO
-        if mp.masses[i] > bound:
-            bad.append(i)
-    return Report(
-        name="model_mass_bound",
-        passed=not bad,
-        lhs=mp.total,
-        rhs=mu.total,
-        witnesses={"violating_nodes": bad, "contact_nodes": contact},
-    )
+    return _contact_mass_report("model_mass_bound", model_project(psi, u), (u,))

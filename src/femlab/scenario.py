@@ -167,19 +167,10 @@ def _potential(grid, spec, where):
         raise ValidationError("%s: %s" % (where, exc))
 
 
-def _seed(block, where):
-    value = _require(block, "seed", where)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError("%s: seed must be an integer" % where)
-    return value
-
-
-def _count(block, where, positive):
-    value = _require(block, "count", where)
-    if not isinstance(value, int) or isinstance(value, bool) or value < int(positive):
-        kind = "positive" if positive else "non-negative"
-        raise ParseError("%s: count must be a %s integer" % (where, kind))
-    return value
+def _integer(value, least, message):
+    """Raise ParseError(message) unless value is an int, not a bool, and >= least."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ParseError(message)
 
 
 def parse_scenario(doc) -> Scenario:
@@ -244,8 +235,12 @@ def parse_scenario(doc) -> Scenario:
     samples = doc.get("samples")
     if samples is not None:
         _expect(samples, dict, "samples")
-        _seed(samples, "samples")
-        _count(samples, "samples", positive=False)
+        _integer(
+            _require(samples, "seed", "samples"), -math.inf, "samples: seed must be an integer"
+        )
+        _integer(
+            _require(samples, "count", "samples"), 0, "samples: count must be a non-negative integer"
+        )
         for key in ("cap", "sup_bound"):
             if key in samples:
                 _number(samples[key], "samples.%s" % key, non_negative=True)
@@ -276,8 +271,12 @@ def parse_scenario(doc) -> Scenario:
             suite = _require(block, "suite", where)
             if suite not in SUITES:
                 raise ValidationError("%s: unknown suite %r" % (where, suite))
-            _seed(block, where)
-            _count(block, where, positive=True)
+            _integer(
+                _require(block, "seed", where), -math.inf, where + ": seed must be an integer"
+            )
+            _integer(
+                _require(block, "count", where), 1, where + ": count must be a positive integer"
+            )
         elif kind == "converge":
             resolve(families, "family", block, where, "family")
             resolve(potentials, "first", block, where, "potential")
@@ -292,8 +291,7 @@ def parse_scenario(doc) -> Scenario:
             if not isinstance(steps, (list, tuple)) or not steps:
                 raise ParseError("%s: steps must be a non-empty list" % where)
             for n in steps:
-                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                    raise ParseError("%s: steps must be positive integers" % where)
+                _integer(n, 1, where + ": steps must be positive integers")
         else:
             name = resolve(families, "family", block, where, "family")
             if families[name].direction != "decreasing":

@@ -126,7 +126,7 @@ def test_quasi_first_term_matches_a_computation_without_the_space():
     for p in pts:
         for q in pts:
             # decreasing schedule: the deeper level is the lower one; on a
-            # shared level the second point is, as in BigSpace._ordered
+            # shared level the second point is, as in BigSpace.quasi_parts
             lo, hi = (p, q) if p.level > q.level else (q, p)
             expected = dist(ctxs[lo.level], lo.potential, model_project(envs[lo.level], hi.potential))
             assert sp.quasi_parts(p, q)[0] == expected

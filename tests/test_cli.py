@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femlab import dumps_canonical, load_json
+from femlab import dumps_canonical, load_json, write_jsonl
 from femlab.cli import main
 from femlab.errors import ScheduleInvalid
 
@@ -341,6 +341,43 @@ def test_other_exceptions_exit_three_with_json_in_process(tmp_path, capsys, monk
     monkeypatch.setattr("femlab.cli.run_suite", fail)
     assert main(["suite", "gh", "--seed", "1", "--count", "1"]) == 3
     assert capsys.readouterr().err == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("run", SCENARIO), ("suite", "gh", "--seed", "1", "--count", "1")],
+    ids=["run", "suite"],
+)
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_an_out_naming_an_existing_file_exits_two_before_any_work(tmp_path, argv, via_env):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    if via_env:
+        proc = run_cli(*argv, env_extra={"FEM_LAB_OUT": str(taken)})
+    else:
+        proc = run_cli(*argv, "--out", str(taken))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert proc.stderr == dumps_canonical(err) + "\n"
+    assert err["error"] == "ValidationError" and "not a directory" in err["message"]
+    assert taken.read_text() == "keep"
+
+
+def test_suite_writes_its_file_before_it_prints(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+    printed_before_write = []
+
+    def spy(path, rows):
+        printed_before_write.append(capsys.readouterr().out)
+        write_jsonl(path, rows)
+
+    monkeypatch.setattr("femlab.cli.write_jsonl", spy)
+    out = tmp_path / "new" / "dir"
+    assert main(["suite", "gh", "--seed", "1", "--count", "1", "--out", str(out)]) == 0
+    assert printed_before_write == [""]
+    assert (out / "suite_gh.jsonl").read_text() == capsys.readouterr().out
 
 
 _CANONICAL = load_json(SCENARIO)

@@ -1,12 +1,13 @@
-"""Conjugation kernels against brute-force oracles beyond desk scale.
+"""Conjugation kernels, energy and the distance against oracles beyond desk scale.
 
 The merged walks in biconjugate, restrict_dual, max_dual and refine_to are
 only exercised in earnest when a dual carries many breakpoints and when a
 breakpoint pointer meets exact ties, so these properties run on 17- and
 65-node grids with slopes on the 1/64 lattice.  Conjugating back on the
 potential's own grid makes every kink an exact tie between a dual chord
-slope and a node.  Marked ``scale``; example counts are bounded so tier-1
-time stays bounded.
+slope and a node.  The energy, the distance and its metric laws are checked
+on the same grids, since they pair the kernels' node values with masses.
+Marked ``scale``; example counts are bounded so tier-1 time stays bounded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,19 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies as own
-from femlab import Grid, biconjugate, legendre, model_from_interval, model_project, rat, rooftop
+from femlab import (
+    EnergyContext,
+    Grid,
+    biconjugate,
+    dist,
+    energy,
+    legendre,
+    make_pl,
+    model_from_interval,
+    model_project,
+    rat,
+    rooftop,
+)
 from femlab.errors import EmptyRooftop, GridMismatch
 from femlab.grid_convex import max_dual, refine_to, restrict_dual
 from femlab.sampling import nondegenerate_reference
@@ -142,3 +155,58 @@ def test_refinement_matches_ray_evaluation(grid, data):
     dropped = grid.nodes[len(grid.nodes) // 2]
     with pytest.raises(GridMismatch):
         refine_to(u, finer.with_nodes(x for x in finer.nodes if x != dropped))
+
+
+def sector(data, grid):
+    """An energy context on a drawn interval Q, and Q."""
+    q = interval(data)
+    return EnergyContext(model_from_interval(grid, q, nondegenerate_reference(grid))), q
+
+
+def oracle_rooftop(u, v):
+    """P(u, v) from the minimax oracle, independent of the conjugation kernels.
+
+    On 65 nodes the per-query ``rooftop_by_minimax`` is too slow for tier-1,
+    so there its one-sweep form computes the same values (the two forms are
+    compared in ``test_the_sweep_oracle_agrees_with_the_per_query_minimax``).
+    """
+    s_lo, s_hi = max(u.slope_left, v.slope_left), min(u.slope_right, v.slope_right)
+    if u.grid is GRID17:
+        values = oracles.rooftop_by_minimax(u, v)
+    else:
+        mins = tuple(min(a, b) for a, b in zip(u.values, v.values))
+        values = oracles.envelope_values_by_minimax(u.grid.nodes, mins, s_lo, s_hi)
+    return make_pl(u.grid, values, s_lo, s_hi)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@SMALL
+@given(data=st.data())
+def test_energy_matches_path_integration_oracle(grid, data):
+    ctx, q = sector(data, grid)
+    u = potential(data, grid, q)
+    assert energy(ctx, u) == oracles.energy_by_path_integration(ctx, u)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@SMALL
+@given(data=st.data())
+def test_dist_matches_oracle_energies_of_the_minimax_rooftop(grid, data):
+    ctx, q = sector(data, grid)
+    u, v = potential(data, grid, q), potential(data, grid, q)
+    p = oracle_rooftop(u, v)
+    e = [oracles.energy_by_path_integration(ctx, w) for w in (u, v, p)]
+    assert dist(ctx, u, v) == e[0] + e[1] - 2 * e[2]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@SMALL
+@given(data=st.data())
+def test_metric_laws_hold_exactly(grid, data):
+    ctx, q = sector(data, grid)
+    u, v, w = (potential(data, grid, q) for _ in range(3))
+    duv = dist(ctx, u, v)
+    assert duv == dist(ctx, v, u)
+    assert dist(ctx, u, w) <= duv + dist(ctx, v, w)
+    p = rooftop(u, v)
+    assert duv == dist(ctx, u, p) + dist(ctx, v, p)

@@ -68,6 +68,12 @@ def test_degenerate_reference_is_detected():
     flat_middle = make_pl(g3, (0, rat(1, 2), 1), 0, 1)
     assert not is_nondegenerate_reference(flat_middle)
     assert is_nondegenerate_reference(make_pl(g3, (0, rat(1, 4), 1), 0, 1))
+    # charges every node, but its slopes span [0, 1], not the polytope [0, 2]
+    wide = Grid(nodes=(-1, 0, 1), polytope=(0, 2))
+    narrow = make_pl(wide, (0, rat(1, 4), 1), 0, 1)
+    assert all(m > 0 for m in monge_ampere(narrow).masses)
+    assert not is_nondegenerate_reference(narrow)
+    assert is_nondegenerate_reference(make_pl(wide, (0, rat(1, 4), 1), 0, 2))
 
 
 @given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5), c=own.rationals(0, 3))
@@ -140,3 +146,15 @@ def test_model_mass_bound(data):
     psi = model_from_interval(GRID5, q, REF5)
     u = data.draw(own.potentials_on(GRID5))
     assert check_model_mass_bound(psi, u).passed
+
+
+def test_check_witnesses_on_the_documented_instance(grid3, ref3, tent3):
+    comp = check_comparison_principle(ref3, tent3)
+    assert comp.witnesses == {"charged_nodes": [1]}
+    assert (comp.lhs, comp.rhs) == (0, 1)
+    roof = check_rooftop_mass_bound(tent3, ref3)
+    assert roof.witnesses == {"violating_nodes": [], "contact": [[0, 1, 2], [0, 2]]}
+    assert (roof.lhs, roof.rhs) == (1, 2)
+    model = check_model_mass_bound(model_from_interval(grid3, (0, rat(1, 2)), ref3), tent3)
+    assert model.witnesses == {"violating_nodes": [], "contact": [[0, 1]]}
+    assert (model.lhs, model.rhs) == (rat(1, 2), 1)

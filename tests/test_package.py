@@ -1,6 +1,14 @@
-"""The public namespace: every exported name resolves."""
+"""The public namespace resolves, and the package carries no dead names.
+
+The dead-code checks read the package's source with the standard ``ast``
+module: no module imports a name it never reads, and every module-level
+private name is read somewhere in the package.
+"""
 
 from __future__ import annotations
+
+import ast
+import pathlib
 
 import femlab
 
@@ -9,3 +17,56 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from femlab import *", namespace)
     assert set(femlab.__all__) <= set(namespace)
+
+
+PACKAGE = pathlib.Path(femlab.__file__).parent
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def imported_names(tree):
+    """Each name an import statement binds, with the line that binds it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def loaded_names(tree):
+    """Every name the module reads: bare names and attribute names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        "%s:%d %s" % (name, line, bound)
+        for name, tree in TREES.items()
+        if name != "__init__.py"
+        for bound, line in imported_names(tree)
+        if bound not in set(loaded_names(tree))
+    ]
+    assert unused == []
+
+
+def test_every_module_level_private_name_is_used():
+    used = set()
+    for tree in TREES.values():
+        used.update(loaded_names(tree))
+        used.update(bound for bound, _ in imported_names(tree))
+    defined = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((name, t.id) for t in targets if isinstance(t, ast.Name))
+    private = [(m, n) for m, n in defined if n.startswith("_") and not n.startswith("__")]
+    assert private, "the scan found no private names at all"
+    assert [m + ":" + n for m, n in private if n not in used] == []
