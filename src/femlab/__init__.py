@@ -7,7 +7,7 @@ are all computed with exact rational arithmetic; relative entropy is the
 single float-valued quantity.
 """
 
-from ._rational import BACKEND, Rational, parse_rat, rat, rat_str
+from ._rational import BACKEND, Rational, rat, rat_str
 from .bigspace import (
     BigPoint,
     BigSpace,
@@ -47,7 +47,6 @@ from .grid_convex import (
     affine_combine,
     biconjugate,
     check_reference,
-    compare_singularity,
     is_leq,
     legendre,
     make_pl,
@@ -61,7 +60,6 @@ from .grid_convex import (
 from .measures import (
     AtomicMeasure,
     entropy,
-    integrate,
     is_nondegenerate_reference,
     monge_ampere,
     normalize,
@@ -90,7 +88,6 @@ __all__ = [
     "Rational",
     "rat",
     "rat_str",
-    "parse_rat",
     "Grid",
     "GridPLConvex",
     "ModelEnvelope",
@@ -102,14 +99,12 @@ __all__ = [
     "affine_combine",
     "is_leq",
     "sup_diff",
-    "compare_singularity",
     "rooftop",
     "check_reference",
     "model_from_interval",
     "model_project",
     "AtomicMeasure",
     "monge_ampere",
-    "integrate",
     "normalize",
     "entropy",
     "is_nondegenerate_reference",

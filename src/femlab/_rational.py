@@ -64,10 +64,3 @@ def rat_str(x) -> str:
     q = rat(x)
     return "%d/%d" % (q.numerator, q.denominator)
 
-
-def parse_rat(s: str):
-    """Inverse of rat_str; also accepts bare integers like "3"."""
-    try:
-        return rat(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("not a rational literal: %r" % s) from exc

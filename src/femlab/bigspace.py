@@ -206,15 +206,15 @@ def default_node_pools(space: BigSpace, level: int):
     return per_level
 
 
-def level_restriction_check(space: BigSpace, level: int, member_indices, pools=None) -> Report:
+def level_restriction_check(space: BigSpace, level: int, member_indices) -> Report:
     """Chained distance must reproduce the level distance exactly.
 
     The single-edge chain already equals it, so the defect measures whether
-    any multi-level detour undercuts; it must be exactly zero.
+    any multi-level detour through the default node pools undercuts; it
+    must be exactly zero.
     """
     pts = [space.point_from_member(level, i) for i in member_indices]
-    if pools is None:
-        pools = default_node_pools(space, level)
+    pools = default_node_pools(space, level)
     worst = ZERO
     worst_case = None
     negative = False

@@ -2,18 +2,19 @@
 
 Two subcommands:
 
-    femlab run <scenario.json> [--out DIR] [--tolerance FLOAT]
+    femlab run <scenario.json> [--out DIR]
     femlab suite <name> --seed N [--count N] [--out DIR]
 
-`run` executes a scenario file and writes its artifacts; `suite` streams
-one JSON line per check to stdout followed by a summary line.  The
-environment variable FEM_LAB_OUT overrides --out for both.  Exit codes:
-0 on success, 1 when an assertion block or suite check fails, 2 on
-malformed input or any other package error it leads to (parse or
-validation errors, unknown suite, a suite --count below 1, an output path
-that exists and is not a directory; all refused before any work), 3 on any
-other exception (a defect, or an output directory that cannot be created).
-Errors go to stderr as one canonical JSON object, never as a traceback.
+`run` executes a scenario file and writes its artifacts (a block's own
+"tolerance" sets its float threshold); `suite` streams one JSON line per
+check to stdout, then a summary line.  FEM_LAB_OUT overrides --out for
+both.  Exit codes: 0 on success, 1 when an assertion block or suite check
+fails, 2 on a usage error, malformed input or any package error it leads
+to (parse or validation errors, unknown suite, a suite --count below 1, an
+output path that is, or lies below, an existing non-directory; all refused
+before any work), 3 on any other exception (a defect, or an output
+directory that cannot be created).  Errors go to stderr as one canonical
+JSON object, never as a traceback or usage text; --help exits 0.
 """
 
 from __future__ import annotations
@@ -22,16 +23,23 @@ import argparse
 import os
 import sys
 
-from .errors import AssertionFailed, FemlabError, ValidationError
-from .scenario import DEFAULT_TOLERANCE, run_scenario
+from .errors import AssertionFailed, FemlabError, ParseError, ValidationError
+from .scenario import run_scenario
 from .serialize import dumps_canonical, load_json, write_jsonl
 from .suites import run_suite
 
 DEFAULT_SUITE_COUNT = 50
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError instead of printing usage text."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="femlab",
         description="exact piecewise-linear potential geometry experiments",
     )
@@ -40,13 +48,6 @@ def _parser() -> argparse.ArgumentParser:
     run_cmd = sub.add_parser("run", help="execute a JSON scenario file")
     run_cmd.add_argument("scenario", help="path to the scenario JSON document")
     run_cmd.add_argument("--out", default=".", help="output directory (default: .)")
-    run_cmd.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="float tolerance for entropy and convergence thresholds only; "
-        "rational assertions are exact and ignore it",
-    )
 
     suite_cmd = sub.add_parser("suite", help="run one seeded property suite")
     suite_cmd.add_argument("name", help="suite name")
@@ -61,9 +62,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(cli_value):
+    """The output path, refused unless its nearest existing ancestor is a directory."""
     out = os.environ.get("FEM_LAB_OUT") or cli_value
-    if out and os.path.exists(out) and not os.path.isdir(out):
-        raise ValidationError("output path %r exists and is not a directory" % out)
+    if out:
+        existing = os.path.abspath(out)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ValidationError("output path %r: %r is not a directory" % (out, existing))
     return out
 
 
@@ -76,7 +82,7 @@ def _fail(exc, code, **extra) -> int:
 def _cmd_run(args) -> int:
     try:
         out = _out_dir(args.out)
-        run_scenario(load_json(args.scenario), out, args.tolerance)
+        run_scenario(load_json(args.scenario), out)
     except AssertionFailed as exc:
         return _fail(exc, 1, witnesses=exc.witnesses)
     except FemlabError as exc:
@@ -102,7 +108,10 @@ def _cmd_suite(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except ParseError as exc:
+        return _fail(exc, 2)
     command = _cmd_run if args.command == "run" else _cmd_suite
     try:
         return command(args)

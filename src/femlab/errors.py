@@ -84,6 +84,6 @@ class ValidationError(FemlabError):
 class AssertionFailed(FemlabError):
     """Scenario assertion blocks failed; carries one witness per failed block."""
 
-    def __init__(self, message: str, witnesses=()):
+    def __init__(self, message: str, witnesses):
         super().__init__(message)
         self.witnesses = list(witnesses)

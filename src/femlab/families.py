@@ -78,14 +78,15 @@ def split_caps(u: GridPLConvex, reference: GridPLConvex):
     """(|sup(u - reference)|, relative entropy of ma(u)/V0 against ma(reference)/V0).
 
     The entropy side is +inf when u does not carry the full reference mass,
-    since the capped candidate sets live at minimal singularity.
+    since the capped candidate sets live at minimal singularity.  Computed
+    once per (u, reference) value.
     """
-    sup_part = abs(sup_diff(u, reference))
-    mu = monge_ampere(u)
-    nu = monge_ampere(reference)
-    if mu.total != nu.total:
-        return sup_part, math.inf
-    return sup_part, entropy(normalize(mu), normalize(nu))
+    key = ("split_caps", reference)
+    if key not in u._memo:
+        mu, nu = monge_ampere(u), monge_ampere(reference)
+        ent = entropy(normalize(mu), normalize(nu)) if mu.total == nu.total else math.inf
+        u._memo[key] = (abs(sup_diff(u, reference)), ent)
+    return u._memo[key]
 
 
 def member_cap(u: GridPLConvex, reference: GridPLConvex) -> float:

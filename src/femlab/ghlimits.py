@@ -36,7 +36,6 @@ class FiniteMetricSpace:
 
     labels: tuple
     matrix: tuple
-    basepoint: int = 0
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -46,8 +45,6 @@ class FiniteMetricSpace:
         n = len(labels)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValidationError("distance matrix shape does not match labels")
-        if not 0 <= self.basepoint < n:
-            raise ValidationError("basepoint index out of range")
         for i in range(n):
             if matrix[i][i] != 0:
                 raise ValidationError("nonzero diagonal at %d" % i)
@@ -72,15 +69,15 @@ class FiniteMetricSpace:
         return self.matrix[i][j]
 
 
-def space_from_potentials(ctx, potentials, labels=None, basepoint: int = 0) -> FiniteMetricSpace:
+def space_from_potentials(ctx, potentials) -> FiniteMetricSpace:
+    """The exact distance matrix of the potentials, labelled by index."""
     pots = list(potentials)
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(pots)))
     matrix = [[ZERO] * len(pots) for _ in pots]
     for i in range(len(pots)):
         for j in range(i + 1, len(pots)):
             matrix[i][j] = matrix[j][i] = dist(ctx, pots[i], pots[j])
-    return FiniteMetricSpace(tuple(labels), tuple(tuple(r) for r in matrix), basepoint)
+    labels = tuple(str(i) for i in range(len(pots)))
+    return FiniteMetricSpace(labels, tuple(tuple(r) for r in matrix))
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
     level and to the limit, and record the distortion of the match-by-index
     correspondence.  Returns (rows, report); rows carry exact rationals.
     The reference is always included, so each level's own envelope point is
-    a member and the basepoint condition holds by construction.
+    a member of every space the table compares.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the convergence experiment needs a decreasing schedule")

@@ -21,7 +21,6 @@ it exactly and every identity below is checked with exact rationals.
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -87,8 +86,9 @@ class GridPLConvex:
     ``_slopes[k]`` is the slope between nodes k - 1 and k, rays included.
 
     A potential is immutable, so every pure function of it is computed at
-    most once: ``_memo`` holds its hash, ``legendre(u)``, ``monge_ampere(u)``
-    and ``energy(ctx, u)`` per context, and lives and dies with it.
+    most once: ``_memo`` holds its hash, ``legendre(u)``, ``monge_ampere(u)``,
+    ``energy(ctx, u)`` per context and ``split_caps(u, reference)`` per
+    reference, and lives and dies with it.
     """
 
     grid: Grid
@@ -471,26 +471,6 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     if not _contains(v.dual_domain(), u.dual_domain()):
         return math.inf
     return max(a - b for a, b in zip(u.values, v.values))
-
-
-class SingularityOrder(enum.Enum):
-    """Relative singularity type, decided by dual domain inclusion."""
-
-    EQUIVALENT = "Equivalent"
-    MORE_SINGULAR = "MoreSingular"
-    LESS_SINGULAR = "LessSingular"
-    INCOMPARABLE = "Incomparable"
-
-
-def compare_singularity(u: GridPLConvex, v: GridPLConvex) -> SingularityOrder:
-    du, dv = u.dual_domain(), v.dual_domain()
-    if du == dv:
-        return SingularityOrder.EQUIVALENT
-    if _contains(dv, du):
-        return SingularityOrder.MORE_SINGULAR
-    if _contains(du, dv):
-        return SingularityOrder.LESS_SINGULAR
-    return SingularityOrder.INCOMPARABLE
 
 
 # --- envelopes --------------------------------------------------------------

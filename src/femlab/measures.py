@@ -86,22 +86,6 @@ def _pairings(u: GridPLConvex, v: GridPLConvex):
     return _charged_sum(diff, monge_ampere(u).masses), _charged_sum(diff, monge_ampere(v).masses)
 
 
-def integrate(g, mu: AtomicMeasure):
-    """Integral of g against mu: sum of node values times masses.
-
-    g may be a potential (evaluated at mu's nodes) or a value sequence
-    aligned with mu's nodes.  Zero-mass nodes are skipped, so only values at
-    charged nodes matter.
-    """
-    if isinstance(g, GridPLConvex):
-        vals = [g.evaluate(x) for x in mu.grid.nodes]
-    else:
-        vals = [rat(v) for v in g]
-        if len(vals) != len(mu.grid.nodes):
-            raise ValueError("value sequence does not match the measure's grid")
-    return _charged_sum(vals, mu.masses)
-
-
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:
     t = mu.total
     if t == 0:

@@ -36,10 +36,8 @@ _LINE_CONSTANT = double_inequality_constant(1)
 
 def dist(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex):
     """d(u, v), exact and non-negative; zero iff u == v when the mass is positive."""
-    ctx.require_in_sector(u)
-    ctx.require_in_sector(v)
-    p = rooftop(u, v)
-    return energy(ctx, u) + energy(ctx, v) - 2 * energy(ctx, p)
+    eu, ev = energy(ctx, u), energy(ctx, v)  # each checks the sector before the rooftop
+    return eu + ev - 2 * energy(ctx, rooftop(u, v))
 
 
 def rho(u: GridPLConvex, v: GridPLConvex):

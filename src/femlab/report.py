@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._rational import Rational, rat_str
 
@@ -29,9 +29,9 @@ class Report:
 
     name: str
     passed: bool
-    lhs: object = None
-    rhs: object = None
-    witnesses: dict = field(default_factory=dict)
+    lhs: object
+    rhs: object
+    witnesses: dict
 
     def as_dict(self) -> dict:
         return {

@@ -1,15 +1,17 @@
 """Seeded generators of random PL convex potentials, all exact rationals.
 
-Slopes are drawn as sorted lattice fractions of the target interval, so a
-generated potential has dual domain exactly equal to that interval and
-every derived quantity stays in exact arithmetic.  Generators take a
-`random.Random` instance; identical seeds give identical output.
+Slopes are drawn as sorted lattice fractions k/8 of the target interval and
+base heights as eighths in [-2, 2], so a generated potential has dual domain
+exactly that interval and every derived quantity stays exact.  Generators
+take a `random.Random` instance; identical seeds give identical output.
 """
 
 from __future__ import annotations
 
 from ._rational import rat
 from .grid_convex import Grid, GridPLConvex, make_pl, pointwise_max, sup_diff
+
+_DEN, _SHIFT = 8, 2  # lattice 1/_DEN for slopes and heights; heights in [-_SHIFT, _SHIFT]
 
 
 def nondegenerate_reference(grid: Grid) -> GridPLConvex:
@@ -27,53 +29,53 @@ def nondegenerate_reference(grid: Grid) -> GridPLConvex:
     return make_pl(grid, values, a, b)
 
 
-def random_sector_potential(rng, grid: Grid, interval, *, den: int = 8, shift: int = 2) -> GridPLConvex:
+def random_sector_potential(rng, grid: Grid, interval) -> GridPLConvex:
     """Random potential with dual domain exactly `interval`.
 
-    Chord slopes are lo + span * k/den with k drawn sorted, end slopes are
+    Chord slopes are lo + span * k/_DEN with k drawn sorted, end slopes are
     the interval ends; values integrate the chords from a random base
-    height in [-shift, shift].
+    height in [-_SHIFT, _SHIFT].
     """
     lo, hi = rat(interval[0]), rat(interval[1])
     span = hi - lo
     pieces = len(grid.nodes) - 1
-    ks = sorted(rng.randint(0, den) for _ in range(pieces))
-    chords = [lo + span * rat(k, den) for k in ks]
-    base = rat(rng.randint(-shift * den, shift * den), den)
+    ks = sorted(rng.randint(0, _DEN) for _ in range(pieces))
+    chords = [lo + span * rat(k, _DEN) for k in ks]
+    base = rat(rng.randint(-_SHIFT * _DEN, _SHIFT * _DEN), _DEN)
     values = [base]
     for s, x0, x1 in zip(chords, grid.nodes, grid.nodes[1:]):
         values.append(values[-1] + s * (x1 - x0))
     return make_pl(grid, values, lo, hi)
 
 
-def random_full_potential(rng, grid: Grid, *, den: int = 8, shift: int = 2) -> GridPLConvex:
+def random_full_potential(rng, grid: Grid) -> GridPLConvex:
     """Random potential spanning the whole moment polytope."""
-    return random_sector_potential(rng, grid, grid.polytope, den=den, shift=shift)
+    return random_sector_potential(rng, grid, grid.polytope)
 
 
-def random_normalized_potential(rng, grid: Grid, reference: GridPLConvex, *, den: int = 8) -> GridPLConvex:
+def random_normalized_potential(rng, grid: Grid, reference: GridPLConvex) -> GridPLConvex:
     """Full-polytope potential shifted so sup(u - reference) == 0."""
-    u = random_full_potential(rng, grid, den=den)
+    u = random_full_potential(rng, grid)
     return u.shift(-sup_diff(u, reference))
 
 
-def random_ordered_pair(rng, grid: Grid, interval, *, den: int = 8, shift: int = 2):
+def random_ordered_pair(rng, grid: Grid, interval):
     """(hi, lo) with hi >= lo pointwise, both with dual domain `interval`."""
-    lo_pot = random_sector_potential(rng, grid, interval, den=den, shift=shift)
-    other = random_sector_potential(rng, grid, interval, den=den, shift=shift)
+    lo_pot = random_sector_potential(rng, grid, interval)
+    other = random_sector_potential(rng, grid, interval)
     return pointwise_max(lo_pot, other), lo_pot
 
 
-def random_candidates(rng, grid: Grid, reference: GridPLConvex, count: int, *, den: int = 8):
+def random_candidates(rng, grid: Grid, reference: GridPLConvex, count: int):
     """List of normalized full-polytope potentials, the raw family material."""
-    return [random_normalized_potential(rng, grid, reference, den=den) for _ in range(count)]
+    return [random_normalized_potential(rng, grid, reference) for _ in range(count)]
 
 
-def random_subinterval(rng, polytope, *, den: int = 8):
+def random_subinterval(rng, polytope):
     """Random non-degenerate rational subinterval of the polytope."""
     lo, hi = rat(polytope[0]), rat(polytope[1])
     span = hi - lo
     while True:
-        a, b = sorted(rng.randint(0, den) for _ in range(2))
+        a, b = sorted(rng.randint(0, _DEN) for _ in range(2))
         if a < b:
-            return (lo + span * rat(a, den), lo + span * rat(b, den))
+            return (lo + span * rat(a, _DEN), lo + span * rat(b, _DEN))

@@ -20,9 +20,10 @@ only in caps and tolerances):
     }
 
 A block may carry only the keys shown for its kind ("interval", "steps"
-and "tolerance" are optional).  Rationals are JSON integers or strings
-"p" or "p/q" of ASCII digits, optionally preceded by "-".  Caps and
-tolerances must be finite JSON numbers, and caps must be non-negative.
+and "tolerance" are optional; a missing tolerance is DEFAULT_TOLERANCE).
+Rationals are JSON integers or strings "p" or "p/q" of ASCII digits,
+optionally preceded by "-".  Caps and tolerances must be finite JSON
+numbers, and caps must be non-negative.
 Every interval must lie inside the polytope, and a gh block needs a
 decreasing family.
 Every block with randomness carries an explicit seed, so identical files
@@ -333,9 +334,9 @@ def _level_sequence(family, potential):
     return [model_project(env, potential) for env in envelopes]
 
 
-def _run_converge_block(scn, block, index, out_dir, tolerance):
+def _run_converge_block(scn, block, index, out_dir):
     family = scn.families[block["family"]]
-    tol = float(block.get("tolerance", tolerance))
+    tol = float(block.get("tolerance", DEFAULT_TOLERANCE))
     first = _level_sequence(family, scn.potentials[block["first"]])
     second = _level_sequence(family, scn.potentials[block["second"]])
     report = monotone_distance_convergence(family, first, second, tol)
@@ -361,7 +362,7 @@ def _run_chain_block(scn, block, index, out_dir):
     return rep.passed, [path], payload
 
 
-def _run_gh_block(scn, block, index, out_dir, tolerance):
+def _run_gh_block(scn, block, index, out_dir):
     family = scn.families[block["family"]]
     rng = random.Random(scn.samples["seed"])
     candidates = random_candidates(rng, scn.grid, scn.reference, scn.samples["count"])
@@ -373,7 +374,7 @@ def _run_gh_block(scn, block, index, out_dir, tolerance):
             scn.reference,
         )
         candidates = list(pool.members)
-    tol = float(block.get("tolerance", tolerance))
+    tol = float(block.get("tolerance", DEFAULT_TOLERANCE))
     rows, report = nested_family_distortions(family, candidates, block["caps"], tol)
     csv_path = os.path.join(out_dir, "gh_%d.csv" % index)
     write_csv(
@@ -395,7 +396,7 @@ def _run_gh_block(scn, block, index, out_dir, tolerance):
     return report.passed, [csv_path, json_path], report.as_dict()
 
 
-def run_scenario(doc, out_dir, tolerance: float = DEFAULT_TOLERANCE):
+def run_scenario(doc, out_dir):
     """Execute a decoded scenario document, writing artifacts into out_dir.
 
     Returns the list of written paths.  Raises AssertionFailed after all
@@ -412,11 +413,11 @@ def run_scenario(doc, out_dir, tolerance: float = DEFAULT_TOLERANCE):
         if kind == "suite":
             passed, paths, witness = _run_suite_block(scn, block, i, out_dir)
         elif kind == "converge":
-            passed, paths, witness = _run_converge_block(scn, block, i, out_dir, tolerance)
+            passed, paths, witness = _run_converge_block(scn, block, i, out_dir)
         elif kind == "chain":
             passed, paths, witness = _run_chain_block(scn, block, i, out_dir)
         else:
-            passed, paths, witness = _run_gh_block(scn, block, i, out_dir, tolerance)
+            passed, paths, witness = _run_gh_block(scn, block, i, out_dir)
         written.extend(paths)
         if not passed:
             failures.append({"block": i, "kind": kind, "witness": witness})

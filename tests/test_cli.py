@@ -348,14 +348,19 @@ def test_other_exceptions_exit_three_with_json_in_process(tmp_path, capsys, monk
     [("run", SCENARIO), ("suite", "gh", "--seed", "1", "--count", "1")],
     ids=["run", "suite"],
 )
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-def test_an_out_naming_an_existing_file_exits_two_before_any_work(tmp_path, argv, via_env):
+@pytest.mark.parametrize(
+    "via_env, below",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["flag", "env", "flag-below", "env-below"],
+)
+def test_an_out_naming_an_existing_file_exits_two_before_any_work(tmp_path, argv, via_env, below):
     taken = tmp_path / "taken"
     taken.write_text("keep")
+    out = str(taken / "sub" if below else taken)
     if via_env:
-        proc = run_cli(*argv, env_extra={"FEM_LAB_OUT": str(taken)})
+        proc = run_cli(*argv, env_extra={"FEM_LAB_OUT": out})
     else:
-        proc = run_cli(*argv, "--out", str(taken))
+        proc = run_cli(*argv, "--out", out)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -363,6 +368,31 @@ def test_an_out_naming_an_existing_file_exits_two_before_any_work(tmp_path, argv
     assert proc.stderr == dumps_canonical(err) + "\n"
     assert err["error"] == "ValidationError" and "not a directory" in err["message"]
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "required: command"),
+        (("run", "x", "--bogus"), "unrecognized arguments: --bogus"),
+        (("suite", "gh", "--seed", "x"), "invalid int value: 'x'"),
+        (("run", SCENARIO, "--tolerance", "0.1"), "unrecognized arguments: --tolerance"),
+    ],
+    ids=["bare", "unknown_option", "bad_seed", "removed_tolerance"],
+)
+def test_usage_errors_exit_two_with_one_json_object(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert proc.stderr == dumps_canonical(err) + "\n"
+    assert err["error"] == "ParseError" and message in err["message"]
+
+
+def test_help_prints_usage_and_exits_zero():
+    proc = run_cli("run", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: femlab run") and proc.stderr == ""
 
 
 def test_suite_writes_its_file_before_it_prints(tmp_path, capsys, monkeypatch):

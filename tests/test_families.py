@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -29,12 +30,14 @@ from femlab import (
     rat,
     split_caps,
 )
+from femlab import families
 from femlab.errors import (
     GridMismatch,
     PreconditionViolated,
     ScheduleInvalid,
     ValidationError,
 )
+from femlab.sampling import random_candidates
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 REF_ND = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
@@ -151,6 +154,16 @@ def test_entropy_cap_filter_is_exactly_the_cap_predicate(cands):
         if ent <= cap and sup_part <= bound:
             assert pl_equal(next(picked), u)
     assert next(picked, None) is None
+
+
+def test_entropy_cap_filter_computes_each_candidates_caps_once(monkeypatch):
+    calls = []
+    real = families.sup_diff
+    monkeypatch.setattr(families, "sup_diff", lambda u, v: calls.append(u) or real(u, v))
+    candidates = random_candidates(random.Random(2026), GRID3, REF_ND, 12)
+    kept = entropy_cap_filter(candidates, 4.0, 2.0, REF_ND)
+    assert len(kept) == 12
+    assert len(calls) == 12
 
 
 def test_project_family_images_align_with_sources():

@@ -62,8 +62,6 @@ def test_space_validation_names_the_offending_indices():
             ("a", "b", "c"),
             ((0, 1, 5), (1, 0, 1), (5, 1, 0)),
         )
-    with pytest.raises(ValidationError, match="basepoint"):
-        FiniteMetricSpace(("a",), ((0,),), basepoint=3)
 
 
 def test_space_accessors():

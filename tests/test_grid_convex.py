@@ -12,7 +12,6 @@ from femlab import (
     Grid,
     affine_combine,
     biconjugate,
-    compare_singularity,
     is_leq,
     legendre,
     make_pl,
@@ -30,7 +29,7 @@ from femlab.errors import (
     IntervalOutOfPolytope,
     SlopeOutOfPolytope,
 )
-from femlab.grid_convex import SingularityOrder, refine_to
+from femlab.grid_convex import refine_to
 from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
@@ -198,24 +197,3 @@ def test_model_envelopes_are_model_type():
         assert psi.potential.dual_domain() == (rat(q[0]), rat(q[1]))
         again = model_from_interval(GRID5, psi.potential.dual_domain(), REF5)
         assert pl_equal(again.potential, psi.potential)
-
-
-@given(data=st.data())
-def test_singularity_comparison_tracks_dual_inclusion(data):
-    q1 = data.draw(own.subintervals())
-    q2 = data.draw(own.subintervals())
-    u = data.draw(own.sector_potentials(GRID5, q1))
-    v = data.draw(own.sector_potentials(GRID5, q2))
-    order = compare_singularity(u, v)
-    lo1, hi1 = u.dual_domain()
-    lo2, hi2 = v.dual_domain()
-    contained = lo2 <= lo1 and hi1 <= hi2
-    contains = lo1 <= lo2 and hi2 <= hi1
-    if contained and contains:
-        assert order is SingularityOrder.EQUIVALENT
-    elif contained:
-        assert order is SingularityOrder.MORE_SINGULAR
-    elif contains:
-        assert order is SingularityOrder.LESS_SINGULAR
-    else:
-        assert order is SingularityOrder.INCOMPARABLE

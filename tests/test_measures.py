@@ -13,7 +13,6 @@ import strategies as own
 from femlab import (
     Grid,
     entropy,
-    integrate,
     is_nondegenerate_reference,
     make_pl,
     model_from_interval,
@@ -74,13 +73,6 @@ def test_degenerate_reference_is_detected():
     assert all(m > 0 for m in monge_ampere(narrow).masses)
     assert not is_nondegenerate_reference(narrow)
     assert is_nondegenerate_reference(make_pl(wide, (0, rat(1, 4), 1), 0, 2))
-
-
-@given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5), c=own.rationals(0, 3))
-def test_integration_is_linear(u, v, c):
-    mu = monge_ampere(u)
-    lhs = integrate([a + c * b for a, b in zip(u.values, v.values)], mu)
-    assert lhs == integrate(u, mu) + c * integrate(v, mu)
 
 
 def test_normalize_rejects_zero_mass():

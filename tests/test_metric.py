@@ -27,7 +27,7 @@ from femlab import (
     rho,
     rooftop,
 )
-from femlab.errors import BadExponent, EmptyFamily, NotComparable
+from femlab.errors import BadExponent, EmptyFamily, NotComparable, SingularityMismatch
 from femlab.metric import abs_diff_pairing
 from femlab.sampling import nondegenerate_reference
 
@@ -112,6 +112,16 @@ def test_zero_mass_sector_has_zero_distance(data):
     u = data.draw(own.sector_potentials(GRID5, (point, point)))
     v = data.draw(own.sector_potentials(GRID5, (point, point)))
     assert dist(ctx, u, v) == 0
+
+
+def test_dist_checks_the_sector_before_the_rooftop():
+    # disjoint dual domains: a rooftop would raise EmptyRooftop
+    ctx = metric_context(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
+    inside = ctx.psi.potential
+    outside = model_from_interval(GRID5, (rat(3, 4), 1), REF5).potential
+    for u, v in ((inside, outside), (outside, inside)):
+        with pytest.raises(SingularityMismatch):
+            dist(ctx, u, v)
 
 
 def test_double_inequality_constant_dimension_one():

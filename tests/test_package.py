@@ -1,8 +1,9 @@
 """The public namespace resolves, and the package carries no dead names.
 
 The dead-code checks read the package's source with the standard ``ast``
-module: no module imports a name it never reads, and every module-level
-private name is read somewhere in the package.
+module: no module imports a name it never reads, every module-level
+private name is read somewhere in the package, and every defaulted
+parameter is passed by some call in the package, the tests or perfbench.
 """
 
 from __future__ import annotations
@@ -70,3 +71,58 @@ def test_every_module_level_private_name_is_used():
     private = [(m, n) for m, n in defined if n.startswith("_") and not n.startswith("__")]
     assert private, "the scan found no private names at all"
     assert [m + ":" + n for m, n in private if n not in used] == []
+
+
+CALLER_TREES = list(TREES.values()) + [
+    ast.parse(path.read_text())
+    for folder in ("tests", "perfbench")
+    for path in sorted((pathlib.Path(__file__).parents[1] / folder).rglob("*.py"))
+]
+
+
+def defaulted_parameters(tree):
+    """(called name, parameter, position or None if keyword-only) per defaulted parameter."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods[item] = node.name if item.name == "__init__" else item.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        offset = 1 if node in methods else 0  # a method's first parameter is its instance
+        called = methods.get(node, node.name)
+        for position in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield called, positional[position].arg, position - offset
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield called, arg.arg, None
+
+
+def passes(call, parameter, position):
+    """Whether a call sets the parameter, by position, by keyword or through a splat."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calls = {}
+    for tree in CALLER_TREES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = [p for tree in TREES.values() for p in defaulted_parameters(tree)]
+    assert params, "the scan found no defaulted parameters at all"
+    never_set = [
+        "%s(%s)" % (name, parameter)
+        for name, parameter, position in params
+        if not any(passes(call, parameter, position) for call in calls.get(name, ()))
+    ]
+    assert never_set == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from femlab import BACKEND, Rational, parse_rat, rat, rat_str
+from femlab import BACKEND, Rational, rat, rat_str
 
 
 def test_constructors_agree():
@@ -56,7 +56,7 @@ def test_canonical_form_always_carries_denominator():
 @given(n=st.integers(-10**12, 10**12), d=st.integers(1, 10**6))
 def test_rat_str_round_trips(n, d):
     q = rat(n, d)
-    assert parse_rat(rat_str(q)) == q
+    assert rat(rat_str(q)) == q
     assert q.denominator > 0
 
 
