@@ -6,12 +6,18 @@ The backend is gmpy2's GMP-backed ``mpq`` when importable, else
 Python fallback.  Both types normalize to lowest terms with positive
 denominator, hash consistently and interoperate with ints, so the rest of
 the package never needs to know which one it got.
+
+The exact objects keep their numbers as a ``Lattice``: Python ints over one
+shared denominator, so checks and kernels run on int arithmetic and backend
+rationals are built only at the boundary, by ``rat`` and ``rationals``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 _mpq = None
 if os.environ.get("FEMLAB_PURE_RATIONAL", "") in ("", "0"):
@@ -64,3 +70,29 @@ def rat_str(x) -> str:
     q = rat(x)
     return "%d/%d" % (q.numerator, q.denominator)
 
+
+class Lattice(NamedTuple):
+    """The rationals nums[i] / den: ints over one positive denominator."""
+
+    nums: tuple
+    den: int
+
+
+def lattice(xs) -> Lattice:
+    """Exact inputs, or a Lattice, as ints over their least common denominator.
+
+    The result is canonical: equal rationals always give equal lattices.
+    """
+    if type(xs) is Lattice:
+        nums, den = xs
+        g = math.gcd(den, *nums)
+        return xs if g == 1 else Lattice(tuple(n // g for n in nums), den // g)
+    qs = [rat(x) for x in xs]
+    den = math.lcm(*(q.denominator for q in qs))
+    return Lattice(tuple(q.numerator * (den // q.denominator) for q in qs), den)
+
+
+def rationals(lat: Lattice) -> tuple:
+    """The backend rationals of a lattice."""
+    nums, den = lat
+    return tuple(_make(n, den) for n in nums)

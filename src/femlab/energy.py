@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import HALF
+from ._rational import HALF, rat_str
 from .errors import SingularityMismatch
 from .grid_convex import GridPLConvex, ModelEnvelope, is_leq
 from .measures import _pairings
@@ -45,7 +45,7 @@ class EnergyContext:
             got = u.dual_domain()
             raise SingularityMismatch(
                 "potential spans [%s, %s], sector needs [%s, %s]"
-                % (got[0], got[1], self.psi.Q[0], self.psi.Q[1])
+                % (rat_str(got[0]), rat_str(got[1]), rat_str(self.psi.Q[0]), rat_str(self.psi.Q[1]))
             )
 
 

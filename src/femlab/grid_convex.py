@@ -17,6 +17,14 @@ operations go through the Legendre transform:
 Because dual slopes are node coordinates, every envelope constructed this
 way has kinks only at grid nodes, so node samples plus end slopes represent
 it exactly and every identity below is checked with exact rationals.
+
+Each object keeps its numbers as ints over one reduced denominator (a
+``Lattice``): grid nodes over the grid's node scale, potential values over
+one denominator, dual breakpoints over one and dual values over another.
+Checks compare cross-multiplied ints, kernels bring their output to one
+denominator with one ``math.lcm``, and the constructor reduces it with one
+``math.gcd``, so equal functions have equal representations.  ``values``,
+``points`` and ``_slopes`` are the backend rationals, built on first use.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import le
 
-from ._rational import ONE, rat, rat_str
+from ._rational import ONE, Lattice, lattice, rat, rat_str, rationals
 from .errors import (
     BadReference,
     ConvexityViolation,
@@ -37,32 +45,90 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing rational nodes plus the moment interval."""
+    """Strictly increasing rational nodes plus the moment interval.
+
+    The nodes are also kept as ints ``_xs`` over the node scale ``_scale``
+    (their least common denominator), computed once; two grids are equal
+    when those ints and the polytopes are.  For the chord slopes of a
+    potential, ``_step_lcm`` is the lcm of the node steps (in units of
+    the node scale) and ``_step_weights[i]`` is it divided by step i.
+    """
 
     nodes: tuple
     polytope: tuple
+    _xs: tuple = field(init=False, repr=False)
+    _scale: int = field(init=False, repr=False)
+    _step_lcm: int = field(init=False, repr=False)
+    _step_weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(rat(x) for x in self.nodes)
         if len(nodes) < 2:
             raise ValueError("grid needs at least two nodes")
-        for a, b in zip(nodes, nodes[1:]):
+        xs, scale = lattice(nodes)
+        for i, (a, b) in enumerate(zip(xs, xs[1:])):
             if not a < b:
                 raise ValueError(
-                    "grid nodes must increase strictly: %s then %s" % (rat_str(a), rat_str(b))
+                    "grid nodes must increase strictly: %s then %s"
+                    % (rat_str(nodes[i]), rat_str(nodes[i + 1]))
                 )
         if len(self.polytope) != 2:
             raise ValueError("polytope must be a pair (p_min, p_max)")
         p_min, p_max = (rat(p) for p in self.polytope)
         if not p_min < p_max:
             raise ValueError("polytope must be nondegenerate: [%s, %s]" % (rat_str(p_min), rat_str(p_max)))
+        steps = [b - a for a, b in zip(xs, xs[1:])]
+        step_lcm = math.lcm(*steps)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "polytope", (p_min, p_max))
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_step_lcm", step_lcm)
+        object.__setattr__(self, "_step_weights", tuple(step_lcm // d for d in steps))
+
+    def __eq__(self, other):
+        if type(other) is not Grid:
+            return NotImplemented
+        return self is other or (
+            self._scale == other._scale and self._xs == other._xs and self.polytope == other.polytope
+        )
+
+    def __hash__(self):
+        return hash((self._scale, self._xs, self.polytope))
 
     def with_nodes(self, nodes) -> "Grid":
         return Grid(tuple(nodes), self.polytope)
+
+
+def _grid_on(polytope, points) -> Grid:
+    """The grid on the distinct points, given as (numerator, denominator) int pairs."""
+    den = math.lcm(*(d for _, d in points))
+    xs = sorted({n * (den // d) for n, d in points})
+    return Grid(rationals(Lattice(xs, den)), polytope)
+
+
+def _node_pairs(grid: Grid):
+    return [(x, grid._scale) for x in grid._xs]
+
+
+def _scaled(nums, r):
+    return nums if r == 1 else tuple(n * r for n in nums)
+
+
+def _frac(num, den):
+    """num / den as a reduced int pair with a positive denominator."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _common(pairs, den) -> Lattice:
+    """The values num / (den * mult), given as (num, mult) pairs, over one denominator."""
+    m = math.lcm(*(k for _, k in pairs))
+    return Lattice(tuple(n * (m // k) for n, k in pairs), den * m)
 
 
 def _contains(outer, inner) -> bool:
@@ -74,83 +140,167 @@ def _contains(outer, inner) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-@dataclass(frozen=True)
-class GridPLConvex:
+class _Frozen:
+    """Immutable once its ``__post_init__`` has set its slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+
+class GridPLConvex(_Frozen):
     """Convex PL potential: node values plus end slopes.
 
     Between consecutive nodes the function is the chord; beyond the first
     and last node it follows slope_left / slope_right.  Validity means the
     slope sequence slope_left, chords..., slope_right is non-decreasing and
-    both end slopes sit inside the polytope.  That sequence is kept as
-    ``_slopes`` for evaluation, conjugation, refinement and Monge-Ampere:
-    ``_slopes[k]`` is the slope between nodes k - 1 and k, rays included.
+    both end slopes sit inside the polytope.  ``_slopes[k]`` is the slope
+    between nodes k - 1 and k, rays included.
+
+    Values are given as exact rationals or as a ``Lattice`` and kept as
+    ints ``_num`` over one reduced denominator ``_den``; the slope sequence
+    is kept as the ``Lattice`` ``_slope_lattice``.  Every construction runs
+    ``__post_init__``, which normalizes and checks.
 
     A potential is immutable, so every pure function of it is computed at
-    most once: ``_memo`` holds its hash, ``legendre(u)``, ``monge_ampere(u)``,
-    ``energy(ctx, u)`` per context and ``split_caps(u, reference)`` per
-    reference, and lives and dies with it.
+    most once: ``_memo`` holds its hash, ``values``, ``_slopes``,
+    ``legendre(u)``, ``monge_ampere(u)``, ``energy(ctx, u)`` per context
+    and ``split_caps(u, reference)`` per reference, and lives and dies
+    with it.
     """
 
-    grid: Grid
-    values: tuple
-    slope_left: object
-    slope_right: object
-    _slopes: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("grid", "slope_left", "slope_right", "_num", "_den", "_slope_lattice", "_memo")
 
-    def __post_init__(self):
-        values = tuple(rat(v) for v in self.values)
-        if len(values) != len(self.grid.nodes):
-            raise ValueError(
-                "%d values for %d nodes" % (len(values), len(self.grid.nodes))
-            )
-        sl = rat(self.slope_left)
-        sr = rat(self.slope_right)
-        p_min, p_max = self.grid.polytope
-        if not _contains(self.grid.polytope, (sl, sr)):
+    def __init__(self, grid: Grid, values, slope_left, slope_right):
+        self.__post_init__(grid, values, slope_left, slope_right)
+
+    def __post_init__(self, grid, values, slope_left, slope_right):
+        nums, den = lattice(values)
+        if len(nums) != len(grid.nodes):
+            raise ValueError("%d values for %d nodes" % (len(nums), len(grid.nodes)))
+        sl = rat(slope_left)
+        sr = rat(slope_right)
+        p_min, p_max = grid.polytope
+        if not _contains(grid.polytope, (sl, sr)):
             raise SlopeOutOfPolytope(
                 "end slopes [%s, %s] leave polytope [%s, %s]"
                 % (rat_str(sl), rat_str(sr), rat_str(p_min), rat_str(p_max))
             )
-        xs = self.grid.nodes
+        # chord i is (nums[i + 1] - nums[i]) * w_i * scale / (den * step_lcm)
+        chord_den = den * grid._step_lcm
+        sden = math.lcm(sl.denominator, sr.denominator, chord_den)
+        r = grid._scale * (sden // chord_den)
         slopes = (
-            sl,
-            *((values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)),
-            sr,
+            sl.numerator * (sden // sl.denominator),
+            *((b - a) * w * r for a, b, w in zip(nums, nums[1:], grid._step_weights)),
+            sr.numerator * (sden // sr.denominator),
         )
-        for i, (a, b) in enumerate(zip(slopes, slopes[1:])):
-            if a > b:
-                raise ConvexityViolation(
-                    "slope sequence decreases at position %d: %s > %s"
-                    % (i, rat_str(a), rat_str(b))
-                )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slope_left", sl)
-        object.__setattr__(self, "slope_right", sr)
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_memo", {})
+        if not all(map(le, slopes, slopes[1:])):
+            i = next(i for i in range(len(slopes) - 1) if slopes[i] > slopes[i + 1])
+            raise ConvexityViolation(
+                "slope sequence decreases at position %d: %s > %s"
+                % (i, rat_str(rat(slopes[i], sden)), rat_str(rat(slopes[i + 1], sden)))
+            )
+        self._set(
+            grid=grid,
+            slope_left=sl,
+            slope_right=sr,
+            _num=nums,
+            _den=den,
+            _slope_lattice=Lattice(slopes, sden),
+            _memo={},
+        )
+
+    def __eq__(self, other):
+        if type(other) is not GridPLConvex:
+            return NotImplemented
+        return self is other or (
+            self._den == other._den
+            and self._num == other._num
+            and self.slope_left == other.slope_left
+            and self.slope_right == other.slope_right
+            and self.grid == other.grid
+        )
 
     def __hash__(self):
         memo = self._memo
         if "hash" not in memo:
-            memo["hash"] = hash((self.grid, self.values, self.slope_left, self.slope_right))
+            memo["hash"] = hash((self.grid, self._den, self._num, self.slope_left, self.slope_right))
         return memo["hash"]
+
+    def __repr__(self):
+        return "GridPLConvex(grid=%r, values=%r, slope_left=%r, slope_right=%r)" % (
+            self.grid,
+            self.values,
+            self.slope_left,
+            self.slope_right,
+        )
+
+    @property
+    def values(self) -> tuple:
+        memo = self._memo
+        if "values" not in memo:
+            memo["values"] = rationals((self._num, self._den))
+        return memo["values"]
+
+    @property
+    def _slopes(self) -> tuple:
+        memo = self._memo
+        if "slopes" not in memo:
+            memo["slopes"] = rationals(self._slope_lattice)
+        return memo["slopes"]
 
     def dual_domain(self) -> tuple:
         return (self.slope_left, self.slope_right)
 
     def evaluate(self, x):
         x = rat(x)
-        xs = self.grid.nodes
-        k = bisect_right(xs, x)
-        j = max(k - 1, 0)
-        return self.values[j] + self._slopes[k] * (x - xs[j])
+        scale = math.lcm(self.grid._scale, x.denominator)
+        xs = _scaled(self.grid._xs, scale // self.grid._scale)
+        t = x.numerator * (scale // x.denominator)
+        k = bisect_right(xs, t)
+        if k and xs[k - 1] == t:
+            return rat(self._num[k - 1], self._den)
+        num, mult = _value_at(self, xs, scale, k, t)
+        return rat(num, self._den * mult)
 
     def shift(self, c) -> "GridPLConvex":
         c = rat(c)
+        den = math.lcm(self._den, c.denominator)
+        r, add = den // self._den, c.numerator * (den // c.denominator)
         return GridPLConvex(
-            self.grid, tuple(v + c for v in self.values), self.slope_left, self.slope_right
+            self.grid, Lattice(tuple(n * r + add for n in self._num), den), self.slope_left, self.slope_right
         )
+
+
+def _value_at(u: GridPLConvex, xs, scale, k, x):
+    """u at a non-node x as (num, mult), meaning num / (u._den * mult).
+
+    xs are u's nodes and x a point, all ints over ``scale``, and k is
+    bisect_right(xs, x): the ray or chord that holds x.
+    """
+    vs, den = u._num, u._den
+    if 0 < k < len(xs):
+        dx = xs[k] - xs[k - 1]
+        return vs[k - 1] * dx + (vs[k] - vs[k - 1]) * (x - xs[k - 1]), dx
+    j, s = (0, u.slope_left) if k == 0 else (k - 1, u.slope_right)
+    mult = s.denominator * scale
+    return vs[j] * mult + s.numerator * den * (x - xs[j]), mult
+
+
+def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
+    """u - v node by node, on a grid both share; not reduced."""
+    den = math.lcm(u._den, v._den)
+    a, b = den // u._den, den // v._den
+    return Lattice(tuple(x * a - y * b for x, y in zip(u._num, v._num)), den)
 
 
 def make_pl(grid: Grid, values, slope_left, slope_right) -> GridPLConvex:
@@ -158,57 +308,81 @@ def make_pl(grid: Grid, values, slope_left, slope_right) -> GridPLConvex:
     return GridPLConvex(grid, tuple(values), slope_left, slope_right)
 
 
-@dataclass(frozen=True)
-class DualPL:
+class DualPL(_Frozen):
     """Convex PL function on a compact slope interval, by breakpoint samples.
 
-    points is a tuple of (p, value) pairs with strictly increasing p; the
-    function interpolates linearly between them and is +infinity outside
-    [p_first, p_last].  A single point encodes the conjugate of an affine
-    potential.  The chord slopes computed for the convexity check are kept
-    for the conjugation walk.
+    Breakpoints ``_p[k] / _pden`` increase strictly and carry the values
+    ``_w[k] / _wden``; the function interpolates linearly between them and
+    is +infinity outside [p_first, p_last].  A single point encodes the
+    conjugate of an affine potential.  The steps ``_dp`` and ``_dw``
+    computed for the convexity check are kept for the conjugation walk;
+    ``points`` gives the (p, value) pairs as backend rationals.
     """
 
-    points: tuple
-    _chords: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("_p", "_pden", "_w", "_wden", "_dp", "_dw", "_memo")
 
-    def __post_init__(self):
-        pts = tuple((rat(p), rat(w)) for p, w in self.points)
-        if not pts:
+    def __init__(self, breakpoints: Lattice, values: Lattice):
+        self.__post_init__(breakpoints, values)
+
+    def __post_init__(self, breakpoints, values):
+        ps, pden = lattice(breakpoints)
+        ws, wden = lattice(values)
+        if not ps:
             raise ValueError("dual needs at least one breakpoint")
-        for (p, _), (q, _) in zip(pts, pts[1:]):
-            if not p < q:
-                raise ValueError("dual breakpoints must increase strictly")
-        chords = tuple(
-            (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
-            for i in range(len(pts) - 1)
-        )
-        for a, b in zip(chords, chords[1:]):
-            if a > b:
+        if len(ws) != len(ps):
+            raise ValueError("%d values for %d breakpoints" % (len(ws), len(ps)))
+        dp = tuple(b - a for a, b in zip(ps, ps[1:]))
+        if any(d <= 0 for d in dp):
+            raise ValueError("dual breakpoints must increase strictly")
+        dw = tuple(b - a for a, b in zip(ws, ws[1:]))
+        for i in range(len(dp) - 1):
+            if dw[i] * dp[i + 1] > dw[i + 1] * dp[i]:
                 raise ConvexityViolation("dual breakpoint data is not convex")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_chords", chords)
+        self._set(_p=ps, _pden=pden, _w=ws, _wden=wden, _dp=dp, _dw=dw, _memo={})
+
+    def __eq__(self, other):
+        if type(other) is not DualPL:
+            return NotImplemented
+        return (self._pden, self._p, self._wden, self._w) == (other._pden, other._p, other._wden, other._w)
+
+    def __hash__(self):
+        return hash((self._pden, self._p, self._wden, self._w))
+
+    def __repr__(self):
+        return "DualPL(points=%r)" % (self.points,)
+
+    @property
+    def points(self) -> tuple:
+        memo = self._memo
+        if "points" not in memo:
+            ps = rationals((self._p, self._pden))
+            memo["points"] = tuple(zip(ps, rationals((self._w, self._wden))))
+        return memo["points"]
 
     @property
     def domain(self) -> tuple:
-        return (self.points[0][0], self.points[-1][0])
+        return (rat(self._p[0], self._pden), rat(self._p[-1], self._pden))
 
     def evaluate(self, p):
         p = rat(p)
-        pts = self.points
-        lo, hi = self.domain
-        if p < lo or p > hi:
+        den = math.lcm(self._pden, p.denominator)
+        ps = _scaled(self._p, den // self._pden)
+        q = p.numerator * (den // p.denominator)
+        if q < ps[0] or q > ps[-1]:
             raise ValueError("dual evaluated outside its domain")
-        return _interpolate(pts, bisect_right(pts, p, key=itemgetter(0)) - 1, p)
+        num, mult = _on_segment(ps, self._w, bisect_right(ps, q) - 1, q)
+        return rat(num, self._wden * mult)
 
 
-def _interpolate(pts, i, p):
-    """Value at p of PL data pts, where pts[i][0] <= p < pts[i + 1][0] or p == pts[i][0]."""
-    p0, w0 = pts[i]
-    if p == p0:
-        return w0
-    p1, w1 = pts[i + 1]
-    return w0 + (p - p0) / (p1 - p0) * (w1 - w0)
+def _on_segment(ps, ws, i, p):
+    """PL data (ps, ws) at p on segment i, ps[i] <= p < ps[i + 1] or p == ps[i].
+
+    Returns (num, mult): the value is num / mult in the units of ws.
+    """
+    if p == ps[i]:
+        return ws[i], 1
+    dp = ps[i + 1] - ps[i]
+    return ws[i] * dp + (p - ps[i]) * (ws[i + 1] - ws[i]), dp
 
 
 def legendre(u: GridPLConvex) -> DualPL:
@@ -222,15 +396,19 @@ def legendre(u: GridPLConvex) -> DualPL:
     memo = u._memo
     if "legendre" in memo:
         return memo["legendre"]
-    xs, vs = u.grid.nodes, u.values
-    pts = []
-    # slope _slopes[k] is attained on the piece left of node k (clamped).
-    for k, p in enumerate(u._slopes):
-        if pts and pts[-1][0] == p:
+    slopes, pden = u._slope_lattice
+    xs, vs, last = u.grid._xs, u._num, len(u._num) - 1
+    wden = pden * u.grid._scale
+    r = wden // u._den
+    ps, ws = [], []
+    # slope k is attained on the piece left of node k (clamped).
+    for k, p in enumerate(slopes):
+        if ps and ps[-1] == p:
             continue
-        i = min(k, len(xs) - 1)
-        pts.append((p, p * xs[i] - vs[i]))
-    memo["legendre"] = dual = DualPL(tuple(pts))
+        i = min(k, last)
+        ps.append(p)
+        ws.append(p * xs[i] - vs[i] * r)
+    memo["legendre"] = dual = DualPL(Lattice(tuple(ps), pden), Lattice(tuple(ws), wden))
     return dual
 
 
@@ -246,16 +424,20 @@ def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:
     unchanged, so each node value is the exact maximum.  End slopes are
     the dual's domain endpoints.
     """
-    pts, chords = dual.points, dual._chords
-    k, last = 0, len(chords)
+    ps, pden, ws, wden = dual._p, dual._pden, dual._w, dual._wden
+    scale = pden * grid._scale
+    den = math.lcm(scale, wden)
+    a, b = den // scale, den // wden
+    # c_k <= x/s  <=>  dw_k * pden * s <= x * wden * dp_k
+    rise = [d * scale for d in dual._dw]
+    run = [d * wden for d in dual._dp]
+    k, last = 0, len(rise)
     values = []
-    for x in grid.nodes:
-        while k < last and chords[k] <= x:
+    for x in grid._xs:
+        while k < last and rise[k] <= x * run[k]:
             k += 1
-        p, w = pts[k]
-        values.append(x * p - w)
-    lo, hi = dual.domain
-    return GridPLConvex(grid, tuple(values), lo, hi)
+        values.append(x * ps[k] * a - ws[k] * b)
+    return GridPLConvex(grid, Lattice(tuple(values), den), rat(ps[0], pden), rat(ps[-1], pden))
 
 
 def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
@@ -265,51 +447,69 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     the two new ends.
     """
     lo, hi = rat(lo), rat(hi)
-    d_lo, d_hi = dual.domain
-    lo = max(lo, d_lo)
-    hi = min(hi, d_hi)
-    if lo > hi:
+    pden = math.lcm(dual._pden, lo.denominator, hi.denominator)
+    ps, ws = _scaled(dual._p, pden // dual._pden), dual._w
+    a = max(lo.numerator * (pden // lo.denominator), ps[0])
+    b = min(hi.numerator * (pden // hi.denominator), ps[-1])
+    if a > b:
         raise EmptyRooftop(
-            "dual domains miss the interval [%s, %s]" % (rat_str(lo), rat_str(hi))
+            "dual domains miss the interval [%s, %s]" % (rat_str(rat(a, pden)), rat_str(rat(b, pden)))
         )
-    pts = dual.points
-    i = 0
-    while i + 1 < len(pts) and pts[i + 1][0] <= lo:
-        i += 1
-    out = [(lo, _interpolate(pts, i, lo))]
-    if lo == hi:
-        return DualPL(tuple(out))
+    i = bisect_right(ps, a) - 1
+    first = _on_segment(ps, ws, i, a)
+    if a == b:
+        return DualPL(Lattice((a,), pden), _common([first], dual._wden))
     i += 1
-    while pts[i][0] < hi:
-        out.append(pts[i])
-        i += 1
-    out.append((hi, _interpolate(pts, i - 1, hi)))
-    return DualPL(tuple(out))
+    j = i
+    while ps[j] < b:
+        j += 1
+    end = (ws[j], 1) if ps[j] == b else _on_segment(ps, ws, j - 1, b)
+    samples = [first, *((w, 1) for w in ws[i:j]), end]
+    return DualPL(Lattice((a, *ps[i:j], b), pden), _common(samples, dual._wden))
 
 
-def _merged_samples(d1: DualPL, d2: DualPL):
+def _merged_samples(a, wa, b, wb):
     """(p, d1(p), d2(p)) at every breakpoint of either dual, p increasing.
 
-    Both duals share their domain; a two-pointer merge interpolates each
-    dual on the segment that holds the other's breakpoints.
+    a, b are the breakpoints and wa, wb the values of two duals on one
+    domain, each pair over a shared denominator; each sample is a (num,
+    mult) pair as from ``_on_segment``.  A two-pointer merge interpolates
+    each dual on the segment that holds the other's breakpoints.
     """
-    a, b = d1.points, d2.points
     i = j = 0
     out = []
     while i < len(a) and j < len(b):
-        p = min(a[i][0], b[j][0])
-        if a[i][0] == p:
-            w1 = a[i][1]
+        p = min(a[i], b[j])
+        if a[i] == p:
+            s1 = (wa[i], 1)
             i += 1
         else:
-            w1 = _interpolate(a, i - 1, p)
-        if b[j][0] == p:
-            w2 = b[j][1]
+            s1 = _on_segment(a, wa, i - 1, p)
+        if b[j] == p:
+            s2 = (wb[j], 1)
             j += 1
         else:
-            w2 = _interpolate(b, j - 1, p)
-        out.append((p, w1, w2))
+            s2 = _on_segment(b, wb, j - 1, p)
+        out.append((p, s1, s2))
     return out
+
+
+def _crossing(prev, cur):
+    """Where d1 - d2 changes sign strictly between two merged samples, or None.
+
+    Returns ((num, mult), (num, mult)): the abscissa over the breakpoint
+    denominator and d1's value there over the value denominator.
+    """
+    q, (u1, e1), (u2, e2) = prev
+    p, (w1, f1), (w2, f2) = cur
+    da, db = u1 * e2 - u2 * e1, w1 * f2 - w2 * f1  # over e1 e2 and f1 f2
+    if not ((da > 0 > db) or (da < 0 < db)):
+        return None
+    ea, eb = e1 * e2, f1 * f2
+    k = da * eb - db * ea  # the crossing sits at the share s = da * eb / k of [q, p]
+    t = _frac(q * k + (p - q) * da * eb, k)
+    value = _frac(u1 * f1 * k + da * eb * (w1 * e1 - u1 * f1), e1 * f1 * k)
+    return t, value
 
 
 def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
@@ -321,21 +521,25 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
     functions are affine, so at most one strict crossing exists and it is
     an exact rational.
     """
-    if d1.domain != d2.domain:
+    pden = math.lcm(d1._pden, d2._pden)
+    a, b = _scaled(d1._p, pden // d1._pden), _scaled(d2._p, pden // d2._pden)
+    if a[0] != b[0] or a[-1] != b[-1]:
         raise ValueError("max_dual needs duals on a common domain")
-    merged = []
+    wden = math.lcm(d1._wden, d2._wden)
+    wa, wb = _scaled(d1._w, wden // d1._wden), _scaled(d2._w, wden // d2._wden)
+    ps, ws = [], []
     prev = None
-    for cur in _merged_samples(d1, d2):
-        p, w1, w2 = cur
+    for cur in _merged_samples(a, wa, b, wb):
+        p, (n1, m1), (n2, m2) = cur
         if prev is not None:
-            q, u1, u2 = prev
-            da, db = u1 - u2, w1 - w2
-            if (da > 0 > db) or (da < 0 < db):
-                s = da / (da - db)
-                merged.append((q + (p - q) * s, u1 + s * (w1 - u1)))
-        merged.append((p, max(w1, w2)))
+            crossing = _crossing(prev, cur)
+            if crossing is not None:
+                ps.append(crossing[0])
+                ws.append(crossing[1])
+        ps.append((p, 1))
+        ws.append((n1, m1) if n1 * m2 >= n2 * m1 else (n2, m2))
         prev = cur
-    return DualPL(tuple(merged))
+    return DualPL(_common(ps, pden), _common(ws, wden))
 
 
 # --- grid alignment ---------------------------------------------------------
@@ -349,21 +553,23 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """
     if grid.polytope != u.grid.polytope:
         raise GridMismatch("refinement target has a different polytope")
-    xs, vs, slopes = u.grid.nodes, u.values, u._slopes
+    r, rest = divmod(grid._scale, u.grid._scale)
+    if rest:  # some old node has a denominator the new grid lacks
+        raise GridMismatch("refinement target must contain all existing nodes")
+    xs, vs = _scaled(u.grid._xs, r), u._num
     k, last = 0, len(xs)
     values = []
-    for x in grid.nodes:
+    for x in grid._xs:
         if k < last and xs[k] < x:
             break
         if k < last and xs[k] == x:
-            values.append(vs[k])
+            values.append((vs[k], 1))
             k += 1
         else:
-            j = max(k - 1, 0)
-            values.append(vs[j] + slopes[k] * (x - xs[j]))
+            values.append(_value_at(u, xs, grid._scale, k, x))
     if k < last:
         raise GridMismatch("refinement target must contain all existing nodes")
-    return GridPLConvex(grid, tuple(values), u.slope_left, u.slope_right)
+    return GridPLConvex(grid, _common(values, u._den), u.slope_left, u.slope_right)
 
 
 def align(*us: GridPLConvex):
@@ -373,8 +579,7 @@ def align(*us: GridPLConvex):
         return us if len(us) > 1 else us[0]
     if any(u.grid.polytope != first.polytope for u in us):
         raise GridMismatch("potentials live over different polytopes")
-    nodes = sorted(set().union(*(u.grid.nodes for u in us)))
-    grid = Grid(tuple(nodes), first.polytope)
+    grid = _grid_on(first.polytope, [x for u in us for x in _node_pairs(u.grid)])
     out = tuple(refine_to(u, grid) for u in us)
     return out if len(out) > 1 else out[0]
 
@@ -388,27 +593,36 @@ def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
 # --- pointwise operations ---------------------------------------------------
 
 
+def _ray_root(x, d, den, s, t, scale):
+    """Where d / den + (s - t) (y - x / scale) vanishes, as (num, den) ints, or None.
+
+    x is a node over ``scale`` and d / den the difference there; s and t
+    are the two end slopes.
+    """
+    sn = s.numerator * t.denominator - t.numerator * s.denominator
+    if sn == 0 or d == 0:
+        return None
+    sd = s.denominator * t.denominator
+    num, mult = _frac(x * den * sn - d * sd * scale, den * sn)
+    return num, mult * scale
+
+
 def _crossings(u: GridPLConvex, v: GridPLConvex):
-    """Abscissas where u - v changes sign strictly, rays included."""
-    xs = u.grid.nodes
+    """Abscissas where u - v changes sign strictly, rays included, as (num, den) ints."""
+    xs, scale = u.grid._xs, u.grid._scale
+    d, den = _difference(u, v)
     out = []
-    d0 = u.values[0] - v.values[0]
-    sl = u.slope_left - v.slope_left
-    if sl != 0 and d0 != 0:
-        t = xs[0] - d0 / sl
-        if t < xs[0]:
-            out.append(t)
+    left = _ray_root(xs[0], d[0], den, u.slope_left, v.slope_left, scale)
+    if left is not None and left[0] < xs[0] * (left[1] // scale):
+        out.append(left)
     for i in range(len(xs) - 1):
-        a = u.values[i] - v.values[i]
-        b = u.values[i + 1] - v.values[i + 1]
+        a, b = d[i], d[i + 1]
         if (a > 0 > b) or (a < 0 < b):
-            out.append(xs[i] + (xs[i + 1] - xs[i]) * a / (a - b))
-    dm = u.values[-1] - v.values[-1]
-    sr = u.slope_right - v.slope_right
-    if sr != 0 and dm != 0:
-        t = xs[-1] - dm / sr
-        if t > xs[-1]:
-            out.append(t)
+            num, mult = _frac(xs[i] * (a - b) + (xs[i + 1] - xs[i]) * a, a - b)
+            out.append((num, mult * scale))
+    right = _ray_root(xs[-1], d[-1], den, u.slope_right, v.slope_right, scale)
+    if right is not None and right[0] > xs[-1] * (right[1] // scale):
+        out.append(right)
     return out
 
 
@@ -422,14 +636,23 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     u, v = align(u, v)
     cross = _crossings(u, v)
     if cross:
-        nodes = sorted(set(u.grid.nodes) | set(cross))
-        grid = u.grid.with_nodes(nodes)
+        grid = _grid_on(u.grid.polytope, _node_pairs(u.grid) + cross)
         u, v = refine_to(u, grid), refine_to(v, grid)
+    den = math.lcm(u._den, v._den)
+    a, b = den // u._den, den // v._den
     return GridPLConvex(
         u.grid,
-        tuple(max(a, b) for a, b in zip(u.values, v.values)),
+        Lattice(tuple(max(x * a, y * b) for x, y in zip(u._num, v._num)), den),
         min(u.slope_left, v.slope_left),
         max(u.slope_right, v.slope_right),
+    )
+
+
+def _mix(tn, a, sn, b, den):
+    """(tn a + sn b) / den for rationals a, b and ints tn, sn, den."""
+    return rat(
+        tn * a.numerator * b.denominator + sn * b.numerator * a.denominator,
+        den * a.denominator * b.denominator,
     )
 
 
@@ -439,12 +662,14 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     if t < 0 or t > ONE:
         raise ValueError("combination weight must lie in [0, 1]")
     u, v = align(u, v)
-    s = ONE - t
+    tn, td = t.numerator, t.denominator
+    sn = td - tn
+    a, b = tn * v._den, sn * u._den
     return GridPLConvex(
         u.grid,
-        tuple(t * a + s * b for a, b in zip(u.values, v.values)),
-        t * u.slope_left + s * v.slope_left,
-        t * u.slope_right + s * v.slope_right,
+        Lattice(tuple(x * a + y * b for x, y in zip(u._num, v._num)), td * u._den * v._den),
+        _mix(tn, u.slope_left, sn, v.slope_left, td),
+        _mix(tn, u.slope_right, sn, v.slope_right, td),
     )
 
 
@@ -455,7 +680,7 @@ def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     end values plus slope inequalities (left slopes reversed).
     """
     u, v = align(u, v)
-    if any(a > b for a, b in zip(u.values, v.values)):
+    if any(d > 0 for d in _difference(u, v).nums):
         return False
     return _contains(v.dual_domain(), u.dual_domain())
 
@@ -470,7 +695,8 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     u, v = align(u, v)
     if not _contains(v.dual_domain(), u.dual_domain()):
         return math.inf
-    return max(a - b for a, b in zip(u.values, v.values))
+    d, den = _difference(u, v)
+    return rat(max(d), den)
 
 
 # --- envelopes --------------------------------------------------------------
@@ -555,8 +781,7 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
         )
     reference = check_reference(grid, reference)
     if reference.grid != grid:
-        nodes = sorted(set(grid.nodes) | set(reference.grid.nodes))
-        reference = refine_to(reference, grid.with_nodes(nodes))
+        reference = refine_to(reference, _grid_on(grid.polytope, _node_pairs(grid) + _node_pairs(reference.grid)))
     dual = restrict_dual(legendre(reference), a, b)
     potential = biconjugate(dual, reference.grid)
     return ModelEnvelope((a, b), potential, reference)

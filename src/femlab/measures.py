@@ -7,24 +7,28 @@ length of the dual domain, so it never exceeds the polytope length for a
 measure that arises from a potential.  Relative entropy is the single place
 floats appear; it reads exact masses and converts only at the final log.
 
-Every mass pairing goes through ``_charged_sum``; ``_pairings`` pairs u - v
-with MA(u) and MA(v) for the energy.  The checks are the comparison
-principle and one contact-mass law, MA(P) <= sum over w of 1_{P=w} MA(w),
-for the rooftop P(u, v) and the model projection P[psi](u).
+Masses are kept as ints over one reduced denominator, like potential
+values.  Every mass pairing goes through ``_charged_sum``, an int dot
+product; ``_pairings`` pairs u - v with MA(u) and MA(v) for the energy.
+The checks are the comparison principle and one contact-mass law,
+MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
+model projection P[psi](u).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import mul
 
-from ._rational import ZERO, rat, rat_str
+from ._rational import ZERO, Lattice, lattice, rat, rat_str, rationals
 from .errors import GridMismatch, NotNormalized, PreconditionViolated
 from .grid_convex import (
     Grid,
     GridPLConvex,
     ModelEnvelope,
     _contains,
+    _difference,
+    _Frozen,
     align,
     model_project,
     rooftop,
@@ -32,29 +36,51 @@ from .grid_convex import (
 from .report import Report
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(_Frozen):
     """Non-negative masses sitting on the grid nodes.
 
-    Measures coming out of ``monge_ampere`` always satisfy the volume bound
-    total <= polytope length; normalized (probability) measures need not.
+    Masses are given as exact rationals or as a ``Lattice`` and kept as
+    ints ``_num`` over one reduced denominator ``_den``; ``masses`` gives
+    them as backend rationals.  Measures coming out of ``monge_ampere``
+    always satisfy the volume bound total <= polytope length; normalized
+    (probability) measures need not.
     """
 
-    grid: Grid
-    masses: tuple
+    __slots__ = ("grid", "_num", "_den", "_memo")
 
-    def __post_init__(self):
-        masses = tuple(rat(m) for m in self.masses)
-        if len(masses) != len(self.grid.nodes):
-            raise ValueError("%d masses for %d nodes" % (len(masses), len(self.grid.nodes)))
-        for m in masses:
+    def __init__(self, grid: Grid, masses):
+        self.__post_init__(grid, masses)
+
+    def __post_init__(self, grid, masses):
+        nums, den = lattice(masses)
+        if len(nums) != len(grid.nodes):
+            raise ValueError("%d masses for %d nodes" % (len(nums), len(grid.nodes)))
+        for m in nums:
             if m < 0:
-                raise ValueError("negative mass %s" % rat_str(m))
-        object.__setattr__(self, "masses", masses)
+                raise ValueError("negative mass %s" % rat_str(rat(m, den)))
+        self._set(grid=grid, _num=nums, _den=den, _memo={})
+
+    def __eq__(self, other):
+        if type(other) is not AtomicMeasure:
+            return NotImplemented
+        return (self._den, self._num, self.grid) == (other._den, other._num, other.grid)
+
+    def __hash__(self):
+        return hash((self.grid, self._den, self._num))
+
+    def __repr__(self):
+        return "AtomicMeasure(grid=%r, masses=%r)" % (self.grid, self.masses)
+
+    @property
+    def masses(self) -> tuple:
+        memo = self._memo
+        if "masses" not in memo:
+            memo["masses"] = rationals((self._num, self._den))
+        return memo["masses"]
 
     @property
     def total(self):
-        return sum(self.masses, ZERO)
+        return rat(sum(self._num), self._den)
 
 
 def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
@@ -65,32 +91,30 @@ def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
     memo = u._memo
     if "monge_ampere" in memo:
         return memo["monge_ampere"]
-    jumps = tuple(b - a for a, b in zip(u._slopes, u._slopes[1:]))
-    memo["monge_ampere"] = mu = AtomicMeasure(u.grid, jumps)
+    slopes, den = u._slope_lattice
+    jumps = tuple(b - a for a, b in zip(slopes, slopes[1:]))
+    memo["monge_ampere"] = mu = AtomicMeasure(u.grid, Lattice(jumps, den))
     return mu
 
 
-def _charged_sum(values, masses):
-    """Sum of value * mass over the charged nodes; values are trusted rationals."""
-    acc = ZERO
-    for d, m in zip(values, masses):
-        if m != 0:
-            acc += d * m
-    return acc
+def _charged_sum(values: Lattice, mu: AtomicMeasure):
+    """integral of the node values against mu, one int dot product."""
+    nums, den = values
+    return rat(sum(map(mul, nums, mu._num)), den * mu._den)
 
 
 def _pairings(u: GridPLConvex, v: GridPLConvex):
     """(integral (u - v) dMA(u), integral (u - v) dMA(v)), on the aligned grid."""
     u, v = align(u, v)
-    diff = tuple(a - b for a, b in zip(u.values, v.values))
-    return _charged_sum(diff, monge_ampere(u).masses), _charged_sum(diff, monge_ampere(v).masses)
+    diff = _difference(u, v)
+    return _charged_sum(diff, monge_ampere(u)), _charged_sum(diff, monge_ampere(v))
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:
-    t = mu.total
-    if t == 0:
+    total = sum(mu._num)
+    if total == 0:
         raise NotNormalized("cannot normalize a zero measure")
-    return AtomicMeasure(mu.grid, tuple(m / t for m in mu.masses))
+    return AtomicMeasure(mu.grid, Lattice(mu._num, total))
 
 
 def _check_probability_pair(nu: AtomicMeasure, mu: AtomicMeasure):
@@ -123,7 +147,7 @@ def entropy(nu: AtomicMeasure, mu: AtomicMeasure) -> float:
 def is_nondegenerate_reference(reference: GridPLConvex) -> bool:
     """Spans the polytope and charges every node, so entropies stay finite."""
     return reference.dual_domain() == reference.grid.polytope and all(
-        m > 0 for m in monge_ampere(reference).masses
+        m > 0 for m in monge_ampere(reference)._num
     )
 
 
@@ -136,9 +160,9 @@ def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
     u, v = align(u, v)
     mu, mv = monge_ampere(u), monge_ampere(v)
-    inside = [i for i, (a, b) in enumerate(zip(v.values, u.values)) if a < b]
-    lhs = sum((mu.masses[i] for i in inside), ZERO)
-    rhs = sum((mv.masses[i] for i in inside), ZERO)
+    inside = [i for i, d in enumerate(_difference(u, v).nums) if d > 0]
+    lhs = rat(sum(mu._num[i] for i in inside), mu._den)
+    rhs = rat(sum(mv._num[i] for i in inside), mv._den)
     return Report(
         name="comparison_principle",
         passed=lhs <= rhs,
@@ -156,13 +180,15 @@ def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
     """
     p, *ws = align(p, *bounds)
     mws = [monge_ampere(w) for w in ws]
-    contact = [[i for i, (a, b) in enumerate(zip(p.values, w.values)) if a == b] for w in ws]
-    bound = [ZERO] * len(p.values)
+    contact = [[i for i, d in enumerate(_difference(p, w).nums) if d == 0] for w in ws]
+    den = math.lcm(*(mw._den for mw in mws))
+    bound = [0] * len(p._num)  # over den
     for mw, nodes in zip(mws, contact):
+        r = den // mw._den
         for i in nodes:
-            bound[i] += mw.masses[i]
+            bound[i] += mw._num[i] * r
     mp = monge_ampere(p)
-    bad = [i for i, (m, b) in enumerate(zip(mp.masses, bound)) if m > b]
+    bad = [i for i, (m, b) in enumerate(zip(mp._num, bound)) if m * den > b * mp._den]
     return Report(
         name=name,
         passed=not bad,

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 
-from ._rational import ONE, ZERO, rat
+from ._rational import ONE, ZERO, Lattice, rat
 from .errors import BadExponent, EmptyFamily, NotComparable
 from .energy import EnergyContext, energy, energy_diff_report
 from .grid_convex import (
     GridPLConvex,
+    _difference,
     affine_combine,
     align,
     is_leq,
@@ -52,8 +53,7 @@ def rho(u: GridPLConvex, v: GridPLConvex):
     else:
         raise NotComparable("rho needs a pointwise-ordered pair")
     a, b = align(hi, lo)
-    diff = tuple(x - y for x, y in zip(a.values, b.values))
-    return _charged_sum(diff, monge_ampere(b).masses)
+    return _charged_sum(_difference(a, b), monge_ampere(b))
 
 
 def chain_rho(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
@@ -95,8 +95,9 @@ def chain_defect_report(ctx: EnergyContext, hi: GridPLConvex, lo: GridPLConvex, 
 def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
     """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
     a, b = align(u, v)
-    diff = tuple(abs(x - y) for x, y in zip(a.values, b.values))
-    return _charged_sum(diff, monge_ampere(a).masses) + _charged_sum(diff, monge_ampere(b).masses)
+    nums, den = _difference(a, b)
+    diff = Lattice(tuple(map(abs, nums)), den)
+    return _charged_sum(diff, monge_ampere(a)) + _charged_sum(diff, monge_ampere(b))
 
 
 def double_inequality_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> Report:

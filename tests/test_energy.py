@@ -110,5 +110,6 @@ def test_refined_upper_bound_on_ordered_pairs(u, v):
 
 def test_energy_rejects_potentials_from_another_sector():
     half = model_from_interval(GRID5, (0, rat(1, 2)), REF5)
-    with pytest.raises(SingularityMismatch):
+    with pytest.raises(SingularityMismatch) as err:
         energy(EnergyContext(half), ECTX5.psi.potential)
+    assert str(err.value) == "potential spans [0/1, 1/1], sector needs [0/1, 1/2]"

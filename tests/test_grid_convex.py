@@ -17,6 +17,7 @@ from femlab import (
     make_pl,
     model_from_interval,
     model_project,
+    monge_ampere,
     pl_equal,
     pointwise_max,
     rat,
@@ -29,7 +30,8 @@ from femlab.errors import (
     IntervalOutOfPolytope,
     SlopeOutOfPolytope,
 )
-from femlab.grid_convex import refine_to
+from femlab._rational import Lattice
+from femlab.grid_convex import DualPL, align, refine_to
 from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
@@ -45,17 +47,61 @@ def test_grid_validates_nodes_and_polytope():
         Grid(nodes=(0, 1), polytope=(1, 0))
 
 
+def message(error, build, *args):
+    with pytest.raises(error) as err:
+        build(*args)
+    return str(err.value)
+
+
 def test_non_convex_values_are_rejected():
-    with pytest.raises(ConvexityViolation):
-        make_pl(GRID5, (0, 1, 0, 1, 2), 0, 1)
+    assert message(ConvexityViolation, make_pl, GRID5, (0, 1, 0, 1, 2), 0, 1) == (
+        "slope sequence decreases at position 1: 1/1 > -1/1"
+    )
+    assert message(ConvexityViolation, make_pl, GRID5, (0, rat(1, 3), rat(2, 3), 1, 2), rat(1, 2), 1) == (
+        "slope sequence decreases at position 0: 1/2 > 1/3"
+    )
 
 
 def test_end_slopes_must_stay_in_polytope():
-    with pytest.raises(SlopeOutOfPolytope):
-        make_pl(GRID5, (0, 0, 0, 0, 0), rat(-1, 2), 0)
-    with pytest.raises(ConvexityViolation):
-        # slopes inside the polytope but below the first chord
-        make_pl(GRID5, (0, 1, 2, 3, 4), 0, 0)
+    assert message(SlopeOutOfPolytope, make_pl, GRID5, (0, 0, 0, 0, 0), rat(-1, 2), 0) == (
+        "end slopes [-1/2, 0/1] leave polytope [0/1, 1/1]"
+    )
+    # slopes inside the polytope but below the last chord
+    assert message(ConvexityViolation, make_pl, GRID5, (0, 1, 2, 3, 4), 0, 0) == (
+        "slope sequence decreases at position 4: 1/1 > 0/1"
+    )
+
+
+def test_dual_data_must_increase_and_be_convex():
+    assert message(ValueError, DualPL, Lattice((0, 0), 1), Lattice((0, 1), 1)) == (
+        "dual breakpoints must increase strictly"
+    )
+    assert message(ConvexityViolation, DualPL, Lattice((0, 1, 2), 1), Lattice((0, 1, 0), 1)) == (
+        "dual breakpoint data is not convex"
+    )
+
+
+def test_equal_potentials_share_one_representation():
+    """However the input is written or computed, equal data compares and hashes equal.
+
+    An unreduced common denominator would not change any single value, but
+    would break == and every cache keyed by a potential.
+    """
+    half = make_pl(GRID5, ("2/4", 1, "3/2", 2, "5/2"), rat(1, 2), 1)
+    pairs = [
+        (half, make_pl(GRID5, ("1/2", rat(1), rat(3, 2), rat(2), rat(5, 2)), "1/2", "1/1")),
+        (make_pl(GRID5, (0, 0, 1, 2, 3), 0, 1), make_pl(GRID5, (rat(0, 1), rat(0), rat(1, 1), "2", "6/2"), 0, 1)),
+    ]
+    finer = GRID5.with_nodes(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7), rat(3, 2)}))
+    coarse = REF5.shift(rat(1, 6))
+    fine = make_pl(finer, [coarse.evaluate(x) for x in finer.nodes], coarse.slope_left, coarse.slope_right)
+    pairs.append((fine, refine_to(coarse, finer)))
+    pairs.append((fine, align(coarse, fine)[0]))
+    for u, v in pairs:
+        assert u == v and hash(u) == hash(v)
+        assert u.values == v.values
+        assert legendre(u) == legendre(v) and legendre(u).points == legendre(v).points
+        assert monge_ampere(u) == monge_ampere(v) and monge_ampere(u).masses == monge_ampere(v).masses
 
 
 @given(u=own.potentials_on(GRID5), p=own.rationals(0, 1))

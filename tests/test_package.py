@@ -4,6 +4,7 @@ The dead-code checks read the package's source with the standard ``ast``
 module: no module imports a name it never reads, every module-level
 private name is read somewhere in the package, and every defaulted
 parameter is passed by some call in the package, the tests or perfbench.
+The same scan keeps the rational backend behind ``_rational.py``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,22 @@ def test_no_module_imports_a_name_it_never_uses():
         if bound not in set(loaded_names(tree))
     ]
     assert unused == []
+
+
+def test_only_the_backend_module_imports_a_rational_backend():
+    """The int core never builds stdlib Fractions when the backend is gmpy2's mpq."""
+    backends = {"fractions", "gmpy2"}
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(name, m) for m in modules if m.split(".")[0] in backends]
+    assert found and all(name == "_rational.py" for name, _ in found), found
 
 
 def test_every_module_level_private_name_is_used():
