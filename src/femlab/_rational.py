@@ -9,7 +9,9 @@ the package never needs to know which one it got.
 
 The exact objects keep their numbers as a ``Lattice``: Python ints over one
 shared denominator, so checks and kernels run on int arithmetic and backend
-rationals are built only at the boundary, by ``rat`` and ``rationals``.
+rationals are built only at the boundary, by ``rat`` and on first read.
+They share one object model, ``_Frozen``: immutable, compared and hashed by
+a canonical key, printed from their public fields.
 """
 
 from __future__ import annotations
@@ -92,7 +94,47 @@ def lattice(xs) -> Lattice:
     return Lattice(tuple(q.numerator * (den // q.denominator) for q in qs), den)
 
 
-def rationals(lat: Lattice) -> tuple:
-    """The backend rationals of a lattice."""
-    nums, den = lat
-    return tuple(_make(n, den) for n in nums)
+class _Frozen:
+    """An immutable exact value.
+
+    A subclass sets its slots once, through ``_set``, and defines
+    ``_key()``: two values are equal when they have the same type and equal
+    keys, and the hash is the key's.  ``_shown`` names the public fields
+    the repr prints.  ``_memo`` (a slot of each subclass) holds the hash
+    and every backend rational or derived value, built on first read.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        memo = self._memo
+        if "hash" not in memo:
+            memo["hash"] = hash(self._key())
+        return memo["hash"]
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._shown)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def _rationals(self, key, lat: Lattice) -> tuple:
+        """The backend rationals of a lattice, built once and kept under key."""
+        memo = self._memo
+        if key not in memo:
+            nums, den = lat
+            memo[key] = tuple(_make(n, den) for n in nums)
+        return memo[key]

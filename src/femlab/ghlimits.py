@@ -28,23 +28,21 @@ GH_EXACT_CAP = 5
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Labelled pseudometric space given by its exact distance matrix.
+    """Pseudometric space on the points 0..n-1, given by its exact distance matrix.
 
     Distinct points at distance zero are allowed (projections collapse);
-    zero diagonal, symmetry, and the triangle inequality are enforced.
+    a square matrix, zero diagonal, symmetry, and the triangle inequality
+    are enforced.
     """
 
-    labels: tuple
     matrix: tuple
 
     def __post_init__(self):
-        labels = tuple(self.labels)
         matrix = tuple(tuple(rat(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", matrix)
-        n = len(labels)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValidationError("distance matrix shape does not match labels")
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
+            raise ValidationError("distance matrix shape is not square")
         for i in range(n):
             if matrix[i][i] != 0:
                 raise ValidationError("nonzero diagonal at %d" % i)
@@ -63,21 +61,20 @@ class FiniteMetricSpace:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.matrix)
 
     def d(self, i: int, j: int):
         return self.matrix[i][j]
 
 
 def space_from_potentials(ctx, potentials) -> FiniteMetricSpace:
-    """The exact distance matrix of the potentials, labelled by index."""
+    """The exact distance matrix of the potentials; point i is potential i."""
     pots = list(potentials)
     matrix = [[ZERO] * len(pots) for _ in pots]
     for i in range(len(pots)):
         for j in range(i + 1, len(pots)):
             matrix[i][j] = matrix[j][i] = dist(ctx, pots[i], pots[j])
-    labels = tuple(str(i) for i in range(len(pots)))
-    return FiniteMetricSpace(labels, tuple(tuple(r) for r in matrix))
+    return FiniteMetricSpace(tuple(tuple(r) for r in matrix))
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,18 @@ Each object keeps its numbers as ints over one reduced denominator (a
 one denominator, dual breakpoints over one and dual values over another.
 Checks compare cross-multiplied ints, kernels bring their output to one
 denominator with one ``math.lcm``, and the constructor reduces it with one
-``math.gcd``, so equal functions have equal representations.  ``values``,
-``points`` and ``_slopes`` are the backend rationals, built on first use.
+``math.gcd``, so equal functions have equal representations.  ``nodes``,
+``values`` and ``points`` are the backend rationals, built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import le
 
-from ._rational import ONE, Lattice, lattice, rat, rat_str, rationals
+from ._rational import ONE, Lattice, _Frozen, lattice, rat, rat_str
 from .errors import (
     BadReference,
     ConvexityViolation,
@@ -45,72 +45,66 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(_Frozen):
     """Strictly increasing rational nodes plus the moment interval.
 
-    The nodes are also kept as ints ``_xs`` over the node scale ``_scale``
-    (their least common denominator), computed once; two grids are equal
-    when those ints and the polytopes are.  For the chord slopes of a
-    potential, ``_step_lcm`` is the lcm of the node steps (in units of
-    the node scale) and ``_step_weights[i]`` is it divided by step i.
+    The nodes are given as exact rationals or as a ``Lattice`` and kept as
+    ints ``_xs`` over the node scale ``_scale`` (their least common
+    denominator); ``nodes`` gives them as backend rationals.  For the chord
+    slopes of a potential, ``_step_lcm`` is the lcm of the node steps (in
+    units of the node scale) and ``_step_weights[i]`` is it divided by
+    step i.
     """
 
-    nodes: tuple
-    polytope: tuple
-    _xs: tuple = field(init=False, repr=False)
-    _scale: int = field(init=False, repr=False)
-    _step_lcm: int = field(init=False, repr=False)
-    _step_weights: tuple = field(init=False, repr=False)
+    __slots__ = ("polytope", "_xs", "_scale", "_step_lcm", "_step_weights", "_memo")
+    _shown = ("nodes", "polytope")
 
-    def __post_init__(self):
-        nodes = tuple(rat(x) for x in self.nodes)
-        if len(nodes) < 2:
-            raise ValueError("grid needs at least two nodes")
+    def __init__(self, nodes, polytope):
         xs, scale = lattice(nodes)
-        for i, (a, b) in enumerate(zip(xs, xs[1:])):
+        if len(xs) < 2:
+            raise ValueError("grid needs at least two nodes")
+        for a, b in zip(xs, xs[1:]):
             if not a < b:
                 raise ValueError(
                     "grid nodes must increase strictly: %s then %s"
-                    % (rat_str(nodes[i]), rat_str(nodes[i + 1]))
+                    % (rat_str(rat(a, scale)), rat_str(rat(b, scale)))
                 )
-        if len(self.polytope) != 2:
+        if len(polytope) != 2:
             raise ValueError("polytope must be a pair (p_min, p_max)")
-        p_min, p_max = (rat(p) for p in self.polytope)
+        p_min, p_max = (rat(p) for p in polytope)
         if not p_min < p_max:
             raise ValueError("polytope must be nondegenerate: [%s, %s]" % (rat_str(p_min), rat_str(p_max)))
         steps = [b - a for a, b in zip(xs, xs[1:])]
         step_lcm = math.lcm(*steps)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "polytope", (p_min, p_max))
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_step_lcm", step_lcm)
-        object.__setattr__(self, "_step_weights", tuple(step_lcm // d for d in steps))
-
-    def __eq__(self, other):
-        if type(other) is not Grid:
-            return NotImplemented
-        return self is other or (
-            self._scale == other._scale and self._xs == other._xs and self.polytope == other.polytope
+        self._set(
+            polytope=(p_min, p_max),
+            _xs=xs,
+            _scale=scale,
+            _step_lcm=step_lcm,
+            _step_weights=tuple(step_lcm // d for d in steps),
+            _memo={},
         )
 
-    def __hash__(self):
-        return hash((self._scale, self._xs, self.polytope))
+    def _key(self):
+        return (self._scale, self._xs, self.polytope)
+
+    @property
+    def nodes(self) -> tuple:
+        return self._rationals("nodes", (self._xs, self._scale))
 
     def with_nodes(self, nodes) -> "Grid":
         return Grid(tuple(nodes), self.polytope)
 
 
-def _grid_on(polytope, points) -> Grid:
-    """The grid on the distinct points, given as (numerator, denominator) int pairs."""
-    den = math.lcm(*(d for _, d in points))
-    xs = sorted({n * (den // d) for n, d in points})
-    return Grid(rationals(Lattice(xs, den)), polytope)
+def _grid_on(grids, points=()) -> Grid:
+    """The grid on the nodes of all grids plus points, given as (num, den) int pairs.
 
-
-def _node_pairs(grid: Grid):
-    return [(x, grid._scale) for x in grid._xs]
+    The grids share one polytope.
+    """
+    den = math.lcm(*(g._scale for g in grids), *(d for _, d in points))
+    xs = {x * (den // g._scale) for g in grids for x in g._xs}
+    xs.update(n * (den // d) for n, d in points)
+    return Grid(Lattice(tuple(sorted(xs)), den), grids[0].polytope)
 
 
 def _scaled(nums, r):
@@ -140,52 +134,36 @@ def _contains(outer, inner) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
-class _Frozen:
-    """Immutable once its ``__post_init__`` has set its slots."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def _set(self, **attrs):
-        for name, value in attrs.items():
-            object.__setattr__(self, name, value)
-
-
 class GridPLConvex(_Frozen):
     """Convex PL potential: node values plus end slopes.
 
     Between consecutive nodes the function is the chord; beyond the first
     and last node it follows slope_left / slope_right.  Validity means the
     slope sequence slope_left, chords..., slope_right is non-decreasing and
-    both end slopes sit inside the polytope.  ``_slopes[k]`` is the slope
-    between nodes k - 1 and k, rays included.
+    both end slopes sit inside the polytope.
 
     Values are given as exact rationals or as a ``Lattice`` and kept as
     ints ``_num`` over one reduced denominator ``_den``; the slope sequence
-    is kept as the ``Lattice`` ``_slope_lattice``.  Every construction runs
-    ``__post_init__``, which normalizes and checks.
+    is kept as the ``Lattice`` ``_slope_lattice``, whose entry k is the
+    slope between nodes k - 1 and k, rays included.  Every construction
+    runs ``__post_init__``, which normalizes and checks.
 
     A potential is immutable, so every pure function of it is computed at
-    most once: ``_memo`` holds its hash, ``values``, ``_slopes``,
-    ``legendre(u)``, ``monge_ampere(u)``, ``energy(ctx, u)`` per context
-    and ``split_caps(u, reference)`` per reference, and lives and dies
-    with it.
+    most once: ``_memo`` holds its hash, ``values``, ``legendre(u)``,
+    ``monge_ampere(u)``, ``energy(ctx, u)`` per context and
+    ``split_caps(u, reference)`` per reference, and lives and dies with it.
     """
 
     __slots__ = ("grid", "slope_left", "slope_right", "_num", "_den", "_slope_lattice", "_memo")
+    _shown = ("grid", "values", "slope_left", "slope_right")
 
     def __init__(self, grid: Grid, values, slope_left, slope_right):
         self.__post_init__(grid, values, slope_left, slope_right)
 
     def __post_init__(self, grid, values, slope_left, slope_right):
         nums, den = lattice(values)
-        if len(nums) != len(grid.nodes):
-            raise ValueError("%d values for %d nodes" % (len(nums), len(grid.nodes)))
+        if len(nums) != len(grid._xs):
+            raise ValueError("%d values for %d nodes" % (len(nums), len(grid._xs)))
         sl = rat(slope_left)
         sr = rat(slope_right)
         p_min, p_max = grid.polytope
@@ -219,44 +197,12 @@ class GridPLConvex(_Frozen):
             _memo={},
         )
 
-    def __eq__(self, other):
-        if type(other) is not GridPLConvex:
-            return NotImplemented
-        return self is other or (
-            self._den == other._den
-            and self._num == other._num
-            and self.slope_left == other.slope_left
-            and self.slope_right == other.slope_right
-            and self.grid == other.grid
-        )
-
-    def __hash__(self):
-        memo = self._memo
-        if "hash" not in memo:
-            memo["hash"] = hash((self.grid, self._den, self._num, self.slope_left, self.slope_right))
-        return memo["hash"]
-
-    def __repr__(self):
-        return "GridPLConvex(grid=%r, values=%r, slope_left=%r, slope_right=%r)" % (
-            self.grid,
-            self.values,
-            self.slope_left,
-            self.slope_right,
-        )
+    def _key(self):
+        return (self.grid, self._den, self._num, self.slope_left, self.slope_right)
 
     @property
     def values(self) -> tuple:
-        memo = self._memo
-        if "values" not in memo:
-            memo["values"] = rationals((self._num, self._den))
-        return memo["values"]
-
-    @property
-    def _slopes(self) -> tuple:
-        memo = self._memo
-        if "slopes" not in memo:
-            memo["slopes"] = rationals(self._slope_lattice)
-        return memo["slopes"]
+        return self._rationals("values", (self._num, self._den))
 
     def dual_domain(self) -> tuple:
         return (self.slope_left, self.slope_right)
@@ -289,8 +235,7 @@ def _value_at(u: GridPLConvex, xs, scale, k, x):
     """
     vs, den = u._num, u._den
     if 0 < k < len(xs):
-        dx = xs[k] - xs[k - 1]
-        return vs[k - 1] * dx + (vs[k] - vs[k - 1]) * (x - xs[k - 1]), dx
+        return _on_segment(xs, vs, k - 1, x)
     j, s = (0, u.slope_left) if k == 0 else (k - 1, u.slope_right)
     mult = s.denominator * scale
     return vs[j] * mult + s.numerator * den * (x - xs[j]), mult
@@ -320,6 +265,7 @@ class DualPL(_Frozen):
     """
 
     __slots__ = ("_p", "_pden", "_w", "_wden", "_dp", "_dw", "_memo")
+    _shown = ("points",)
 
     def __init__(self, breakpoints: Lattice, values: Lattice):
         self.__post_init__(breakpoints, values)
@@ -340,24 +286,13 @@ class DualPL(_Frozen):
                 raise ConvexityViolation("dual breakpoint data is not convex")
         self._set(_p=ps, _pden=pden, _w=ws, _wden=wden, _dp=dp, _dw=dw, _memo={})
 
-    def __eq__(self, other):
-        if type(other) is not DualPL:
-            return NotImplemented
-        return (self._pden, self._p, self._wden, self._w) == (other._pden, other._p, other._wden, other._w)
-
-    def __hash__(self):
-        return hash((self._pden, self._p, self._wden, self._w))
-
-    def __repr__(self):
-        return "DualPL(points=%r)" % (self.points,)
+    def _key(self):
+        return (self._pden, self._p, self._wden, self._w)
 
     @property
     def points(self) -> tuple:
-        memo = self._memo
-        if "points" not in memo:
-            ps = rationals((self._p, self._pden))
-            memo["points"] = tuple(zip(ps, rationals((self._w, self._wden))))
-        return memo["points"]
+        ps = self._rationals("p", (self._p, self._pden))
+        return tuple(zip(ps, self._rationals("w", (self._w, self._wden))))
 
     @property
     def domain(self) -> tuple:
@@ -579,7 +514,7 @@ def align(*us: GridPLConvex):
         return us if len(us) > 1 else us[0]
     if any(u.grid.polytope != first.polytope for u in us):
         raise GridMismatch("potentials live over different polytopes")
-    grid = _grid_on(first.polytope, [x for u in us for x in _node_pairs(u.grid)])
+    grid = _grid_on([u.grid for u in us])
     out = tuple(refine_to(u, grid) for u in us)
     return out if len(out) > 1 else out[0]
 
@@ -636,7 +571,7 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     u, v = align(u, v)
     cross = _crossings(u, v)
     if cross:
-        grid = _grid_on(u.grid.polytope, _node_pairs(u.grid) + cross)
+        grid = _grid_on([u.grid], cross)
         u, v = refine_to(u, grid), refine_to(v, grid)
     den = math.lcm(u._den, v._den)
     a, b = den // u._den, den // v._den
@@ -781,7 +716,7 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
         )
     reference = check_reference(grid, reference)
     if reference.grid != grid:
-        reference = refine_to(reference, _grid_on(grid.polytope, _node_pairs(grid) + _node_pairs(reference.grid)))
+        reference = refine_to(reference, _grid_on([grid, reference.grid]))
     dual = restrict_dual(legendre(reference), a, b)
     potential = biconjugate(dual, reference.grid)
     return ModelEnvelope((a, b), potential, reference)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from ._rational import ZERO, Lattice, lattice, rat, rat_str, rationals
+from ._rational import ZERO, Lattice, _Frozen, lattice, rat, rat_str
 from .errors import GridMismatch, NotNormalized, PreconditionViolated
 from .grid_convex import (
     Grid,
@@ -28,7 +28,6 @@ from .grid_convex import (
     ModelEnvelope,
     _contains,
     _difference,
-    _Frozen,
     align,
     model_project,
     rooftop,
@@ -47,36 +46,26 @@ class AtomicMeasure(_Frozen):
     """
 
     __slots__ = ("grid", "_num", "_den", "_memo")
+    _shown = ("grid", "masses")
 
     def __init__(self, grid: Grid, masses):
         self.__post_init__(grid, masses)
 
     def __post_init__(self, grid, masses):
         nums, den = lattice(masses)
-        if len(nums) != len(grid.nodes):
-            raise ValueError("%d masses for %d nodes" % (len(nums), len(grid.nodes)))
+        if len(nums) != len(grid._xs):
+            raise ValueError("%d masses for %d nodes" % (len(nums), len(grid._xs)))
         for m in nums:
             if m < 0:
                 raise ValueError("negative mass %s" % rat_str(rat(m, den)))
         self._set(grid=grid, _num=nums, _den=den, _memo={})
 
-    def __eq__(self, other):
-        if type(other) is not AtomicMeasure:
-            return NotImplemented
-        return (self._den, self._num, self.grid) == (other._den, other._num, other.grid)
-
-    def __hash__(self):
-        return hash((self.grid, self._den, self._num))
-
-    def __repr__(self):
-        return "AtomicMeasure(grid=%r, masses=%r)" % (self.grid, self.masses)
+    def _key(self):
+        return (self.grid, self._den, self._num)
 
     @property
     def masses(self) -> tuple:
-        memo = self._memo
-        if "masses" not in memo:
-            memo["masses"] = rationals((self._num, self._den))
-        return memo["masses"]
+        return self._rationals("masses", (self._num, self._den))
 
     @property
     def total(self):

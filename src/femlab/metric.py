@@ -134,11 +134,14 @@ def darboux_limit(n: int, s: int):
 def estimate_sup_bound_constants(ctx: EnergyContext, family):
     """Fit the smallest constants in V * sup(u - psi) <= A d(psi, u) + B.
 
-    B is forced by the members at distance zero, then A is the exact sweep
-    maximum of the remaining slopes (floored at 1).  This is an empirical
-    fit over the given family, not a universal constant.  Also verifies the
-    companion lower bound -d(psi, u) <= V * sup(u - psi) on every member.
-    Returns (A, B, report); the report names the binding member.
+    B is always 0: when V > 0, d(psi, u) = 0 forces u = psi, so V *
+    sup(u - psi) = 0 there, and when V = 0 every term is 0.  A is the exact
+    sweep maximum of V * sup(u - psi) / d(psi, u) over the members at
+    positive distance (floored at 1).  This is an empirical fit over the
+    given family, not a universal constant.  The bound is still checked on
+    every member, those at distance zero included, together with the
+    companion lower bound -d(psi, u) <= V * sup(u - psi).  Returns
+    (A, B, report); the report names the binding member.
     """
     members = list(family)
     if not members:
@@ -150,30 +153,22 @@ def estimate_sup_bound_constants(ctx: EnergyContext, family):
         ctx.require_in_sector(u)
         s = sup_diff(u, psi_pot)
         rows.append((i, vol * s, dist(ctx, psi_pot, u)))
-    b = ZERO
-    b_binding = None
-    for i, vs, d in rows:
-        if d == 0 and vs > b:
-            b, b_binding = vs, i
     a = ONE
     a_binding = None
     for i, vs, d in rows:
-        if d > 0:
-            cand = (vs - b) / d
-            if cand > a:
-                a, a_binding = cand, i
-    upper_ok = all(vs <= a * d + b for _, vs, d in rows)
+        if d > 0 and vs / d > a:
+            a, a_binding = vs / d, i
+    upper_ok = all(vs <= a * d for _, vs, d in rows)
     lower_ok = all(-d <= vs for _, vs, d in rows)
     report = Report(
         name="sup_bound_constants",
         passed=upper_ok and lower_ok,
         lhs=a,
-        rhs=b,
+        rhs=ZERO,
         witnesses={
             "binding_for_A": a_binding,
-            "binding_for_B": b_binding,
             "family_size": len(rows),
             "lower_bound_ok": lower_ok,
         },
     )
-    return a, b, report
+    return a, ZERO, report

@@ -157,6 +157,19 @@ def test_pointwise_max_is_least_upper_bound(u, v):
         assert m.evaluate(x) == max(u.evaluate(x), v.evaluate(x))
 
 
+@settings(max_examples=100)
+@given(data=st.data())
+def test_pointwise_max_is_exact_between_nodes_and_on_both_rays(data):
+    # independent sectors give unequal end slopes, so u - v can change sign on a ray
+    u = data.draw(own.sector_potentials(GRID5, data.draw(own.subintervals())))
+    v = data.draw(own.sector_potentials(GRID5, data.draw(own.subintervals())))
+    m = pointwise_max(u, v)
+    xs = m.grid.nodes
+    probes = [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:])), xs[0] - 1, xs[-1] + 1]
+    for x in probes:
+        assert m.evaluate(x) == max(u.evaluate(x), v.evaluate(x))
+
+
 @given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5), t=own.rationals(0, 1))
 def test_affine_combine_interpolates_node_values(u, v, t):
     w = affine_combine(t, u, v)
@@ -243,3 +256,16 @@ def test_model_envelopes_are_model_type():
         assert psi.potential.dual_domain() == (rat(q[0]), rat(q[1]))
         again = model_from_interval(GRID5, psi.potential.dual_domain(), REF5)
         assert pl_equal(again.potential, psi.potential)
+
+
+def test_reprs_print_the_public_fields_as_backend_rationals():
+    g = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
+    u = make_pl(g, (0, 0, rat(1, 2)), 0, 1)
+    zero, half, one = repr(rat(0)), repr(rat(1, 2)), repr(rat(1))
+    grid = "Grid(nodes=(%s, %s, %s), polytope=(%s, %s))" % (repr(rat(-1)), zero, one, zero, one)
+    assert repr(g) == grid
+    assert repr(u) == "GridPLConvex(grid=%s, values=(%s, %s, %s), slope_left=%s, slope_right=%s)" % (
+        grid, zero, zero, half, zero, one
+    )
+    assert repr(legendre(u)) == "DualPL(points=((%s, %s), (%s, %s), (%s, %s)))" % (zero, zero, half, zero, one, half)
+    assert repr(monge_ampere(u)) == "AtomicMeasure(grid=%s, masses=(%s, %s, %s))" % (grid, zero, half, half)
