@@ -51,59 +51,45 @@ class ChainResult:
     edge_parts: tuple
 
 
-@dataclass(frozen=True)
 class BigSpace:
-    """A family with a shared generator and every cache the queries need.
+    """A family with a shared generator and the one cache its queries share.
 
     Level indices run over the family levels, with one extra index for the
-    limit envelope.  Projections and level distances are cached by value,
-    keyed by level and potentials, so every query reuses them; the caches
-    live and die with the space.
+    limit envelope.  ``_cache`` holds every cross-level value, keyed by
+    (kind, ...) with the potentials and points compared by value:
+    projections, level distances, sup terms, quasi-distances and the points
+    of generator members.  It lives and dies with the space.
     """
 
-    family: ModelFamily
-    generator: SampledFamily
-
-    def __post_init__(self):
-        envs = tuple(self.family.levels) + (self.family.limit,)
-        ctxs = tuple(self.family.contexts) + (self.family.limit_context,)
-        caps = tuple(member_cap(g, self.family.reference) for g in self.generator.members)
-        object.__setattr__(self, "envs", envs)
-        object.__setattr__(self, "ctxs", ctxs)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "_proj", {})
-        object.__setattr__(self, "_dist", {})
-        object.__setattr__(self, "_sup", {})
-        object.__setattr__(self, "_edge", {})
-        object.__setattr__(self, "_points", {})
-
-    @property
-    def level_count(self) -> int:
-        return len(self.envs)
-
-    @property
-    def limit_level(self) -> int:
-        return len(self.envs) - 1
+    def __init__(self, family: ModelFamily, generator: SampledFamily):
+        self.family = family
+        self.generator = generator
+        self.envs = tuple(family.levels) + (family.limit,)
+        self.ctxs = tuple(family.contexts) + (family.limit_context,)
+        self.caps = tuple(member_cap(g, family.reference) for g in generator.members)
+        self.level_count = len(self.envs)
+        self.limit_level = len(self.envs) - 1
+        self._cache = {}
 
     def project(self, level: int, u: GridPLConvex) -> GridPLConvex:
         """model_project of u to a level, computed once per (level, u) value."""
-        key = (level, u)
-        if key not in self._proj:
-            self._proj[key] = model_project(self.envs[level], u)
-        return self._proj[key]
+        key = ("project", level, u)
+        if key not in self._cache:
+            self._cache[key] = model_project(self.envs[level], u)
+        return self._cache[key]
 
     def level_dist(self, level: int, u: GridPLConvex, v: GridPLConvex):
         """dist on one level, computed once per (level, u, v) value, either order."""
-        key = (level, u, v)
-        if key not in self._dist:
-            self._dist[key] = self._dist[(level, v, u)] = dist(self.ctxs[level], u, v)
-        return self._dist[key]
+        key = ("dist", level, u, v)
+        if key not in self._cache:
+            self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.ctxs[level], u, v)
+        return self._cache[key]
 
     def projection(self, level: int, i: int) -> GridPLConvex:
         return self.project(level, self.generator.members[i])
 
     def make_point(self, level: int, potential: GridPLConvex) -> BigPoint:
-        if potential.dual_domain() != self.envs[level].Q:
+        if potential._ends != self.envs[level].potential._ends:
             raise PreconditionViolated("potential does not span the level's interval")
         best_cap, best_i = math.inf, None
         for k in range(len(self.generator.members)):
@@ -112,31 +98,30 @@ class BigSpace:
         return BigPoint(level, potential, best_i, best_cap)
 
     def point_from_member(self, level: int, i: int) -> BigPoint:
-        key = (level, i)
-        if key not in self._points:
-            self._points[key] = self.make_point(level, self.projection(level, i))
-        return self._points[key]
+        key = ("point", level, i)
+        if key not in self._cache:
+            self._cache[key] = self.make_point(level, self.projection(level, i))
+        return self._cache[key]
 
     def pair_dist(self, level: int, i: int, j: int):
         return self.level_dist(level, self.projection(level, i), self.projection(level, j))
 
     def _sup_term(self, hi_level: int, lo_level: int, cap_limit: float):
-        key = (hi_level, lo_level, cap_limit)
-        if key not in self._sup:
+        key = ("sup", hi_level, lo_level, cap_limit)
+        if key not in self._cache:
             pool = [k for k, c in enumerate(self.caps) if c <= cap_limit]
-            best = ZERO
-            for a in range(len(pool)):
-                for b in range(a + 1, len(pool)):
-                    i, j = pool[a], pool[b]
-                    gap = self.pair_dist(hi_level, i, j) - self.pair_dist(lo_level, i, j)
-                    if gap > best:
-                        best = gap
-            self._sup[key] = best
-        return self._sup[key]
+            gaps = (
+                self.pair_dist(hi_level, i, j) - self.pair_dist(lo_level, i, j)
+                for a, i in enumerate(pool)
+                for j in pool[a + 1:]
+            )
+            self._cache[key] = max((ZERO, *gaps))
+        return self._cache[key]
 
     def quasi_parts(self, p: BigPoint, q: BigPoint):
         # ModelFamily nests any two of its levels, limit included
-        hi, lo = (p, q) if _contains(self.envs[p.level].Q, self.envs[q.level].Q) else (q, p)
+        qp, qq = self.envs[p.level].potential._ends, self.envs[q.level].potential._ends
+        hi, lo = (p, q) if _contains(qp, qq) else (q, p)
         first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         sup_term = self._sup_term(hi.level, lo.level, max(p.cap, q.cap))
         dv = self.envs[hi.level].mass - self.envs[lo.level].mass
@@ -144,12 +129,10 @@ class BigSpace:
 
     def quasi(self, p: BigPoint, q: BigPoint):
         """The quasi-distance, exact; equals plain dist on a shared level."""
-        key = (p, q)
-        if key not in self._edge:
-            value = sum(self.quasi_parts(p, q), ZERO)
-            self._edge[key] = value
-            self._edge[(q, p)] = value
-        return self._edge[key]
+        key = ("quasi", p, q)
+        if key not in self._cache:
+            self._cache[key] = self._cache[("quasi", q, p)] = sum(self.quasi_parts(p, q), ZERO)
+        return self._cache[key]
 
     def volume_gap(self, p: BigPoint, q: BigPoint):
         return abs(self.envs[p.level].mass - self.envs[q.level].mass)

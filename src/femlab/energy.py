@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import HALF, rat_str
+from ._rational import HALF
 from .errors import SingularityMismatch
-from .grid_convex import GridPLConvex, ModelEnvelope, is_leq
+from .grid_convex import GridPLConvex, ModelEnvelope, _interval_str, is_leq
 from .measures import _pairings
 from .report import Report
 
@@ -41,11 +41,10 @@ class EnergyContext:
         return self.psi.degenerate
 
     def require_in_sector(self, u: GridPLConvex):
-        if u.dual_domain() != self.psi.Q:
-            got = u.dual_domain()
+        q = self.psi.potential._ends
+        if u._ends != q:
             raise SingularityMismatch(
-                "potential spans [%s, %s], sector needs [%s, %s]"
-                % (rat_str(got[0]), rat_str(got[1]), rat_str(self.psi.Q[0]), rat_str(self.psi.Q[1]))
+                "potential spans %s, sector needs %s" % (_interval_str(u._ends), _interval_str(q))
             )
 
 

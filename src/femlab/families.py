@@ -47,17 +47,18 @@ class ModelFamily:
         if not levels:
             raise ScheduleInvalid("a family needs at least one level")
         for env in levels + (self.limit,):
-            if env.grid.polytope != levels[0].grid.polytope:
+            if env.grid._poly != levels[0].grid._poly:
                 raise ScheduleInvalid("levels live on different polytopes")
             if env.reference != levels[0].reference:
                 raise ScheduleInvalid("levels disagree on the reference")
-        qs = [env.Q for env in levels]
+        qs = [env.potential._ends for env in levels]
+        limit = self.limit.potential._ends
         decreasing = all(
             _contains(a, b) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(q, self.limit.Q) for q in qs)
+        ) and all(_contains(q, limit) for q in qs)
         increasing = all(
             _contains(b, a) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(self.limit.Q, q) for q in qs)
+        ) and all(_contains(limit, q) for q in qs)
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
         object.__setattr__(self, "direction", "decreasing" if decreasing else "increasing")
@@ -133,7 +134,7 @@ def entropy_cap_filter(candidates, cap: float, sup_bound, reference: GridPLConve
 def project_family(psi: ModelEnvelope, family: SampledFamily) -> tuple:
     """The level-psi images of the members, image i of member i."""
     for u in family:
-        if u.grid.polytope != psi.grid.polytope:
+        if u.grid._poly != psi.grid._poly:
             raise GridMismatch("family and envelope live on different polytopes")
     return tuple(model_project(psi, u) for u in family)
 
@@ -147,7 +148,7 @@ def density_approximant(psi: ModelEnvelope, u: GridPLConvex, j) -> GridPLConvex:
     j = rat(j)
     if j <= 0:
         raise ValueError("approximation parameter must be positive")
-    if not _contains(psi.Q, u.dual_domain()):
+    if not _contains(psi.potential._ends, u._ends):
         raise PreconditionViolated("approximant needs u at least as singular as the level")
     clipped = pointwise_max(u, psi.reference.shift(-j))
     return model_project(psi, clipped)

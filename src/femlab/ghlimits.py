@@ -9,8 +9,10 @@ threshold a caller may impose on the last row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from ._rational import ZERO, rat
+from .bigspace import BigSpace
 from .errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from .families import (
     ModelFamily,
@@ -19,7 +21,7 @@ from .families import (
     entropy_cap_filter,
     project_family,
 )
-from .grid_convex import model_project, pl_equal
+from .grid_convex import pl_equal
 from .metric import dist
 from .report import Report
 
@@ -230,36 +232,27 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")
-    envs = list(family.levels) + [family.limit]
-    ctxs = list(family.contexts) + [family.limit_context]
-    projections = [project_family(env, generator) for env in envs]
-    n = len(generator.members)
-    tables = [
-        [dist(ctx, proj[a], proj[b]) for a in range(n) for b in range(a + 1, n)]
-        for ctx, proj in zip(ctxs, projections)
-    ]
+    if not schedule:
+        raise ScheduleInvalid("the density schedule is empty")
+    space = BigSpace(family, generator)
+    n, levels, limit = len(generator.members), space.level_count, space.limit_level
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     lipschitz_ok = all(
-        lower <= upper
-        for k in range(len(envs))
-        for j in range(k + 1, len(envs))
-        for upper, lower in zip(tables[k], tables[j])
+        space.pair_dist(j, a, b) <= space.pair_dist(k, a, b)
+        for k in range(levels)
+        for j in range(k + 1, levels)
+        for a, b in pairs
     )
-    compose_ok = True
-    for k in range(len(envs) - 1):
-        for a, u in enumerate(projections[k]):
-            via = model_project(family.limit, u)
-            if not pl_equal(via, projections[-1][a]):
-                compose_ok = False
-    density_rows = []
-    density_ok = True
-    for a, u in enumerate(projections[-1]):
-        gaps = []
-        for j in schedule:
-            v = density_approximant(family.limit, u, j)
-            gaps.append(dist(family.limit_context, u, v))
-        if any(x < y for x, y in zip(gaps, gaps[1:])) or gaps[-1] != 0:
-            density_ok = False
-        density_rows.append(gaps)
+    compose_ok = all(
+        pl_equal(space.project(limit, space.projection(k, a)), space.projection(limit, a))
+        for k in range(limit)
+        for a in range(n)
+    )
+    density_rows = [
+        [space.level_dist(limit, u, density_approximant(family.limit, u, j)) for j in schedule]
+        for u in (space.projection(limit, a) for a in range(n))
+    ]
+    density_ok = all(gaps[-1] == 0 and all(map(ge, gaps, gaps[1:])) for gaps in density_rows)
     return Report(
         name="direct_limit",
         passed=lipschitz_ok and compose_ok and density_ok,
@@ -271,6 +264,6 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(
             "density": density_ok,
             "density_rows": density_rows,
             "members": len(generator.members),
-            "levels": len(envs),
+            "levels": levels,
         },
     )

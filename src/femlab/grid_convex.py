@@ -23,8 +23,11 @@ Each object keeps its numbers as ints over one reduced denominator (a
 one denominator, dual breakpoints over one and dual values over another.
 Checks compare cross-multiplied ints, kernels bring their output to one
 denominator with one ``math.lcm``, and the constructor reduces it with one
-``math.gcd``, so equal functions have equal representations.  ``nodes``,
-``values`` and ``points`` are the backend rationals, built on first read.
+``math.gcd``, so equal functions have equal representations.  Every
+interval (the polytope, a potential's end slopes, a level's Q) is a reduced
+two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
+``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
+backend rationals, built on first read.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ class Grid(_Frozen):
 
     The nodes are given as exact rationals or as a ``Lattice`` and kept as
     ints ``_xs`` over the node scale ``_scale`` (their least common
-    denominator); ``nodes`` gives them as backend rationals.  For the chord
-    slopes of a potential, ``_step_lcm`` is the lcm of the node steps (in
-    units of the node scale) and ``_step_weights[i]`` is it divided by
+    denominator), and the polytope as the reduced lattice ``_poly``;
+    ``nodes`` and ``polytope`` give them as backend rationals.  For the
+    chord slopes of a potential, ``_step_lcm`` is the lcm of the node steps
+    (in units of the node scale) and ``_step_weights[i]`` is it divided by
     step i.
     """
 
-    __slots__ = ("polytope", "_xs", "_scale", "_step_lcm", "_step_weights", "_memo")
+    __slots__ = ("_poly", "_xs", "_scale", "_step_lcm", "_step_weights", "_memo")
     _shown = ("nodes", "polytope")
 
     def __init__(self, nodes, polytope):
@@ -71,13 +75,13 @@ class Grid(_Frozen):
                 )
         if len(polytope) != 2:
             raise ValueError("polytope must be a pair (p_min, p_max)")
-        p_min, p_max = (rat(p) for p in polytope)
-        if not p_min < p_max:
-            raise ValueError("polytope must be nondegenerate: [%s, %s]" % (rat_str(p_min), rat_str(p_max)))
+        poly = lattice(polytope)
+        if not poly.nums[0] < poly.nums[1]:
+            raise ValueError("polytope must be nondegenerate: %s" % _interval_str(poly))
         steps = [b - a for a, b in zip(xs, xs[1:])]
         step_lcm = math.lcm(*steps)
         self._set(
-            polytope=(p_min, p_max),
+            _poly=poly,
             _xs=xs,
             _scale=scale,
             _step_lcm=step_lcm,
@@ -86,14 +90,18 @@ class Grid(_Frozen):
         )
 
     def _key(self):
-        return (self._scale, self._xs, self.polytope)
+        return (self._scale, self._xs, self._poly)
 
     @property
     def nodes(self) -> tuple:
         return self._rationals("nodes", (self._xs, self._scale))
 
+    @property
+    def polytope(self) -> tuple:
+        return self._rationals("polytope", self._poly)
+
     def with_nodes(self, nodes) -> "Grid":
-        return Grid(tuple(nodes), self.polytope)
+        return Grid(tuple(nodes), self._poly)
 
 
 def _grid_on(grids, points=()) -> Grid:
@@ -104,7 +112,7 @@ def _grid_on(grids, points=()) -> Grid:
     den = math.lcm(*(g._scale for g in grids), *(d for _, d in points))
     xs = {x * (den // g._scale) for g in grids for x in g._xs}
     xs.update(n * (den // d) for n, d in points)
-    return Grid(Lattice(tuple(sorted(xs)), den), grids[0].polytope)
+    return Grid(Lattice(tuple(sorted(xs)), den), grids[0]._poly)
 
 
 def _scaled(nums, r):
@@ -125,13 +133,21 @@ def _common(pairs, den) -> Lattice:
     return Lattice(tuple(n * (m // k) for n, k in pairs), den * m)
 
 
-def _contains(outer, inner) -> bool:
-    """Interval inner lies inside interval outer; both are (lo, hi) pairs.
+def _contains(outer: Lattice, inner: Lattice) -> bool:
+    """Interval inner lies inside interval outer; both are two-entry lattices.
 
     The one test of singularity order: u is at least as singular as v
     exactly when v's dual domain contains u's.
     """
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
+    (a, b), m = outer
+    (c, d), n = inner
+    return a * n <= c * m and d * m <= b * n
+
+
+def _interval_str(q: Lattice) -> str:
+    """An interval as "[lo, hi]" in ``rat_str`` form, for messages."""
+    (a, b), den = q
+    return "[%s, %s]" % (rat_str(rat(a, den)), rat_str(rat(b, den)))
 
 
 class GridPLConvex(_Frozen):
@@ -143,8 +159,9 @@ class GridPLConvex(_Frozen):
     both end slopes sit inside the polytope.
 
     Values are given as exact rationals or as a ``Lattice`` and kept as
-    ints ``_num`` over one reduced denominator ``_den``; the slope sequence
-    is kept as the ``Lattice`` ``_slope_lattice``, whose entry k is the
+    ints ``_num`` over one reduced denominator ``_den``; the end slopes as
+    the reduced lattice ``_ends``, which is the dual domain; the slope
+    sequence as the ``Lattice`` ``_slope_lattice``, whose entry k is the
     slope between nodes k - 1 and k, rays included.  Every construction
     runs ``__post_init__``, which normalizes and checks.
 
@@ -154,32 +171,30 @@ class GridPLConvex(_Frozen):
     ``split_caps(u, reference)`` per reference, and lives and dies with it.
     """
 
-    __slots__ = ("grid", "slope_left", "slope_right", "_num", "_den", "_slope_lattice", "_memo")
+    __slots__ = ("grid", "_num", "_den", "_ends", "_slope_lattice", "_memo")
     _shown = ("grid", "values", "slope_left", "slope_right")
 
-    def __init__(self, grid: Grid, values, slope_left, slope_right):
-        self.__post_init__(grid, values, slope_left, slope_right)
+    def __init__(self, grid: Grid, values, ends):
+        self.__post_init__(grid, values, ends)
 
-    def __post_init__(self, grid, values, slope_left, slope_right):
+    def __post_init__(self, grid, values, ends):
         nums, den = lattice(values)
         if len(nums) != len(grid._xs):
             raise ValueError("%d values for %d nodes" % (len(nums), len(grid._xs)))
-        sl = rat(slope_left)
-        sr = rat(slope_right)
-        p_min, p_max = grid.polytope
-        if not _contains(grid.polytope, (sl, sr)):
+        ends = lattice(ends)
+        if not _contains(grid._poly, ends):
             raise SlopeOutOfPolytope(
-                "end slopes [%s, %s] leave polytope [%s, %s]"
-                % (rat_str(sl), rat_str(sr), rat_str(p_min), rat_str(p_max))
+                "end slopes %s leave polytope %s" % (_interval_str(ends), _interval_str(grid._poly))
             )
         # chord i is (nums[i + 1] - nums[i]) * w_i * scale / (den * step_lcm)
+        (sl, sr), eden = ends
         chord_den = den * grid._step_lcm
-        sden = math.lcm(sl.denominator, sr.denominator, chord_den)
+        sden = math.lcm(eden, chord_den)
         r = grid._scale * (sden // chord_den)
         slopes = (
-            sl.numerator * (sden // sl.denominator),
+            sl * (sden // eden),
             *((b - a) * w * r for a, b, w in zip(nums, nums[1:], grid._step_weights)),
-            sr.numerator * (sden // sr.denominator),
+            sr * (sden // eden),
         )
         if not all(map(le, slopes, slopes[1:])):
             i = next(i for i in range(len(slopes) - 1) if slopes[i] > slopes[i + 1])
@@ -189,23 +204,30 @@ class GridPLConvex(_Frozen):
             )
         self._set(
             grid=grid,
-            slope_left=sl,
-            slope_right=sr,
             _num=nums,
             _den=den,
+            _ends=ends,
             _slope_lattice=Lattice(slopes, sden),
             _memo={},
         )
 
     def _key(self):
-        return (self.grid, self._den, self._num, self.slope_left, self.slope_right)
+        return (self.grid, self._den, self._num, self._ends)
 
     @property
     def values(self) -> tuple:
         return self._rationals("values", (self._num, self._den))
 
+    @property
+    def slope_left(self):
+        return self.dual_domain()[0]
+
+    @property
+    def slope_right(self):
+        return self.dual_domain()[1]
+
     def dual_domain(self) -> tuple:
-        return (self.slope_left, self.slope_right)
+        return self._rationals("ends", self._ends)
 
     def evaluate(self, x):
         x = rat(x)
@@ -222,9 +244,7 @@ class GridPLConvex(_Frozen):
         c = rat(c)
         den = math.lcm(self._den, c.denominator)
         r, add = den // self._den, c.numerator * (den // c.denominator)
-        return GridPLConvex(
-            self.grid, Lattice(tuple(n * r + add for n in self._num), den), self.slope_left, self.slope_right
-        )
+        return GridPLConvex(self.grid, Lattice(tuple(n * r + add for n in self._num), den), self._ends)
 
 
 def _value_at(u: GridPLConvex, xs, scale, k, x):
@@ -236,9 +256,10 @@ def _value_at(u: GridPLConvex, xs, scale, k, x):
     vs, den = u._num, u._den
     if 0 < k < len(xs):
         return _on_segment(xs, vs, k - 1, x)
-    j, s = (0, u.slope_left) if k == 0 else (k - 1, u.slope_right)
-    mult = s.denominator * scale
-    return vs[j] * mult + s.numerator * den * (x - xs[j]), mult
+    (sl, sr), eden = u._ends
+    j, s = (0, sl) if k == 0 else (k - 1, sr)
+    mult = eden * scale
+    return vs[j] * mult + s * den * (x - xs[j]), mult
 
 
 def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
@@ -250,7 +271,7 @@ def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
 
 def make_pl(grid: Grid, values, slope_left, slope_right) -> GridPLConvex:
     """Public constructor; rejects non-convex data and out-of-polytope slopes."""
-    return GridPLConvex(grid, tuple(values), slope_left, slope_right)
+    return GridPLConvex(grid, tuple(values), (slope_left, slope_right))
 
 
 class DualPL(_Frozen):
@@ -372,7 +393,7 @@ def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:
         while k < last and rise[k] <= x * run[k]:
             k += 1
         values.append(x * ps[k] * a - ws[k] * b)
-    return GridPLConvex(grid, Lattice(tuple(values), den), rat(ps[0], pden), rat(ps[-1], pden))
+    return GridPLConvex(grid, Lattice(tuple(values), den), Lattice((ps[0], ps[-1]), pden))
 
 
 def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
@@ -387,9 +408,7 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     a = max(lo.numerator * (pden // lo.denominator), ps[0])
     b = min(hi.numerator * (pden // hi.denominator), ps[-1])
     if a > b:
-        raise EmptyRooftop(
-            "dual domains miss the interval [%s, %s]" % (rat_str(rat(a, pden)), rat_str(rat(b, pden)))
-        )
+        raise EmptyRooftop("dual domains miss the interval %s" % _interval_str(Lattice((a, b), pden)))
     i = bisect_right(ps, a) - 1
     first = _on_segment(ps, ws, i, a)
     if a == b:
@@ -486,7 +505,7 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     PL refinement is lossless: new node values are exact evaluations, made
     in one merged walk over the old and the new nodes.
     """
-    if grid.polytope != u.grid.polytope:
+    if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
     r, rest = divmod(grid._scale, u.grid._scale)
     if rest:  # some old node has a denominator the new grid lacks
@@ -504,7 +523,7 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
             values.append(_value_at(u, xs, grid._scale, k, x))
     if k < last:
         raise GridMismatch("refinement target must contain all existing nodes")
-    return GridPLConvex(grid, _common(values, u._den), u.slope_left, u.slope_right)
+    return GridPLConvex(grid, _common(values, u._den), u._ends)
 
 
 def align(*us: GridPLConvex):
@@ -512,7 +531,7 @@ def align(*us: GridPLConvex):
     first = us[0].grid
     if all(u.grid == first for u in us):
         return us if len(us) > 1 else us[0]
-    if any(u.grid.polytope != first.polytope for u in us):
+    if any(u.grid._poly != first._poly for u in us):
         raise GridMismatch("potentials live over different polytopes")
     grid = _grid_on([u.grid for u in us])
     out = tuple(refine_to(u, grid) for u in us)
@@ -528,16 +547,14 @@ def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
 # --- pointwise operations ---------------------------------------------------
 
 
-def _ray_root(x, d, den, s, t, scale):
-    """Where d / den + (s - t) (y - x / scale) vanishes, as (num, den) ints, or None.
+def _ray_root(x, d, den, sn, sd, scale):
+    """Where d / den + (sn / sd) (y - x / scale) vanishes, as (num, den) ints, or None.
 
-    x is a node over ``scale`` and d / den the difference there; s and t
-    are the two end slopes.
+    x is a node over ``scale``, d / den the difference there and sn / sd
+    the difference of the two end slopes.
     """
-    sn = s.numerator * t.denominator - t.numerator * s.denominator
     if sn == 0 or d == 0:
         return None
-    sd = s.denominator * t.denominator
     num, mult = _frac(x * den * sn - d * sd * scale, den * sn)
     return num, mult * scale
 
@@ -546,8 +563,10 @@ def _crossings(u: GridPLConvex, v: GridPLConvex):
     """Abscissas where u - v changes sign strictly, rays included, as (num, den) ints."""
     xs, scale = u.grid._xs, u.grid._scale
     d, den = _difference(u, v)
+    (ul, ur), ue = u._ends
+    (vl, vr), ve = v._ends
     out = []
-    left = _ray_root(xs[0], d[0], den, u.slope_left, v.slope_left, scale)
+    left = _ray_root(xs[0], d[0], den, ul * ve - vl * ue, ue * ve, scale)
     if left is not None and left[0] < xs[0] * (left[1] // scale):
         out.append(left)
     for i in range(len(xs) - 1):
@@ -555,7 +574,7 @@ def _crossings(u: GridPLConvex, v: GridPLConvex):
         if (a > 0 > b) or (a < 0 < b):
             num, mult = _frac(xs[i] * (a - b) + (xs[i + 1] - xs[i]) * a, a - b)
             out.append((num, mult * scale))
-    right = _ray_root(xs[-1], d[-1], den, u.slope_right, v.slope_right, scale)
+    right = _ray_root(xs[-1], d[-1], den, ur * ve - vr * ue, ue * ve, scale)
     if right is not None and right[0] > xs[-1] * (right[1] // scale):
         out.append(right)
     return out
@@ -575,19 +594,12 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
         u, v = refine_to(u, grid), refine_to(v, grid)
     den = math.lcm(u._den, v._den)
     a, b = den // u._den, den // v._den
+    (ul, ur), ue = u._ends
+    (vl, vr), ve = v._ends
     return GridPLConvex(
         u.grid,
         Lattice(tuple(max(x * a, y * b) for x, y in zip(u._num, v._num)), den),
-        min(u.slope_left, v.slope_left),
-        max(u.slope_right, v.slope_right),
-    )
-
-
-def _mix(tn, a, sn, b, den):
-    """(tn a + sn b) / den for rationals a, b and ints tn, sn, den."""
-    return rat(
-        tn * a.numerator * b.denominator + sn * b.numerator * a.denominator,
-        den * a.denominator * b.denominator,
+        Lattice((min(ul * ve, vl * ue), max(ur * ve, vr * ue)), ue * ve),
     )
 
 
@@ -599,13 +611,12 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     u, v = align(u, v)
     tn, td = t.numerator, t.denominator
     sn = td - tn
-    a, b = tn * v._den, sn * u._den
-    return GridPLConvex(
-        u.grid,
-        Lattice(tuple(x * a + y * b for x, y in zip(u._num, v._num)), td * u._den * v._den),
-        _mix(tn, u.slope_left, sn, v.slope_left, td),
-        _mix(tn, u.slope_right, sn, v.slope_right, td),
-    )
+
+    def mix(xs, da, ys, db):
+        a, b = tn * db, sn * da
+        return Lattice(tuple(x * a + y * b for x, y in zip(xs, ys)), td * da * db)
+
+    return GridPLConvex(u.grid, mix(u._num, u._den, v._num, v._den), mix(*u._ends, *v._ends))
 
 
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
@@ -617,7 +628,7 @@ def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     u, v = align(u, v)
     if any(d > 0 for d in _difference(u, v).nums):
         return False
-    return _contains(v.dual_domain(), u.dual_domain())
+    return _contains(v._ends, u._ends)
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -628,7 +639,7 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     with the favorable slope signs.
     """
     u, v = align(u, v)
-    if not _contains(v.dual_domain(), u.dual_domain()):
+    if not _contains(v._ends, u._ends):
         return math.inf
     d, den = _difference(u, v)
     return rat(max(d), den)
@@ -647,14 +658,12 @@ def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
     if len(potentials) < 2:
         raise ValueError("rooftop needs at least two potentials")
     us = align(*potentials)
-    lo = max(u.slope_left for u in us)
-    hi = min(u.slope_right for u in us)
+    den = math.lcm(*(u._ends.den for u in us))
+    lo = max(u._ends.nums[0] * (den // u._ends.den) for u in us)
+    hi = min(u._ends.nums[1] * (den // u._ends.den) for u in us)
     if lo > hi:
-        raise EmptyRooftop(
-            "slope ranges %s are disjoint"
-            % ", ".join("[%s, %s]" % (rat_str(u.slope_left), rat_str(u.slope_right)) for u in us)
-        )
-    duals = [restrict_dual(legendre(u), lo, hi) for u in us]
+        raise EmptyRooftop("slope ranges %s are disjoint" % ", ".join(_interval_str(u._ends) for u in us))
+    duals = [restrict_dual(legendre(u), rat(lo, den), rat(hi, den)) for u in us]
     g = duals[0]
     for d in duals[1:]:
         g = max_dual(g, d)
@@ -667,11 +676,12 @@ class ModelEnvelope:
 
     The potential is the largest potential whose dual domain is Q and which
     stays below the reference; it is the biconjugate of the reference dual
-    restricted to Q.  The reference is carried along because the shape of
-    the envelope, entropy caps and sup normalizations all depend on it.
+    restricted to Q, so its dual domain ``potential._ends`` is exactly Q,
+    degenerate Q included.  The reference is carried along because the
+    shape of the envelope, entropy caps and sup normalizations all depend
+    on it.
     """
 
-    Q: tuple
     potential: GridPLConvex
     reference: GridPLConvex
 
@@ -680,22 +690,27 @@ class ModelEnvelope:
         return self.potential.grid
 
     @property
+    def Q(self) -> tuple:
+        return self.potential.dual_domain()
+
+    @property
     def mass(self):
-        return self.Q[1] - self.Q[0]
+        (a, b), den = self.potential._ends
+        return rat(b - a, den)
 
     @property
     def degenerate(self) -> bool:
-        return self.Q[0] == self.Q[1]
+        a, b = self.potential._ends.nums
+        return a == b
 
 
 def check_reference(grid: Grid, reference: GridPLConvex) -> GridPLConvex:
     """A usable reference spans the whole polytope (it encodes the class)."""
-    if reference.grid.polytope != grid.polytope:
+    if reference.grid._poly != grid._poly:
         raise GridMismatch("reference lives over a different polytope")
-    if reference.dual_domain() != grid.polytope:
-        lo, hi = reference.dual_domain()
+    if reference._ends != grid._poly:
         raise BadReference(
-            "reference slope range [%s, %s] must equal the polytope" % (rat_str(lo), rat_str(hi))
+            "reference slope range %s must equal the polytope" % _interval_str(reference._ends)
         )
     return reference
 
@@ -708,18 +723,14 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
     a, b = (rat(q) for q in Q)
     if a > b:
         raise IntervalOutOfPolytope("interval endpoints out of order")
-    p_min, p_max = grid.polytope
-    if not _contains(grid.polytope, (a, b)):
-        raise IntervalOutOfPolytope(
-            "[%s, %s] leaves polytope [%s, %s]"
-            % (rat_str(a), rat_str(b), rat_str(p_min), rat_str(p_max))
-        )
+    q = lattice((a, b))
+    if not _contains(grid._poly, q):
+        raise IntervalOutOfPolytope("%s leaves polytope %s" % (_interval_str(q), _interval_str(grid._poly)))
     reference = check_reference(grid, reference)
     if reference.grid != grid:
         reference = refine_to(reference, _grid_on([grid, reference.grid]))
     dual = restrict_dual(legendre(reference), a, b)
-    potential = biconjugate(dual, reference.grid)
-    return ModelEnvelope((a, b), potential, reference)
+    return ModelEnvelope(biconjugate(dual, reference.grid), reference)
 
 
 def model_project(psi: ModelEnvelope, u: GridPLConvex) -> GridPLConvex:

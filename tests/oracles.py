@@ -219,3 +219,20 @@ def energy_by_path_integration(ctx, u, pieces=8):
     coarse, fine = trapezoid(pieces), trapezoid(2 * pieces)
     assert coarse == fine, "path pairing is not piecewise affine"
     return fine
+
+
+def shortest_path_by_floyd_warshall(matrix):
+    """Cheapest path from point 0 to the last point over a complete weighted graph.
+
+    matrix[i][j] is the weight of the edge i -> j; every pair of points is
+    relaxed through every intermediate point, so the value is exact.
+    """
+    d = [list(row) for row in matrix]
+    n = len(d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                through = d[i][k] + d[k][j]
+                if through < d[i][j]:
+                    d[i][j] = through
+    return d[0][-1]

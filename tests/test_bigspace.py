@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import oracles
 from femlab import (
     BigSpace,
     EnergyContext,
@@ -184,6 +185,20 @@ def test_chain_triangle_through_an_explicit_node():
     b = sp.point_from_member(4, 1)
     via = sp.chain(a, b, [m]).value
     assert via <= sp.quasi(a, m) + sp.quasi(m, b)
+
+
+def test_chain_is_the_floyd_warshall_shortest_path_through_each_default_pool():
+    sp = seeded_space()
+    p, q = sp.point_from_member(0, 0), sp.point_from_member(sp.limit_level, 1)
+    detours = 0
+    for pool in default_node_pools(sp, 2):
+        pts = [p, *pool, q]
+        res = sp.chain(p, q, pool)
+        matrix = [[sp.quasi(a, b) for b in pts] for a in pts]
+        assert res.value == oracles.shortest_path_by_floyd_warshall(matrix)
+        assert sum(sp.quasi(a, b) for a, b in zip(res.points, res.points[1:])) == res.value
+        detours += len(res.path) > 2
+    assert detours  # some pool undercuts the direct edge, so the search is exercised
 
 
 def test_default_node_pools_cover_the_other_levels_and_their_union():

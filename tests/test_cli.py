@@ -128,6 +128,21 @@ def test_unknown_suite_in_a_scenario_is_rejected(tmp_path):
     assert json.loads(proc.stderr)["error"] == "ValidationError"
 
 
+def test_a_reference_mass_beyond_the_float_range_runs(tmp_path):
+    # the reference charges both end nodes with 10^-400, so the caps of
+    # the samples take logs of mass ratios that no float can hold
+    doc = json.loads(open(SCENARIO).read())
+    doc["reference"]["values"] = [0, "1/1" + "0" * 400, 1]
+    del doc["potentials"]
+    doc["experiments"] = [{"kind": "gh", "family": "nested", "caps": [1.0], "tolerance": 0.1}]
+    path = tmp_path / "extreme.json"
+    path.write_text(dumps_canonical(doc))
+    out = tmp_path / "out"
+    proc = run_cli("run", str(path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(out)) == ["gh_0.csv", "gh_0.json"]
+
+
 def test_failing_block_still_writes_evidence_then_exits_one(tmp_path):
     doc = json.loads(open(SCENARIO).read())
     keep = [b for b in doc["experiments"] if b["kind"] == "converge"]

@@ -25,7 +25,7 @@ from femlab import (
     rat,
     space_from_potentials,
 )
-from femlab.errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
+from femlab.errors import GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from femlab.ghlimits import GH_EXACT_CAP, Correspondence
 from femlab.sampling import random_candidates
 
@@ -180,3 +180,18 @@ def test_direct_limit_rejects_increasing_schedules():
     gen = entropy_cap_filter([REF_ND], 1.0, rat(1), REF_ND)
     with pytest.raises(ScheduleInvalid):
         direct_limit_check(up, gen)
+
+
+def test_direct_limit_rejects_an_empty_density_schedule():
+    rng = random.Random(5)
+    gen = entropy_cap_filter(random_candidates(rng, GRID3, REF_ND, 6), 2.0, rat(2), REF_ND)
+    with pytest.raises(ScheduleInvalid, match="density schedule is empty"):
+        direct_limit_check(canonical_family(), gen, schedule=())
+
+
+def test_direct_limit_rejects_a_generator_over_another_polytope():
+    wide = Grid(nodes=(-1, 0, 1), polytope=(0, 2))
+    ref = make_pl(wide, (0, rat(1, 2), 2), 0, 2)
+    gen = entropy_cap_filter([ref], 1.0, rat(1), ref)
+    with pytest.raises(GridMismatch):
+        direct_limit_check(canonical_family(), gen)

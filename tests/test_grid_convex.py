@@ -12,6 +12,7 @@ from femlab import (
     Grid,
     affine_combine,
     biconjugate,
+    check_reference,
     is_leq,
     legendre,
     make_pl,
@@ -25,6 +26,7 @@ from femlab import (
     sup_diff,
 )
 from femlab.errors import (
+    BadReference,
     ConvexityViolation,
     EmptyRooftop,
     IntervalOutOfPolytope,
@@ -70,6 +72,23 @@ def test_end_slopes_must_stay_in_polytope():
     assert message(ConvexityViolation, make_pl, GRID5, (0, 1, 2, 3, 4), 0, 0) == (
         "slope sequence decreases at position 4: 1/1 > 0/1"
     )
+
+
+def test_interval_messages_print_both_ends():
+    assert message(ValueError, Grid, (0, 1), (1, 0)) == "polytope must be nondegenerate: [1/1, 0/1]"
+    half = make_pl(GRID5, (0, 0, 0, 0, 0), 0, rat(1, 2))
+    assert message(BadReference, check_reference, GRID5, half) == (
+        "reference slope range [0/1, 1/2] must equal the polytope"
+    )
+    assert message(IntervalOutOfPolytope, model_from_interval, GRID5, (0, 2), REF5) == (
+        "[0/1, 2/1] leaves polytope [0/1, 1/1]"
+    )
+    assert message(IntervalOutOfPolytope, model_from_interval, GRID5, (rat(1, 2), rat(1, 4)), REF5) == (
+        "interval endpoints out of order"
+    )
+    flat = make_pl(GRID5, (0, 0, 0, 0, 0), 0, rat(1, 4))
+    steep = make_pl(GRID5, (0, rat(1, 2), 1, rat(3, 2), 2), rat(1, 2), 1)
+    assert message(EmptyRooftop, rooftop, flat, steep) == "slope ranges [0/1, 1/4], [1/2, 1/1] are disjoint"
 
 
 def test_dual_data_must_increase_and_be_convex():

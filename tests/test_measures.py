@@ -92,6 +92,17 @@ def test_entropy_frozen_value():
     )
 
 
+def test_entropy_takes_the_log_of_ratios_beyond_the_float_range():
+    g3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
+    tiny = rat(1, 2 * 10**400)
+    half = AtomicMeasure(g3, (rat(1, 2), 0, rat(1, 2)))
+    skewed = AtomicMeasure(g3, (tiny, 0, 1 - tiny))
+    # ratio 10^400 at the first node; the other ratio rounds to 1/2
+    assert entropy(half, skewed) == pytest.approx(200 * math.log(10) + 0.5 * math.log(0.5), rel=1e-12)
+    # ratio 10^-400 at the first node, whose weight rounds to 0; the other ratio rounds to 2
+    assert entropy(skewed, half) == pytest.approx(math.log(2), rel=1e-12)
+
+
 def test_entropy_requires_matching_support():
     g3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
     nu = AtomicMeasure(g3, (rat(1, 2), rat(1, 2), 0))
