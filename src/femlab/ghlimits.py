@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import ge
 
-from ._rational import ZERO, rat
+from ._rational import ZERO, lattice, rat
 from .bigspace import BigSpace
 from .errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from .families import (
@@ -19,7 +19,6 @@ from .families import (
     SampledFamily,
     density_approximant,
     entropy_cap_filter,
-    project_family,
 )
 from .grid_convex import pl_equal
 from .metric import dist
@@ -34,7 +33,7 @@ class FiniteMetricSpace:
 
     Distinct points at distance zero are allowed (projections collapse);
     a square matrix, zero diagonal, symmetry, and the triangle inequality
-    are enforced.
+    are enforced on ``_ints``: the matrix as ints, and their one denominator.
     """
 
     matrix: tuple
@@ -45,18 +44,22 @@ class FiniteMetricSpace:
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValidationError("distance matrix shape is not square")
+        nums, den = lattice([v for row in matrix for v in row])
+        m = tuple(nums[i * n:(i + 1) * n] for i in range(n))
+        object.__setattr__(self, "_ints", (m, den))
         for i in range(n):
-            if matrix[i][i] != 0:
+            if m[i][i] != 0:
                 raise ValidationError("nonzero diagonal at %d" % i)
             for j in range(i + 1, n):
-                if matrix[i][j] != matrix[j][i]:
+                if m[i][j] != m[j][i]:
                     raise ValidationError("asymmetry at (%d, %d)" % (i, j))
-                if matrix[i][j] < 0:
+                if m[i][j] < 0:
                     raise ValidationError("negative distance at (%d, %d)" % (i, j))
+        # Symmetric and non-negative, so the first failing (i, j, k) has i < j.
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 for k in range(n):
-                    if matrix[i][j] > matrix[i][k] + matrix[k][j]:
+                    if m[i][j] > m[i][k] + m[j][k]:
                         raise ValidationError(
                             "triangle inequality fails at (%d, %d, %d)" % (i, j, k)
                         )
@@ -106,17 +109,17 @@ def identity_correspondence(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Corre
 
 
 def distortion(rel: Correspondence):
-    """max |d_x - d_y| over related pairs of pairs, exact."""
-    worst = ZERO
+    """max |d_x - d_y| over related pairs of pairs, on ints over dx * dy."""
+    (xm, dx), (ym, dy) = rel.x._ints, rel.y._ints
+    worst = 0
     pairs = rel.pairs
     for a in range(len(pairs)):
         i, j = pairs[a]
-        for b in range(a, len(pairs)):
-            k, l = pairs[b]
-            gap = abs(rel.x.d(i, k) - rel.y.d(j, l))
+        for k, l in pairs[a:]:
+            gap = abs(xm[i][k] * dy - ym[j][l] * dx)
             if gap > worst:
                 worst = gap
-    return worst
+    return rat(worst, dx * dy)
 
 
 def gh_upper(rel: Correspondence):
@@ -128,16 +131,19 @@ def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
 
     Minimal total relations are unions of a map each way, so the search
     assigns a partner to every point of both spaces, pruning on the
-    running maximum defect.  Exponential; capped at GH_EXACT_CAP points.
+    running maximum defect on ints.  Exponential; capped at GH_EXACT_CAP points.
     """
     if x.size > GH_EXACT_CAP or y.size > GH_EXACT_CAP:
         raise TooLarge("exhaustive search is capped at %d points" % GH_EXACT_CAP)
     nx, ny = x.size, y.size
+    if (nx == 0) != (ny == 0):
+        raise NotTotal("no relation covers an empty space and a nonempty one")
+    (xm, dx), (ym, dy) = x._ints, y._ints
     seed = tuple((i, min(i, ny - 1)) for i in range(nx)) + tuple(
         (min(j, nx - 1), j) for j in range(ny)
     )
     best_pairs = tuple(sorted(set(seed)))
-    best = distortion(Correspondence(x, y, best_pairs))
+    best = int(distortion(Correspondence(x, y, best_pairs)) * dx * dy)
     assigned = []
 
     def grow(slot, cur):
@@ -156,7 +162,7 @@ def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
             new = cur
             feasible = True
             for other in assigned:
-                gap = abs(x.d(pair[0], other[0]) - y.d(pair[1], other[1]))
+                gap = abs(xm[pair[0]][other[0]] * dy - ym[pair[1]][other[1]] * dx)
                 if gap > new:
                     new = gap
                     if new >= best:
@@ -167,8 +173,8 @@ def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
                 grow(slot + 1, new)
                 assigned.pop()
 
-    grow(0, ZERO)
-    return best / 2, Correspondence(x, y, best_pairs)
+    grow(0, 0)
+    return rat(best, 2 * dx * dy), Correspondence(x, y, best_pairs)
 
 
 def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace):
@@ -182,24 +188,35 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
     level and to the limit, and record the distortion of the match-by-index
     correspondence.  Returns (rows, report); rows carry exact rationals.
     The reference is always included, so each level's own envelope point is
-    a member of every space the table compares.
+    a member of every space the table compares.  Each cap keeps a subset of
+    the widest cap's members, in order, so one ``BigSpace`` serves all caps.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the convergence experiment needs a decreasing schedule")
+    caps = list(caps)
+    if not caps:
+        raise ScheduleInvalid("the cap schedule is empty")
     reference = family.reference
+    pool = [reference, *candidates]
+    space = BigSpace(family, entropy_cap_filter(pool, max(caps), max(caps), reference))
     rows = []
     monotone = True
     finals = []
     for cap in caps:
-        kept = entropy_cap_filter([reference] + list(candidates), cap, cap, reference)
+        kept = entropy_cap_filter(pool, cap, cap, reference)
         if not kept.members:
             raise ScheduleInvalid("cap %s keeps no candidates" % cap)
-        limit_space = space_from_potentials(family.limit_context, project_family(family.limit, kept))
+        widest = iter(enumerate(space.generator.members))
+        index = [next(i for i, w in widest if w is u) for u in kept.members]
+        spaces = [
+            FiniteMetricSpace(
+                tuple(tuple(ZERO if i == j else space.pair_dist(k, i, j) for j in index) for i in index)
+            )
+            for k in range(space.level_count)
+        ]
         previous = None
-        for k, env in enumerate(family.levels):
-            level_space = space_from_potentials(family.contexts[k], project_family(env, kept))
-            rel = identity_correspondence(level_space, limit_space)
-            value = distortion(rel)
+        for k in range(len(family.levels)):
+            value = distortion(identity_correspondence(spaces[k], spaces[-1]))
             rows.append({"cap": cap, "level": k, "distortion": value, "members": len(kept)})
             if previous is not None and value > previous:
                 monotone = False

@@ -400,13 +400,15 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     """Restrict a dual to [lo, hi] intersected with its own domain.
 
     One walk over the breakpoints keeps the interior ones and interpolates
-    the two new ends.
+    the two new ends; when [lo, hi] covers the domain, the dual is returned.
     """
     lo, hi = rat(lo), rat(hi)
     pden = math.lcm(dual._pden, lo.denominator, hi.denominator)
     ps, ws = _scaled(dual._p, pden // dual._pden), dual._w
     a = max(lo.numerator * (pden // lo.denominator), ps[0])
     b = min(hi.numerator * (pden // hi.denominator), ps[-1])
+    if a == ps[0] and b == ps[-1]:
+        return dual
     if a > b:
         raise EmptyRooftop("dual domains miss the interval %s" % _interval_str(Lattice((a, b), pden)))
     i = bisect_right(ps, a) - 1

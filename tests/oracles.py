@@ -236,3 +236,47 @@ def shortest_path_by_floyd_warshall(matrix):
                 if through < d[i][j]:
                     d[i][j] = through
     return d[0][-1]
+
+
+def first_triangle_failure(matrix):
+    """The first (i, j, k) in index order with d(i, j) > d(i, k) + d(k, j), or None.
+
+    Every triple is checked on rationals, symmetric or not, as the
+    definition reads.
+    """
+    m = [[rat(v) for v in row] for row in matrix]
+    for i, j, k in itertools.product(range(len(m)), repeat=3):
+        if m[i][j] > m[i][k] + m[k][j]:
+            return (i, j, k)
+    return None
+
+
+def nested_distortions_by_recomputation(family, candidates, caps, tolerance):
+    """(rows, report) of the nested distortion table, every cap on its own.
+
+    Each cap filters the candidates afresh, projects the kept members with
+    project_family, builds every space with space_from_potentials, and
+    takes the identity correspondence's distortion on rationals.
+    """
+    from femlab import Report, entropy_cap_filter, project_family, space_from_potentials
+
+    reference = family.reference
+    rows, finals, monotone = [], [], True
+    for cap in caps:
+        kept = entropy_cap_filter([reference, *candidates], cap, cap, reference)
+        limit = space_from_potentials(family.limit_context, project_family(family.limit, kept))
+        n, values = len(kept), []
+        for k, env in enumerate(family.levels):
+            level = space_from_potentials(family.contexts[k], project_family(env, kept))
+            values.append(max(abs(level.d(i, j) - limit.d(i, j)) for i in range(n) for j in range(n)))
+            rows.append({"cap": cap, "level": k, "distortion": values[-1], "members": n})
+        monotone = monotone and all(a >= b for a, b in zip(values, values[1:]))
+        finals.append(values[-1])
+    report = Report(
+        name="nested_family_distortions",
+        passed=monotone and all(float(v) < tolerance for v in finals),
+        lhs=max(finals),
+        rhs=rat(0),
+        witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},
+    )
+    return rows, report

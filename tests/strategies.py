@@ -72,3 +72,28 @@ def sector_potentials(draw, grid, interval=None, max_denominator=8):
 def potentials_on(grid, max_denominator=8):
     """Full-polytope potentials on a fixed grid."""
     return sector_potentials(grid, grid.polytope, max_denominator)
+
+
+@st.composite
+def distance_matrices(draw, dens=(1, 2, 3, 5, 7), min_points=3, max_points=8, perturb=True):
+    """Symmetric non-negative rational matrices with a zero diagonal.
+
+    Shortest paths over random edge weights with the given denominators
+    give a pseudometric; when ``perturb`` is set, about half the draws then
+    move one symmetric pair up or down (never below zero), which may break
+    the triangle inequality.
+    """
+    n = draw(st.integers(min_points, max_points))
+    weight = st.builds(rat, st.integers(0, 12), st.sampled_from(dens))
+    d = [[rat(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(weight)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    if perturb and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        d[i][j] = d[j][i] = max(rat(0), d[i][j] + draw(weight) - draw(weight))
+    return tuple(tuple(row) for row in d)

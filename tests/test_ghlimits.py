@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
 
 import oracles
+import strategies as own
 from femlab import (
     FiniteMetricSpace,
     Grid,
@@ -59,6 +61,17 @@ def test_space_validation_names_the_offending_indices():
         FiniteMetricSpace(((0, -1), (-1, 0)))
     with pytest.raises(ValidationError, match="triangle inequality fails"):
         FiniteMetricSpace(((0, 1, 5), (1, 0, 1), (5, 1, 0)))
+
+
+@given(matrix=own.distance_matrices())
+def test_space_accepts_exactly_the_matrices_the_triangle_oracle_accepts(matrix):
+    failure = oracles.first_triangle_failure(matrix)
+    if failure is None:
+        assert FiniteMetricSpace(matrix).matrix == matrix
+        return
+    with pytest.raises(ValidationError) as caught:
+        FiniteMetricSpace(matrix)
+    assert str(caught.value) == "triangle inequality fails at (%d, %d, %d)" % failure
 
 
 def test_space_accessors():
@@ -116,6 +129,29 @@ def test_gh_exact_matches_the_enumeration_oracle(seed, na, nb):
     assert gh_upper(witness) == value
 
 
+@given(
+    xs=own.distance_matrices(dens=(3,), min_points=1, max_points=3, perturb=False),
+    ys=own.distance_matrices(dens=(7,), min_points=1, max_points=3, perturb=False),
+)
+def test_gh_over_coprime_denominators_matches_the_enumeration_oracle(xs, ys):
+    x, y = FiniteMetricSpace(xs), FiniteMetricSpace(ys)
+    value, witness = gh_exact_witness(x, y)
+    assert value == oracles.gh_by_enumeration(x, y)
+    assert gh_upper(witness) == value
+    if x.size == y.size:
+        n = x.size
+        gaps = [abs(xs[i][j] - ys[i][j]) for i in range(n) for j in range(n)]
+        assert distortion(identity_correspondence(x, y)) == max(gaps)
+
+
+def test_gh_exact_needs_both_spaces_empty_or_both_nonempty():
+    empty, point = FiniteMetricSpace(()), FiniteMetricSpace(((0,),))
+    for x, y in ((empty, point), (point, empty)):
+        with pytest.raises(NotTotal):
+            gh_exact_witness(x, y)
+    assert gh_exact(empty, empty) == 0
+
+
 def test_gh_exact_of_a_space_with_itself_is_zero():
     x = seeded_space(6, 4)
     assert gh_exact(x, x) == 0
@@ -147,6 +183,18 @@ def test_nested_distortions_frozen_table():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("caps", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.5, 4.0]])
+def test_nested_distortions_match_a_per_cap_recomputation(seed, caps):
+    fam = canonical_family()
+    cands = random_candidates(random.Random(seed), GRID3, REF_ND, 8)
+    cands.insert(5, cands[2])
+    rows, report = nested_family_distortions(fam, cands, caps, 0.1)
+    want_rows, want_report = oracles.nested_distortions_by_recomputation(fam, cands, caps, 0.1)
+    assert rows == want_rows
+    assert report.as_dict() == want_report.as_dict()
+
+
 def test_nested_distortions_rejects_bad_schedules():
     up = family_from_intervals(
         GRID3, ((0, rat(1, 2)), (0, rat(3, 4))), (0, 1), REF_ND
@@ -155,6 +203,15 @@ def test_nested_distortions_rejects_bad_schedules():
         nested_family_distortions(up, [], [1.0], 0.1)
     with pytest.raises(ScheduleInvalid, match="keeps no candidates"):
         nested_family_distortions(canonical_family(), [], [-1.0], 0.1)
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 4)
+    with pytest.raises(ScheduleInvalid, match="cap -1.0 keeps no candidates"):
+        nested_family_distortions(canonical_family(), cands, [1.0, -1.0], 0.1)
+
+
+def test_nested_distortions_reject_an_empty_cap_schedule():
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 4)
+    with pytest.raises(ScheduleInvalid, match="the cap schedule is empty"):
+        nested_family_distortions(canonical_family(), cands, [], 0.1)
 
 
 def test_direct_limit_laws_hold_on_a_seeded_generator():

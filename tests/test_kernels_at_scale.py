@@ -16,6 +16,8 @@ Marked ``scale``; example counts are bounded so tier-1 time stays bounded.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,7 @@ from femlab import (
 )
 from femlab.errors import EmptyRooftop, GridMismatch
 from femlab.grid_convex import max_dual, refine_to, restrict_dual
-from femlab.sampling import nondegenerate_reference
+from femlab.sampling import nondegenerate_reference, random_sector_potential, random_subinterval
 
 pytestmark = pytest.mark.scale
 
@@ -56,6 +58,7 @@ GRID17_MIXED = Grid(
     polytope=(0, 1),
 )
 KERNEL_GRIDS = GRIDS + [pytest.param(GRID17_MIXED, id="17mixed")]
+GRID257 = Grid(nodes=tuple(rat(k, 32) for k in range(-128, 129)), polytope=(0, 1))
 SMALL = settings(max_examples=8)
 
 
@@ -99,6 +102,21 @@ def test_restrict_dual_matches_sampling_oracle(grid, data):
             restrict_dual(dual, lo, hi)
         return
     assert restrict_dual(dual, lo, hi).points == oracles.restrict_by_sampling(dual, lo, hi)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restrict_dual_to_a_covering_interval_is_the_dual(seed):
+    rng = random.Random(seed)
+    sector = random_sector_potential(rng, GRID257, random_subinterval(rng, GRID257.polytope))
+    point = make_pl(GRID257, tuple(rat(seed, 3) * x for x in GRID257.nodes), rat(seed, 3), rat(seed, 3))
+    for u in (sector, point, nondegenerate_reference(GRID257)):
+        dual = legendre(u)
+        lo, hi = dual.domain
+        assert restrict_dual(dual, lo, hi) is dual
+        assert restrict_dual(dual, lo - 1, hi + rat(1, 7)) is dual
+        assert restrict_dual(dual, lo, hi).points == oracles.restrict_by_sampling(dual, lo, hi)
+        mid = (lo + hi) / 2
+        assert restrict_dual(dual, mid, hi + 1).points == oracles.restrict_by_sampling(dual, mid, hi)
 
 
 @pytest.mark.parametrize("grid", KERNEL_GRIDS)
