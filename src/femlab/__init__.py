@@ -15,7 +15,7 @@ from .bigspace import (
     default_node_pools,
     level_restriction_check,
 )
-from .energy import EnergyContext, energy, energy_diff_report
+from .energy import energy, energy_diff_report
 from .families import (
     ModelFamily,
     SampledFamily,
@@ -80,8 +80,11 @@ from .scenario import Scenario, parse_scenario, run_scenario
 from .serialize import dumps_canonical, load_json, write_csv, write_json, write_jsonl
 from .suites import SUITES, run_suite
 
-# The distance is built from the energy alone, so it shares energy's context.
-metric_context = EnergyContext
+
+def metric_context(psi: ModelEnvelope) -> ModelEnvelope:
+    """A level is its own context; kept for the perfbench scripts until they change."""
+    return psi
+
 
 __all__ = [
     "BACKEND",
@@ -108,7 +111,6 @@ __all__ = [
     "normalize",
     "entropy",
     "is_nondegenerate_reference",
-    "EnergyContext",
     "energy",
     "energy_diff_report",
     "metric_context",

@@ -65,7 +65,6 @@ class BigSpace:
         self.family = family
         self.generator = generator
         self.envs = tuple(family.levels) + (family.limit,)
-        self.ctxs = tuple(family.contexts) + (family.limit_context,)
         self.caps = tuple(member_cap(g, family.reference) for g in generator.members)
         self.level_count = len(self.envs)
         self.limit_level = len(self.envs) - 1
@@ -82,7 +81,7 @@ class BigSpace:
         """dist on one level, computed once per (level, u, v) value, either order."""
         key = ("dist", level, u, v)
         if key not in self._cache:
-            self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.ctxs[level], u, v)
+            self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.envs[level], u, v)
         return self._cache[key]
 
     def projection(self, level: int, i: int) -> GridPLConvex:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from ._rational import rat
-from .energy import EnergyContext
 from .errors import GridMismatch, PreconditionViolated, ScheduleInvalid, ValidationError
 from .grid_convex import (
     GridPLConvex,
@@ -62,8 +61,6 @@ class ModelFamily:
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
         object.__setattr__(self, "direction", "decreasing" if decreasing else "increasing")
-        object.__setattr__(self, "contexts", tuple(EnergyContext(env) for env in levels))
-        object.__setattr__(self, "limit_context", EnergyContext(self.limit))
 
     @property
     def reference(self) -> GridPLConvex:
@@ -164,10 +161,8 @@ def monotone_distance_convergence(family: ModelFamily, u1_seq, u2_seq, tolerance
     want = len(family.levels) + 1
     if len(u1_seq) != want or len(u2_seq) != want:
         raise PreconditionViolated("need one potential per level plus the limit entry")
-    table = []
-    for ctx, a, b in zip(family.contexts, u1_seq, u2_seq):
-        table.append(dist(ctx, a, b))
-    d_lim = dist(family.limit_context, u1_seq[-1], u2_seq[-1])
+    table = [dist(psi, a, b) for psi, a, b in zip(family.levels, u1_seq, u2_seq)]
+    d_lim = dist(family.limit, u1_seq[-1], u2_seq[-1])
     final_defect = abs(float(table[-1] - d_lim))
     return Report(
         name="monotone_distance_convergence",

@@ -72,13 +72,13 @@ class FiniteMetricSpace:
         return self.matrix[i][j]
 
 
-def space_from_potentials(ctx, potentials) -> FiniteMetricSpace:
+def space_from_potentials(psi, potentials) -> FiniteMetricSpace:
     """The exact distance matrix of the potentials; point i is potential i."""
     pots = list(potentials)
     matrix = [[ZERO] * len(pots) for _ in pots]
     for i in range(len(pots)):
         for j in range(i + 1, len(pots)):
-            matrix[i][j] = matrix[j][i] = dist(ctx, pots[i], pots[j])
+            matrix[i][j] = matrix[j][i] = dist(psi, pots[i], pots[j])
     return FiniteMetricSpace(tuple(tuple(r) for r in matrix))
 
 

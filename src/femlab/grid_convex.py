@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import le
 
 from ._rational import ONE, Lattice, _Frozen, lattice, rat, rat_str
@@ -44,6 +43,7 @@ from .errors import (
     EmptyRooftop,
     GridMismatch,
     IntervalOutOfPolytope,
+    SingularityMismatch,
     SlopeOutOfPolytope,
 )
 
@@ -167,7 +167,7 @@ class GridPLConvex(_Frozen):
 
     A potential is immutable, so every pure function of it is computed at
     most once: ``_memo`` holds its hash, ``values``, ``legendre(u)``,
-    ``monge_ampere(u)``, ``energy(ctx, u)`` per context and
+    ``monge_ampere(u)``, ``energy(psi, u)`` per level and
     ``split_caps(u, reference)`` per reference, and lives and dies with it.
     """
 
@@ -672,8 +672,7 @@ def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
     return biconjugate(g, us[0].grid)
 
 
-@dataclass(frozen=True)
-class ModelEnvelope:
+class ModelEnvelope(_Frozen):
     """A singularity level: interval Q with its extremal potential cached.
 
     The potential is the largest potential whose dual domain is Q and which
@@ -681,11 +680,17 @@ class ModelEnvelope:
     restricted to Q, so its dual domain ``potential._ends`` is exactly Q,
     degenerate Q included.  The reference is carried along because the
     shape of the envelope, entropy caps and sup normalizations all depend
-    on it.
+    on it; a level is also the context of ``energy`` and ``dist``.
     """
 
-    potential: GridPLConvex
-    reference: GridPLConvex
+    __slots__ = ("potential", "reference", "_memo")
+    _shown = ("potential", "reference")
+
+    def __init__(self, potential: GridPLConvex, reference: GridPLConvex):
+        self._set(potential=potential, reference=reference, _memo={})
+
+    def _key(self):
+        return (self.potential, self.reference)
 
     @property
     def grid(self) -> Grid:
@@ -704,6 +709,13 @@ class ModelEnvelope:
     def degenerate(self) -> bool:
         a, b = self.potential._ends.nums
         return a == b
+
+    def require_in_sector(self, u: GridPLConvex):
+        q = self.potential._ends
+        if u._ends != q:
+            raise SingularityMismatch(
+                "potential spans %s, sector needs %s" % (_interval_str(u._ends), _interval_str(q))
+            )
 
 
 def check_reference(grid: Grid, reference: GridPLConvex) -> GridPLConvex:

@@ -1,8 +1,8 @@
 """The distance d, the comparison functional rho, and its chain sums.
 
-d(u, v) = E(u) + E(v) - 2 E(rooftop(u, v)) on a fixed sector.  All values
-are exact rationals, so the metric axioms, the Pythagorean decomposition,
-and the chain-sum convergence rate can be asserted with ==, not tolerances.
+d(u, v) = E(u) + E(v) - 2 E(rooftop(u, v)) on the sector of a level psi,
+its context as for E.  Values are exact rationals, so the metric axioms,
+the Pythagorean decomposition and the chain-sum rate are checked with ==.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import math
 
 from ._rational import ONE, ZERO, Lattice, rat
 from .errors import BadExponent, EmptyFamily, NotComparable
-from .energy import EnergyContext, energy, energy_diff_report
+from .energy import energy, energy_diff_report
 from .grid_convex import (
     GridPLConvex,
+    ModelEnvelope,
     _difference,
     affine_combine,
     align,
@@ -27,7 +28,7 @@ from .report import Report
 
 def double_inequality_constant(n: int):
     """1 / (3 * 2^(n+2) * (n+1)); equals 1/48 in the line model n=1."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise BadExponent("dimension must be a positive integer")
     return rat(1, 3 * 2 ** (n + 2) * (n + 1))
 
@@ -35,10 +36,10 @@ def double_inequality_constant(n: int):
 _LINE_CONSTANT = double_inequality_constant(1)
 
 
-def dist(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex):
+def dist(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex):
     """d(u, v), exact and non-negative; zero iff u == v when the mass is positive."""
-    eu, ev = energy(ctx, u), energy(ctx, v)  # each checks the sector before the rooftop
-    return eu + ev - 2 * energy(ctx, rooftop(u, v))
+    eu, ev = energy(psi, u), energy(psi, v)  # each checks the sector before the rooftop
+    return eu + ev - 2 * energy(psi, rooftop(u, v))
 
 
 def rho(u: GridPLConvex, v: GridPLConvex):
@@ -56,15 +57,15 @@ def rho(u: GridPLConvex, v: GridPLConvex):
     return _charged_sum(_difference(a, b), monge_ampere(b))
 
 
-def chain_rho(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
+def chain_rho(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, big_n: int):
     """Sum of rho along the affine chain w_j = (j/N) u + ((N-j)/N) v.
 
-    Exact; always >= dist(ctx, u, v) with defect O(1/N).
+    Exact; always >= dist(psi, u, v) with defect O(1/N).
     """
-    if not isinstance(big_n, int) or big_n < 1:
+    if type(big_n) is not int or big_n < 1:
         raise ValueError("chain length must be a positive integer")
-    ctx.require_in_sector(u)
-    ctx.require_in_sector(v)
+    psi.require_in_sector(u)
+    psi.require_in_sector(v)
     if not (is_leq(v, u) or is_leq(u, v)):
         raise NotComparable("chain_rho needs a pointwise-ordered pair")
     links = [affine_combine(rat(j, big_n), u, v) for j in range(big_n + 1)]
@@ -74,18 +75,18 @@ def chain_rho(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex, big_n: int):
     return acc
 
 
-def chain_defect_report(ctx: EnergyContext, hi: GridPLConvex, lo: GridPLConvex, steps) -> Report:
+def chain_defect_report(psi: ModelEnvelope, hi: GridPLConvex, lo: GridPLConvex, steps) -> Report:
     """The chain defect law: chain_rho(N) - d == gap / 2N for each N, exactly.
 
     gap = I(lo) - I(hi) with I(w) = integral (hi - lo) dMA(w), from the
     energy difference report.  lhs is d, rhs the gap; one row per N.
     """
-    d = dist(ctx, hi, lo)
-    rep = energy_diff_report(ctx, hi, lo)
+    d = dist(psi, hi, lo)
+    rep = energy_diff_report(psi, hi, lo)
     gap = rep.witnesses["int_against_ma_v"] - rep.witnesses["int_against_ma_u"]
     rows, passed = [], True
     for n in steps:
-        value = chain_rho(ctx, hi, lo, n)
+        value = chain_rho(psi, hi, lo, n)
         defect = value - d
         rows.append({"N": n, "chain": value, "defect": defect})
         passed = passed and defect >= 0 and defect * (2 * n) == gap
@@ -100,9 +101,9 @@ def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
     return _charged_sum(diff, monge_ampere(a)) + _charged_sum(diff, monge_ampere(b))
 
 
-def double_inequality_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConvex) -> Report:
+def double_inequality_report(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex) -> Report:
     """c_1 * integral |u-v| d(MA(u)+MA(v)) <= d(u,v) <= that integral, exactly."""
-    d = dist(ctx, u, v)
+    d = dist(psi, u, v)
     pairing = abs_diff_pairing(u, v)
     lower = _LINE_CONSTANT * pairing
     return Report(
@@ -114,11 +115,15 @@ def double_inequality_report(ctx: EnergyContext, u: GridPLConvex, v: GridPLConve
     )
 
 
+def _check_exponents(n, s):
+    if type(n) is not int or type(s) is not int or n < 1 or s < 0 or s > n:
+        raise BadExponent("need integers n >= 1 and 0 <= s <= n")
+
+
 def darboux_sum(n: int, s: int, big_n: int):
     """(1/N) * sum_{j<N} (j/N)^s ((N-j)/N)^(n-s), as one exact fraction."""
-    if not isinstance(n, int) or not isinstance(s, int) or n < 1 or s < 0 or s > n:
-        raise BadExponent("need integers n >= 1 and 0 <= s <= n")
-    if not isinstance(big_n, int) or big_n < 1:
+    _check_exponents(n, s)
+    if type(big_n) is not int or big_n < 1:
         raise ValueError("partition size must be a positive integer")
     num = sum(j**s * (big_n - j) ** (n - s) for j in range(big_n))
     return rat(num, big_n ** (n + 1))
@@ -126,12 +131,11 @@ def darboux_sum(n: int, s: int, big_n: int):
 
 def darboux_limit(n: int, s: int):
     """The N -> infinity value 1 / (binom(n, s) * (n + 1))."""
-    if not isinstance(n, int) or not isinstance(s, int) or n < 1 or s < 0 or s > n:
-        raise BadExponent("need integers n >= 1 and 0 <= s <= n")
+    _check_exponents(n, s)
     return rat(1, math.comb(n, s) * (n + 1))
 
 
-def estimate_sup_bound_constants(ctx: EnergyContext, family):
+def estimate_sup_bound_constants(psi: ModelEnvelope, family):
     """Fit the smallest constants in V * sup(u - psi) <= A d(psi, u) + B.
 
     B is always 0: when V > 0, d(psi, u) = 0 forces u = psi, so V *
@@ -146,13 +150,13 @@ def estimate_sup_bound_constants(ctx: EnergyContext, family):
     members = list(family)
     if not members:
         raise EmptyFamily("no potentials to fit constants against")
-    psi_pot = ctx.psi.potential
-    vol = ctx.mass
+    psi_pot = psi.potential
+    vol = psi.mass
     rows = []
     for i, u in enumerate(members):
-        ctx.require_in_sector(u)
+        psi.require_in_sector(u)
         s = sup_diff(u, psi_pot)
-        rows.append((i, vol * s, dist(ctx, psi_pot, u)))
+        rows.append((i, vol * s, dist(psi, psi_pot, u)))
     a = ONE
     a_binding = None
     for i, vs, d in rows:

@@ -49,7 +49,6 @@ from .errors import (
     SlopeOutOfPolytope,
     ValidationError,
 )
-from .energy import EnergyContext
 from .families import (
     entropy_cap_filter,
     family_from_intervals,
@@ -349,7 +348,7 @@ def _run_chain_block(scn, block, index, out_dir):
     psi = model_from_interval(scn.grid, block["interval"], scn.reference)
     base = model_project(psi, scn.potentials[block["base"]])
     other = model_project(psi, scn.potentials[block["other"]])
-    rep = chain_defect_report(EnergyContext(psi), pointwise_max(base, other), base, block["steps"])
+    rep = chain_defect_report(psi, pointwise_max(base, other), base, block["steps"])
     payload = {
         "check": rep.name,
         "pass": rep.passed,

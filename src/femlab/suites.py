@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from ._rational import rat
-from .energy import EnergyContext, energy, energy_diff_report
+from .energy import energy, energy_diff_report
 from .errors import UnknownSuite, ValidationError
 from .grid_convex import (
     Grid,
@@ -47,40 +47,40 @@ from .sampling import (
 
 def _metric_axioms(rng, grid, ref):
     interval = random_subinterval(rng, grid.polytope)
-    ctx = EnergyContext(model_from_interval(grid, interval, ref))
+    psi = model_from_interval(grid, interval, ref)
     u = random_sector_potential(rng, grid, interval)
     v = random_sector_potential(rng, grid, interval)
     w = random_sector_potential(rng, grid, interval)
-    duv = dist(ctx, u, v)
-    yield "symmetry", duv == dist(ctx, v, u), {"d": duv}
-    yield "identity", dist(ctx, u, u) == 0 and (duv == 0) == pl_equal(u, v), {"d": duv}
-    duw = dist(ctx, u, w)
-    yield "triangle", duw <= duv + dist(ctx, v, w), {"d_uw": duw}
+    duv = dist(psi, u, v)
+    yield "symmetry", duv == dist(psi, v, u), {"d": duv}
+    yield "identity", dist(psi, u, u) == 0 and (duv == 0) == pl_equal(u, v), {"d": duv}
+    duw = dist(psi, u, w)
+    yield "triangle", duw <= duv + dist(psi, v, w), {"d_uw": duw}
     p = rooftop(u, v)
-    yield "pythagoras", duv == dist(ctx, u, p) + dist(ctx, v, p), {"d": duv}
+    yield "pythagoras", duv == dist(psi, u, p) + dist(psi, v, p), {"d": duv}
     mid = pointwise_max(u, v)
     top = pointwise_max(mid, w)
-    d_low_high = dist(ctx, u, top)
-    split = dist(ctx, u, mid) + dist(ctx, mid, top)
+    d_low_high = dist(psi, u, top)
+    split = dist(psi, u, mid) + dist(psi, mid, top)
     yield "order_additivity", d_low_high == split, {"d_low_high": d_low_high}
-    yield "rooftop_lipschitz", dist(ctx, rooftop(u, w), rooftop(v, w)) <= duv, {"d": duv}
-    drep = double_inequality_report(ctx, u, v)
+    yield "rooftop_lipschitz", dist(psi, rooftop(u, w), rooftop(v, w)) <= duv, {"d": duv}
+    drep = double_inequality_report(psi, u, v)
     yield "double_inequality", drep.passed, {"d": drep.lhs, "pairing": drep.rhs}
 
 
 def _energy_identities(rng, grid, ref):
     interval = random_subinterval(rng, grid.polytope)
-    ectx = EnergyContext(model_from_interval(grid, interval, ref))
+    psi = model_from_interval(grid, interval, ref)
     u = random_sector_potential(rng, grid, interval)
     v = random_sector_potential(rng, grid, interval)
-    rep = energy_diff_report(ectx, u, v)
+    rep = energy_diff_report(psi, u, v)
     yield "difference_identity", rep.passed, {"lhs": rep.lhs}
-    e_mid = energy(ectx, affine_combine(rat(1, 2), u, v))
-    e_u = energy(ectx, u)
-    yield "concavity", 2 * e_mid >= e_u + energy(ectx, v), {"mid": e_mid}
+    e_mid = energy(psi, affine_combine(rat(1, 2), u, v))
+    e_u = energy(psi, u)
+    yield "concavity", 2 * e_mid >= e_u + energy(psi, v), {"mid": e_mid}
     c = rat(rng.randint(1, 8), 4)
-    yield "translation", energy(ectx, u.shift(-c)) == e_u - c * ectx.mass, {"c": c}
-    yield "monotone", energy(ectx, pointwise_max(u, v)) >= e_u, {"e_u": e_u}
+    yield "translation", energy(psi, u.shift(-c)) == e_u - c * psi.mass, {"c": c}
+    yield "monotone", energy(psi, pointwise_max(u, v)) >= e_u, {"e_u": e_u}
 
 
 def _measure_bounds(rng, grid, ref):
@@ -98,13 +98,12 @@ def _contraction(rng, grid, ref):
     q2 = random_subinterval(rng, q1)
     psi1 = model_from_interval(grid, q1, ref)
     psi2 = model_from_interval(grid, q2, ref)
-    ctx1, ctx2 = EnergyContext(psi1), EnergyContext(psi2)
     u = random_sector_potential(rng, grid, q1)
     v = random_sector_potential(rng, grid, q1)
     pu, pv = model_project(psi2, u), model_project(psi2, v)
-    upper, lower = dist(ctx1, u, v), dist(ctx2, pu, pv)
+    upper, lower = dist(psi1, u, v), dist(psi2, pu, pv)
     yield "lipschitz", lower <= upper, {"upper": upper, "lower": lower}
-    again = dist(ctx2, model_project(psi2, pu), model_project(psi2, pv))
+    again = dist(psi2, model_project(psi2, pu), model_project(psi2, pv))
     yield "idempotent_equality", again == lower, {}
     hi, lo = random_ordered_pair(rng, grid, q1)
     r = rho(hi, lo)
@@ -113,19 +112,19 @@ def _contraction(rng, grid, ref):
 
 def _chains(rng, grid, ref):
     interval = random_subinterval(rng, grid.polytope)
-    ctx = EnergyContext(model_from_interval(grid, interval, ref))
+    psi = model_from_interval(grid, interval, ref)
     hi, lo = random_ordered_pair(rng, grid, interval)
-    rep = chain_defect_report(ctx, hi, lo, (1, 2, 4, 8))
+    rep = chain_defect_report(psi, hi, lo, (1, 2, 4, 8))
     yield "chain_defect_law", rep.passed, {"d": rep.lhs, "gap": rep.rhs}
 
 
 def _gh(rng, grid, ref):
     interval = random_subinterval(rng, grid.polytope)
-    ctx = EnergyContext(model_from_interval(grid, interval, ref))
+    psi = model_from_interval(grid, interval, ref)
     xs = [random_sector_potential(rng, grid, interval) for _ in range(3)]
     ys = [random_sector_potential(rng, grid, interval) for _ in range(3)]
-    space_x = space_from_potentials(ctx, xs)
-    space_y = space_from_potentials(ctx, ys)
+    space_x = space_from_potentials(psi, xs)
+    space_y = space_from_potentials(psi, ys)
     rel = identity_correspondence(space_x, space_y)
     exact, upper = gh_exact(space_x, space_y), gh_upper(rel)
     yield "gh_upper_bound", exact <= upper, {"exact": exact, "upper": upper}

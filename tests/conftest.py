@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from femlab import (
-    EnergyContext,
     Grid,
     make_pl,
     metric_context,
@@ -51,11 +50,6 @@ def psi3(grid3, ref3):
 @pytest.fixture(scope="session")
 def ctx3(psi3):
     return metric_context(psi3)
-
-
-@pytest.fixture(scope="session")
-def ectx3(psi3):
-    return EnergyContext(psi3)
 
 
 @pytest.fixture(scope="session")

@@ -202,7 +202,7 @@ def energy_by_path_integration(ctx, u, pieces=8):
     """
     from femlab import affine_combine, monge_ampere
 
-    psi = ctx.psi.potential
+    psi = ctx.potential
     diffs = tuple(a - b for a, b in zip(u.values, psi.values))
 
     def pairing_at(t):
@@ -264,10 +264,10 @@ def nested_distortions_by_recomputation(family, candidates, caps, tolerance):
     rows, finals, monotone = [], [], True
     for cap in caps:
         kept = entropy_cap_filter([reference, *candidates], cap, cap, reference)
-        limit = space_from_potentials(family.limit_context, project_family(family.limit, kept))
+        limit = space_from_potentials(family.limit, project_family(family.limit, kept))
         n, values = len(kept), []
         for k, env in enumerate(family.levels):
-            level = space_from_potentials(family.contexts[k], project_family(env, kept))
+            level = space_from_potentials(env, project_family(env, kept))
             values.append(max(abs(level.d(i, j) - limit.d(i, j)) for i in range(n) for j in range(n)))
             rows.append({"cap": cap, "level": k, "distortion": values[-1], "members": n})
         monotone = monotone and all(a >= b for a, b in zip(values, values[1:]))

@@ -8,7 +8,6 @@ from hypothesis import given
 import oracles
 import strategies as own
 from femlab import (
-    EnergyContext,
     Grid,
     affine_combine,
     energy,
@@ -27,16 +26,16 @@ from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
 REF5 = nondegenerate_reference(GRID5)
-ECTX5 = EnergyContext(model_from_interval(GRID5, GRID5.polytope, REF5))
+ECTX5 = model_from_interval(GRID5, GRID5.polytope, REF5)
 
 
-def test_energy_frozen_values(ectx3, tent3, ref3):
-    assert energy(ectx3, tent3) == rat(-1, 4)
-    assert energy(ectx3, ref3) == 0
+def test_energy_frozen_values(ctx3, tent3, ref3):
+    assert energy(ctx3, tent3) == rat(-1, 4)
+    assert energy(ctx3, ref3) == 0
 
 
 def test_energy_of_the_envelope_itself_is_zero():
-    assert energy(ECTX5, ECTX5.psi.potential) == 0
+    assert energy(ECTX5, ECTX5.potential) == 0
 
 
 @given(u=own.potentials_on(GRID5))
@@ -55,8 +54,8 @@ def test_memoized_values_equal_those_of_a_fresh_equal_copy(u):
 
 
 HALF_Q = (0, rat(1, 2))
-CTX_HALF = EnergyContext(model_from_interval(GRID5, HALF_Q, REF5))
-CTX_HALF_RAISED = EnergyContext(model_from_interval(GRID5, HALF_Q, REF5.shift(1)))
+CTX_HALF = model_from_interval(GRID5, HALF_Q, REF5)
+CTX_HALF_RAISED = model_from_interval(GRID5, HALF_Q, REF5.shift(1))
 
 
 @given(u=own.sector_potentials(GRID5, HALF_Q))
@@ -111,5 +110,5 @@ def test_refined_upper_bound_on_ordered_pairs(u, v):
 def test_energy_rejects_potentials_from_another_sector():
     half = model_from_interval(GRID5, (0, rat(1, 2)), REF5)
     with pytest.raises(SingularityMismatch) as err:
-        energy(EnergyContext(half), ECTX5.psi.potential)
+        energy(half, ECTX5.potential)
     assert str(err.value) == "potential spans [0/1, 1/1], sector needs [0/1, 1/2]"

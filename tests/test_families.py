@@ -58,14 +58,6 @@ def test_family_direction_and_lengths():
         GRID3, ((0, rat(1, 2)), (0, rat(3, 4))), (0, 1), REF_ND
     )
     assert up.direction == "increasing"
-
-
-def test_family_contexts_follow_the_levels():
-    fam = canonical_family()
-    assert len(fam.contexts) == len(fam.levels)
-    for ctx, env in zip(fam.contexts, fam.levels):
-        assert ctx.psi is env
-    assert fam.limit_context.psi is fam.limit
     assert pl_equal(fam.reference, REF_ND)
 
 

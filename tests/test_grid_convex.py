@@ -283,8 +283,15 @@ def test_reprs_print_the_public_fields_as_backend_rationals():
     zero, half, one = repr(rat(0)), repr(rat(1, 2)), repr(rat(1))
     grid = "Grid(nodes=(%s, %s, %s), polytope=(%s, %s))" % (repr(rat(-1)), zero, one, zero, one)
     assert repr(g) == grid
-    assert repr(u) == "GridPLConvex(grid=%s, values=(%s, %s, %s), slope_left=%s, slope_right=%s)" % (
+    pl = "GridPLConvex(grid=%s, values=(%s, %s, %s), slope_left=%s, slope_right=%s)" % (
         grid, zero, zero, half, zero, one
     )
+    assert repr(u) == pl
+    psi, again = model_from_interval(g, g.polytope, u), model_from_interval(g, g.polytope, u)
+    assert repr(psi) == "ModelEnvelope(potential=%s, reference=%s)" % (pl, pl)
+    assert psi is not again and psi == again and hash(psi) == hash(again)
+    assert psi != model_from_interval(g, g.polytope, u.shift(1))
+    with pytest.raises(AttributeError):
+        psi.potential = u
     assert repr(legendre(u)) == "DualPL(points=((%s, %s), (%s, %s), (%s, %s)))" % (zero, zero, half, zero, one, half)
     assert repr(monge_ampere(u)) == "AtomicMeasure(grid=%s, masses=(%s, %s, %s))" % (grid, zero, half, half)

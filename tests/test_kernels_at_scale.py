@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 import oracles
 import strategies as own
 from femlab import (
-    EnergyContext,
     Grid,
     biconjugate,
     dist,
@@ -191,9 +190,9 @@ def test_refinement_matches_ray_evaluation(grid, data):
 
 
 def sector(data, grid):
-    """An energy context on a drawn interval Q, and Q."""
+    """A level on a drawn interval Q, and Q."""
     q = interval(data)
-    return EnergyContext(model_from_interval(grid, q, nondegenerate_reference(grid))), q
+    return model_from_interval(grid, q, nondegenerate_reference(grid)), q
 
 
 def oracle_rooftop(u, v):

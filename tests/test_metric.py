@@ -56,7 +56,7 @@ def test_chain_defect_report_on_the_canonical_pair(ctx3, ref3, tent3):
         rat(1, 32),
         rat(1, 64),
     ]
-    crossing = make_pl(ctx3.psi.grid, (rat(1, 2), rat(1, 2), rat(1, 2)), 0, 1)
+    crossing = make_pl(ctx3.grid, (rat(1, 2), rat(1, 2), rat(1, 2)), 0, 1)
     with pytest.raises(NotComparable):
         chain_defect_report(ctx3, crossing, tent3, (1,))
 
@@ -117,7 +117,7 @@ def test_zero_mass_sector_has_zero_distance(data):
 def test_dist_checks_the_sector_before_the_rooftop():
     # disjoint dual domains: a rooftop would raise EmptyRooftop
     ctx = metric_context(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
-    inside = ctx.psi.potential
+    inside = ctx.potential
     outside = model_from_interval(GRID5, (rat(3, 4), 1), REF5).potential
     for u, v in ((inside, outside), (outside, inside)):
         with pytest.raises(SingularityMismatch):
@@ -187,6 +187,24 @@ def test_darboux_frozen_examples():
         darboux_limit(2, 3)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_integer_arguments_reject_bools(flag, ctx3, ref3, tent3):
+    exponents = "need integers n >= 1 and 0 <= s <= n"
+    with pytest.raises(BadExponent, match="^dimension must be a positive integer$"):
+        double_inequality_constant(flag)
+    for n, s in ((flag, 0), (1, flag)):
+        with pytest.raises(BadExponent, match=exponents):
+            darboux_sum(n, s, 4)
+        with pytest.raises(BadExponent, match=exponents):
+            darboux_limit(n, s)
+    with pytest.raises(ValueError, match="^partition size must be a positive integer$"):
+        darboux_sum(1, 0, flag)
+    with pytest.raises(ValueError, match="^chain length must be a positive integer$"):
+        chain_rho(ctx3, ref3, tent3, flag)
+    with pytest.raises(ValueError, match="^chain length must be a positive integer$"):
+        chain_defect_report(ctx3, ref3, tent3, [flag])
+
+
 def test_darboux_sums_converge_with_explicit_rate():
     for n in range(1, 7):
         for s in range(n + 1):
@@ -226,7 +244,7 @@ def test_sup_bound_constants_verify_both_inequalities(data):
     ]
     a, b, report = estimate_sup_bound_constants(CTX5, members)
     assert report.passed and a >= 1 and b >= 0
-    psi = CTX5.psi.potential
+    psi = CTX5.potential
     for u in members:
         s = CTX5.mass * sup_diff(u, psi)
         d = dist(CTX5, u, psi)
