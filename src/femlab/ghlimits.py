@@ -91,7 +91,10 @@ class Correspondence:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple(sorted(set((int(a), int(b)) for a, b in self.pairs)))
+        for a, b in self.pairs:
+            if type(a) is not int or type(b) is not int:
+                raise ValidationError("relation pair (%r, %r) must hold two ints" % (a, b))
+        pairs = tuple(sorted(set((a, b) for a, b in self.pairs)))
         object.__setattr__(self, "pairs", pairs)
         for a, b in pairs:
             if not (0 <= a < self.x.size and 0 <= b < self.y.size):

@@ -532,12 +532,11 @@ def align(*us: GridPLConvex):
     """Bring potentials onto their common node-union grid, exactly."""
     first = us[0].grid
     if all(u.grid == first for u in us):
-        return us if len(us) > 1 else us[0]
+        return us
     if any(u.grid._poly != first._poly for u in us):
         raise GridMismatch("potentials live over different polytopes")
     grid = _grid_on([u.grid for u in us])
-    out = tuple(refine_to(u, grid) for u in us)
-    return out if len(out) > 1 else out[0]
+    return tuple(refine_to(u, grid) for u in us)
 
 
 def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:

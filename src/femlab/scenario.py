@@ -19,8 +19,9 @@ only in caps and tolerances):
       ]
     }
 
-A block may carry only the keys shown for its kind ("interval", "steps"
-and "tolerance" are optional; a missing tolerance is DEFAULT_TOLERANCE).
+Each kind is one ``_KINDS`` entry (keys, reader, runner).  A block may carry
+only its kind's keys, and the parser fills the optional ones: tolerance is
+DEFAULT_TOLERANCE, a chain's interval the polytope, its steps DEFAULT_CHAIN_STEPS.
 Rationals are JSON integers or strings "p" or "p/q" of ASCII digits,
 optionally preceded by "-".  Caps and tolerances must be finite JSON
 numbers, and caps must be non-negative.
@@ -38,7 +39,7 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._rational import rat, rat_str
 from .errors import (
@@ -78,13 +79,6 @@ _EXPECTED = {dict: "an object", list: "a list", str: "a string"}
 _TOP_KEYS = frozenset(
     ("grid", "reference", "potentials", "families", "samples", "experiments")
 )
-# The keys each experiment kind reads; any other key is rejected.
-_BLOCK_KEYS = {
-    "suite": frozenset(("kind", "suite", "seed", "count")),
-    "converge": frozenset(("kind", "family", "first", "second", "tolerance")),
-    "chain": frozenset(("kind", "base", "other", "interval", "steps")),
-    "gh": frozenset(("kind", "family", "caps", "tolerance")),
-}
 
 
 @dataclass(frozen=True)
@@ -133,6 +127,7 @@ def _number(value, where, non_negative=False):
         raise ParseError("%s must be a number, got %r" % (where, value))
     if non_negative and value < 0:
         raise ValidationError("%s must be non-negative, got %r" % (where, value))
+    return float(value)
 
 
 def _expect(value, kind, where):
@@ -171,6 +166,13 @@ def _integer(value, least, message):
     """Raise ParseError(message) unless value is an int, not a bool, and >= least."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ParseError(message)
+
+
+def _resolve(table, key, block, where, label):
+    name = _require(block, key, where, str)
+    if name not in table:
+        raise ValidationError("%s: unknown %s %r" % (where, label, name))
+    return name
 
 
 def parse_scenario(doc) -> Scenario:
@@ -244,82 +246,42 @@ def parse_scenario(doc) -> Scenario:
         for key in ("cap", "sup_bound"):
             if key in samples:
                 _number(samples[key], "samples.%s" % key, non_negative=True)
+        samples = dict(samples)
 
-    def resolve(table, key, block, where, label):
-        name = _require(block, key, where, str)
-        if name not in table:
-            raise ValidationError("%s: unknown %s %r" % (where, label, name))
-        return name
-
+    scn = Scenario(grid, reference, potentials, families, samples)
     checked = []
     for i, block in enumerate(experiments):
         where = "experiments[%d]" % i
         entry = dict(_expect(block, dict, where))
         kind = _require(block, "kind", where, str)
-        if kind not in _BLOCK_KEYS:
+        if kind not in _KINDS:
             raise ValidationError(
-                "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_BLOCK_KEYS)))
+                "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_KINDS)))
             )
-        unknown = set(block) - _BLOCK_KEYS[kind]
+        keys, reader, _ = _KINDS[kind]
+        unknown = set(block) - {"kind", *keys}
         if unknown:
             raise ValidationError(
                 "%s: unknown keys for a %s block: %s" % (where, kind, ", ".join(sorted(unknown)))
             )
-        if "tolerance" in block:
-            _number(block["tolerance"], where + ".tolerance")
-        if kind == "suite":
-            suite = _require(block, "suite", where)
-            if suite not in SUITES:
-                raise ValidationError("%s: unknown suite %r" % (where, suite))
-            _integer(
-                _require(block, "seed", where), -math.inf, where + ": seed must be an integer"
+        if "tolerance" in keys:
+            entry["tolerance"] = _number(
+                block.get("tolerance", DEFAULT_TOLERANCE), where + ".tolerance"
             )
-            _integer(
-                _require(block, "count", where), 1, where + ": count must be a positive integer"
-            )
-        elif kind == "converge":
-            resolve(families, "family", block, where, "family")
-            resolve(potentials, "first", block, where, "potential")
-            resolve(potentials, "second", block, where, "potential")
-        elif kind == "chain":
-            resolve(potentials, "base", block, where, "potential")
-            resolve(potentials, "other", block, where, "potential")
-            entry["interval"] = grid.polytope
-            if "interval" in block:
-                entry["interval"] = _interval(block["interval"], where + ".interval", grid.polytope)
-            steps = entry.setdefault("steps", DEFAULT_CHAIN_STEPS)
-            if not isinstance(steps, (list, tuple)) or not steps:
-                raise ParseError("%s: steps must be a non-empty list" % where)
-            for n in steps:
-                _integer(n, 1, where + ": steps must be positive integers")
-        else:
-            name = resolve(families, "family", block, where, "family")
-            if families[name].direction != "decreasing":
-                raise ValidationError(
-                    "%s: gh experiments need a decreasing family; %r is increasing" % (where, name)
-                )
-            caps = _require(block, "caps", where)
-            if not isinstance(caps, list) or not caps:
-                raise ParseError("%s: caps must be a non-empty list" % where)
-            for c in caps:
-                _number(c, where + ".caps", non_negative=True)
-            if samples is None:
-                raise ValidationError(
-                    "%s: gh experiments need a samples block for their seed" % where
-                )
+        reader(scn, entry, where)
         checked.append(entry)
-
-    return Scenario(
-        grid=grid,
-        reference=reference,
-        potentials=potentials,
-        families=families,
-        samples=dict(samples) if samples is not None else None,
-        experiments=tuple(checked),
-    )
+    return replace(scn, experiments=tuple(checked))
 
 
-def _run_suite_block(scn, block, index, out_dir):
+def _read_suite(scn, block, where):
+    suite = _require(block, "suite", where)
+    if suite not in SUITES:
+        raise ValidationError("%s: unknown suite %r" % (where, suite))
+    _integer(_require(block, "seed", where), -math.inf, where + ": seed must be an integer")
+    _integer(_require(block, "count", where), 1, where + ": count must be a positive integer")
+
+
+def _run_suite(scn, block, index, out_dir):
     records, summary = run_suite(
         block["suite"], block["seed"], block["count"], scn.grid, scn.reference
     )
@@ -328,23 +290,43 @@ def _run_suite_block(scn, block, index, out_dir):
     return summary["failures"] == 0, [path], {"summary": summary}
 
 
-def _level_sequence(family, potential):
-    envelopes = family.levels + (family.limit,)
-    return [model_project(env, potential) for env in envelopes]
+def _finish(passed, payload, paths):
+    """Write payload as JSON to the last of paths; a runner's (passed, paths, witness)."""
+    write_json(paths[-1], payload)
+    return passed, paths, payload
 
 
-def _run_converge_block(scn, block, index, out_dir):
+def _read_converge(scn, block, where):
+    _resolve(scn.families, "family", block, where, "family")
+    _resolve(scn.potentials, "first", block, where, "potential")
+    _resolve(scn.potentials, "second", block, where, "potential")
+
+
+def _run_converge(scn, block, index, out_dir):
     family = scn.families[block["family"]]
-    tol = float(block.get("tolerance", DEFAULT_TOLERANCE))
-    first = _level_sequence(family, scn.potentials[block["first"]])
-    second = _level_sequence(family, scn.potentials[block["second"]])
-    report = monotone_distance_convergence(family, first, second, tol)
+    first, second = (
+        [model_project(env, scn.potentials[block[key]]) for env in family.levels + (family.limit,)]
+        for key in ("first", "second")
+    )
+    report = monotone_distance_convergence(family, first, second, block["tolerance"])
     path = os.path.join(out_dir, "converge_%d.json" % index)
-    write_json(path, report.as_dict())
-    return report.passed, [path], report.as_dict()
+    return _finish(report.passed, report.as_dict(), [path])
 
 
-def _run_chain_block(scn, block, index, out_dir):
+def _read_chain(scn, block, where):
+    _resolve(scn.potentials, "base", block, where, "potential")
+    _resolve(scn.potentials, "other", block, where, "potential")
+    if "interval" in block:
+        block["interval"] = _interval(block["interval"], where + ".interval", scn.grid.polytope)
+    block.setdefault("interval", scn.grid.polytope)
+    steps = block.setdefault("steps", DEFAULT_CHAIN_STEPS)
+    if not isinstance(steps, (list, tuple)) or not steps:
+        raise ParseError("%s: steps must be a non-empty list" % where)
+    for n in steps:
+        _integer(n, 1, where + ": steps must be positive integers")
+
+
+def _run_chain(scn, block, index, out_dir):
     psi = model_from_interval(scn.grid, block["interval"], scn.reference)
     base = model_project(psi, scn.potentials[block["base"]])
     other = model_project(psi, scn.potentials[block["other"]])
@@ -356,43 +338,54 @@ def _run_chain_block(scn, block, index, out_dir):
         "gap": encode_value(rep.rhs),
         "rows": encode_value(rep.witnesses["rows"]),
     }
-    path = os.path.join(out_dir, "chain_%d.json" % index)
-    write_json(path, payload)
-    return rep.passed, [path], payload
+    return _finish(rep.passed, payload, [os.path.join(out_dir, "chain_%d.json" % index)])
 
 
-def _run_gh_block(scn, block, index, out_dir):
-    family = scn.families[block["family"]]
-    rng = random.Random(scn.samples["seed"])
-    candidates = random_candidates(rng, scn.grid, scn.reference, scn.samples["count"])
-    if "cap" in scn.samples or "sup_bound" in scn.samples:
-        pool = entropy_cap_filter(
-            candidates,
-            float(scn.samples.get("cap", float("inf"))),
-            float(scn.samples.get("sup_bound", float("inf"))),
-            scn.reference,
+def _read_gh(scn, block, where):
+    name = _resolve(scn.families, "family", block, where, "family")
+    if scn.families[name].direction != "decreasing":
+        raise ValidationError(
+            "%s: gh experiments need a decreasing family; %r is increasing" % (where, name)
         )
-        candidates = list(pool.members)
-    tol = float(block.get("tolerance", DEFAULT_TOLERANCE))
-    rows, report = nested_family_distortions(family, candidates, block["caps"], tol)
+    caps = _require(block, "caps", where)
+    if not isinstance(caps, list) or not caps:
+        raise ParseError("%s: caps must be a non-empty list" % where)
+    for c in caps:
+        _number(c, where + ".caps", non_negative=True)
+    if scn.samples is None:
+        raise ValidationError("%s: gh experiments need a samples block for their seed" % where)
+
+
+def _run_gh(scn, block, index, out_dir):
+    samples = scn.samples
+    rng = random.Random(samples["seed"])
+    candidates = random_candidates(rng, scn.grid, scn.reference, samples["count"])
+    # A missing bound is infinite, and split_caps never gives NaN: it keeps everything.
+    cap, sup_bound = (float(samples.get(key, math.inf)) for key in ("cap", "sup_bound"))
+    pool = entropy_cap_filter(candidates, cap, sup_bound, scn.reference)
+    rows, report = nested_family_distortions(
+        scn.families[block["family"]], list(pool.members), block["caps"], block["tolerance"]
+    )
     csv_path = os.path.join(out_dir, "gh_%d.csv" % index)
     write_csv(
         csv_path,
         ("cap", "level", "members", "distortion", "distortion_float"),
         [
-            (
-                row["cap"],
-                row["level"],
-                row["members"],
-                rat_str(row["distortion"]),
-                float(row["distortion"]),
-            )
-            for row in rows
+            (r["cap"], r["level"], r["members"], rat_str(r["distortion"]), float(r["distortion"]))
+            for r in rows
         ],
     )
     json_path = os.path.join(out_dir, "gh_%d.json" % index)
-    write_json(json_path, report.as_dict())
-    return report.passed, [csv_path, json_path], report.as_dict()
+    return _finish(report.passed, report.as_dict(), [csv_path, json_path])
+
+
+# kind: (block keys besides "kind", reader that checks and fills defaults, runner)
+_KINDS = {
+    "suite": (("suite", "seed", "count"), _read_suite, _run_suite),
+    "converge": (("family", "first", "second", "tolerance"), _read_converge, _run_converge),
+    "chain": (("base", "other", "interval", "steps"), _read_chain, _run_chain),
+    "gh": (("family", "caps", "tolerance"), _read_gh, _run_gh),
+}
 
 
 def run_scenario(doc, out_dir):
@@ -408,18 +401,10 @@ def run_scenario(doc, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     written, failures = [], []
     for i, block in enumerate(scn.experiments):
-        kind = block["kind"]
-        if kind == "suite":
-            passed, paths, witness = _run_suite_block(scn, block, i, out_dir)
-        elif kind == "converge":
-            passed, paths, witness = _run_converge_block(scn, block, i, out_dir)
-        elif kind == "chain":
-            passed, paths, witness = _run_chain_block(scn, block, i, out_dir)
-        else:
-            passed, paths, witness = _run_gh_block(scn, block, i, out_dir)
+        passed, paths, witness = _KINDS[block["kind"]][2](scn, block, i, out_dir)
         written.extend(paths)
         if not passed:
-            failures.append({"block": i, "kind": kind, "witness": witness})
+            failures.append({"block": i, "kind": block["kind"], "witness": witness})
     if failures:
         raise AssertionFailed(
             "%d of %d experiment blocks failed" % (len(failures), len(scn.experiments)),

@@ -149,13 +149,15 @@ def run_suite(name: str, seed: int, count: int, grid=None, reference=None):
 
     With no grid the suite runs on a built-in five-node harness; passing a
     grid (and optionally a reference on it) reruns the same properties on
-    caller-supplied geometry.  A negative count raises ValidationError;
-    count 0 gives the summary alone.
+    caller-supplied geometry.  A seed that is not an int or a negative
+    count raises ValidationError; count 0 gives the summary alone.
     """
     if name not in _TRIALS:
         raise UnknownSuite("no suite named %r; known: %s" % (name, ", ".join(SUITES)))
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValidationError("suite count must be a non-negative integer, got %r" % (count,))
+    if type(seed) is not int:
+        raise ValidationError("suite seed must be an integer, got %r" % (seed,))
     if grid is None:
         grid = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
     if reference is None:

@@ -102,6 +102,14 @@ def test_correspondence_must_cover_both_sides():
     assert rel.pairs == ((0, 0), (1, 1))
 
 
+@pytest.mark.parametrize("pair", [(0.9, 0), (True, 1), (0, "1")])
+def test_correspondence_pairs_must_be_ints(pair):
+    x = FiniteMetricSpace(((0, 1), (1, 0)))
+    y = FiniteMetricSpace(((0, 2), (2, 0)))
+    with pytest.raises(ValidationError, match="must hold two ints"):
+        Correspondence(x, y, ((0, 0), (1, 1), pair))
+
+
 def test_identity_correspondence_needs_equal_sizes():
     x = FiniteMetricSpace(((0, 1), (1, 0)))
     y = FiniteMetricSpace(((0,),))

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import copy
+import csv
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from femlab import load_json, parse_scenario, run_scenario
+from femlab import load_json, nested_family_distortions, parse_scenario, rat_str, run_scenario
 from femlab.errors import AssertionFailed, ParseError, ValidationError
+from femlab.sampling import random_candidates
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
 
@@ -100,6 +103,19 @@ def test_chain_interval_is_parsed_once_into_the_block():
     assert parse_scenario(doc).experiments[2]["interval"] == (0, 1)
     _set_first(doc, "chain", "interval", ["0", "1/2"])
     assert parse_scenario(doc).experiments[2]["interval"] == (0, Fraction(1, 2))
+
+
+def test_missing_tolerances_are_filled_in_and_given_ones_kept():
+    doc = load_json(SCENARIO)
+    given = {b["kind"]: b["tolerance"] for b in doc["experiments"] if "tolerance" in b}
+    assert given == {"converge": 0.1, "gh": 0.1}
+    blocks = {b["kind"]: b for b in parse_scenario(doc).experiments}
+    assert blocks["converge"]["tolerance"] == blocks["gh"]["tolerance"] == 0.1
+    for block in doc["experiments"]:
+        block.pop("tolerance", None)
+    blocks = {b["kind"]: b for b in parse_scenario(doc).experiments}
+    assert blocks["converge"]["tolerance"] == blocks["gh"]["tolerance"] == 1e-9
+    assert "tolerance" not in blocks["suite"] and "tolerance" not in blocks["chain"]
 
 
 def test_empty_intervals_are_rejected():
@@ -282,6 +298,29 @@ def test_chain_block_reproduces_the_defect_law(tmp_path):
         "1/64",
     ]
     assert payload["gap"] == "1/2"
+
+
+def test_gh_block_without_sample_bounds_keeps_every_candidate(tmp_path):
+    doc = load_json(SCENARIO)
+    del doc["samples"]["cap"], doc["samples"]["sup_bound"]
+    doc["experiments"] = [b for b in doc["experiments"] if b["kind"] == "gh"]
+    scn = parse_scenario(doc)
+    block, samples = scn.experiments[0], scn.samples
+    candidates = random_candidates(
+        random.Random(samples["seed"]), scn.grid, scn.reference, samples["count"]
+    )
+    rows, _ = nested_family_distortions(
+        scn.families[block["family"]], candidates, block["caps"], block["tolerance"]
+    )
+    run_scenario(doc, str(tmp_path))
+    with open(tmp_path / "gh_0.csv", newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == ["cap", "level", "members", "distortion", "distortion_float"]
+    expected = [
+        (r["cap"], r["level"], r["members"], rat_str(r["distortion"]), float(r["distortion"]))
+        for r in rows
+    ]
+    assert written[1:] == [[str(v) for v in row] for row in expected]
 
 
 def test_failing_block_raises_after_writing(tmp_path):

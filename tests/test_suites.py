@@ -59,6 +59,12 @@ def test_bad_counts_are_rejected(count):
         run_suite("chains", seed=3, count=count)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+def test_seeds_that_are_not_ints_are_rejected(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        run_suite("chains", seed=seed, count=5)
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(UnknownSuite):
         run_suite("spectra", seed=1, count=1)
