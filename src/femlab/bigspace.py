@@ -33,14 +33,15 @@ from .report import Report
 class BigPoint:
     """A potential at one level, with its least admitting cap.
 
-    rep_index points into the shared generator at the member realizing the
-    cap; None with an infinite cap means no sampled member projects here.
+    rep_index points into the shared generator at the first member realizing
+    the cap, an exact member_cap; None with an infinite cap means no sampled
+    member projects here.
     """
 
     level: int
     potential: GridPLConvex
     rep_index: object
-    cap: float
+    cap: object
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class ChainResult:
     value: object
     path: tuple
     points: tuple
-    edge_parts: tuple
 
 
 class BigSpace:
@@ -105,10 +105,14 @@ class BigSpace:
     def pair_dist(self, level: int, i: int, j: int):
         return self.level_dist(level, self.projection(level, i), self.projection(level, j))
 
-    def _sup_term(self, hi_level: int, lo_level: int, cap_limit: float):
+    def pool(self, cap) -> list:
+        """The one pool rule: indices of the members with member_cap <= cap, in order."""
+        return [k for k, c in enumerate(self.caps) if c <= cap]
+
+    def _sup_term(self, hi_level: int, lo_level: int, cap_limit):
         key = ("sup", hi_level, lo_level, cap_limit)
         if key not in self._cache:
-            pool = [k for k, c in enumerate(self.caps) if c <= cap_limit]
+            pool = self.pool(cap_limit)
             gaps = (
                 self.pair_dist(hi_level, i, j) - self.pair_dist(lo_level, i, j)
                 for a, i in enumerate(pool)
@@ -163,15 +167,7 @@ class BigSpace:
         while path[-1] != 0:
             path.append(prev[path[-1]])
         path.reverse()
-        parts = tuple(
-            self.quasi_parts(pts[a], pts[b]) for a, b in zip(path, path[1:])
-        )
-        return ChainResult(
-            value=best[target],
-            path=tuple(path),
-            points=tuple(pts[i] for i in path),
-            edge_parts=parts,
-        )
+        return ChainResult(value=best[target], path=tuple(path), points=tuple(pts[i] for i in path))
 
 
 def default_node_pools(space: BigSpace, level: int):

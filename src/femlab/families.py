@@ -87,10 +87,12 @@ def split_caps(u: GridPLConvex, reference: GridPLConvex):
     return u._memo[key]
 
 
-def member_cap(u: GridPLConvex, reference: GridPLConvex) -> float:
-    """max(|sup(u - reference)|, entropy part): the least cap admitting u."""
-    sup_part, ent = split_caps(u, reference)
-    return max(float(sup_part), ent)
+def member_cap(u: GridPLConvex, reference: GridPLConvex):
+    """The least cap admitting u: max(|sup(u - reference)|, entropy part), unrounded.
+
+    So member_cap(u, reference) <= c is entropy_cap_filter's test with both bounds c.
+    """
+    return max(split_caps(u, reference))
 
 
 @dataclass(frozen=True)

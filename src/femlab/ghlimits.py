@@ -25,6 +25,7 @@ from .metric import dist
 from .report import Report
 
 GH_EXACT_CAP = 5
+DENSITY_SCHEDULE = (1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -187,12 +188,13 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace):
 def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: float):
     """Distortion table of the canonical correspondences along the schedule.
 
-    For each cap, filter the candidates, project the kept members to every
-    level and to the limit, and record the distortion of the match-by-index
-    correspondence.  Returns (rows, report); rows carry exact rationals.
-    The reference is always included, so each level's own envelope point is
-    a member of every space the table compares.  Each cap keeps a subset of
-    the widest cap's members, in order, so one ``BigSpace`` serves all caps.
+    The candidates are filtered once, at the widest cap, into one
+    ``BigSpace``; each cap's members are ``space.pool(cap)``, which is what
+    filtering at that cap keeps, in order.  Their projections to every
+    level and the limit give one space per level; each row records the
+    distortion of the match-by-index correspondence.  Returns (rows,
+    report); rows carry exact rationals.  The reference is always included,
+    so each level's own envelope point is in every space the table compares.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the convergence experiment needs a decreasing schedule")
@@ -200,17 +202,15 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
     if not caps:
         raise ScheduleInvalid("the cap schedule is empty")
     reference = family.reference
-    pool = [reference, *candidates]
-    space = BigSpace(family, entropy_cap_filter(pool, max(caps), max(caps), reference))
+    widest = max(caps)
+    space = BigSpace(family, entropy_cap_filter([reference, *candidates], widest, widest, reference))
     rows = []
     monotone = True
     finals = []
     for cap in caps:
-        kept = entropy_cap_filter(pool, cap, cap, reference)
-        if not kept.members:
+        index = space.pool(cap)
+        if not index:
             raise ScheduleInvalid("cap %s keeps no candidates" % cap)
-        widest = iter(enumerate(space.generator.members))
-        index = [next(i for i, w in widest if w is u) for u in kept.members]
         spaces = [
             FiniteMetricSpace(
                 tuple(tuple(ZERO if i == j else space.pair_dist(k, i, j) for j in index) for i in index)
@@ -220,7 +220,7 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
         previous = None
         for k in range(len(family.levels)):
             value = distortion(identity_correspondence(spaces[k], spaces[-1]))
-            rows.append({"cap": cap, "level": k, "distortion": value, "members": len(kept)})
+            rows.append({"cap": cap, "level": k, "distortion": value, "members": len(index)})
             if previous is not None and value > previous:
                 monotone = False
             previous = value
@@ -241,19 +241,17 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
     return rows, report
 
 
-def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(1, 2, 4, 8, 16)) -> Report:
+def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:
     """The three target laws of the limit construction, on one generator.
 
     (a) all connecting projections are 1-Lipschitz, exactly;
     (b) projecting to a deeper level then to the limit equals projecting
         straight to the limit, as PL data;
-    (c) for each limit-level point, the clipped approximants converge to
-        it with exactly stabilizing distances.
+    (c) for each limit-level point, the clipped approximants at the j of
+        DENSITY_SCHEDULE converge to it with exactly stabilizing distances.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")
-    if not schedule:
-        raise ScheduleInvalid("the density schedule is empty")
     space = BigSpace(family, generator)
     n, levels, limit = len(generator.members), space.level_count, space.limit_level
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -269,7 +267,7 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily, schedule=(
         for a in range(n)
     )
     density_rows = [
-        [space.level_dist(limit, u, density_approximant(family.limit, u, j)) for j in schedule]
+        [space.level_dist(limit, u, density_approximant(family.limit, u, j)) for j in DENSITY_SCHEDULE]
         for u in (space.projection(limit, a) for a in range(n))
     ]
     density_ok = all(gaps[-1] == 0 and all(map(ge, gaps, gaps[1:])) for gaps in density_rows)

@@ -731,7 +731,8 @@ def check_reference(grid: Grid, reference: GridPLConvex) -> GridPLConvex:
 def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope:
     """Model envelope of the singularity interval Q = [a, b], a <= b.
 
-    Degenerate Q (a == b) is allowed and yields a zero-mass level.
+    Degenerate Q (a == b) is allowed and yields a zero-mass level.  It lives
+    on the reference's grid, since its kinks are reference nodes.
     """
     a, b = (rat(q) for q in Q)
     if a > b:
@@ -740,8 +741,6 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
     if not _contains(grid._poly, q):
         raise IntervalOutOfPolytope("%s leaves polytope %s" % (_interval_str(q), _interval_str(grid._poly)))
     reference = check_reference(grid, reference)
-    if reference.grid != grid:
-        reference = refine_to(reference, _grid_on([grid, reference.grid]))
     dual = restrict_dual(legendre(reference), a, b)
     return ModelEnvelope(biconjugate(dual, reference.grid), reference)
 

@@ -11,7 +11,7 @@ import math
 
 from ._rational import ONE, ZERO, Lattice, rat
 from .errors import BadExponent, EmptyFamily, NotComparable
-from .energy import energy, energy_diff_report
+from .energy import energy
 from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
@@ -22,7 +22,7 @@ from .grid_convex import (
     rooftop,
     sup_diff,
 )
-from .measures import _charged_sum, monge_ampere
+from .measures import _charged_sum, _pairings, monge_ampere
 from .report import Report
 
 
@@ -78,12 +78,12 @@ def chain_rho(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, big_n: int):
 def chain_defect_report(psi: ModelEnvelope, hi: GridPLConvex, lo: GridPLConvex, steps) -> Report:
     """The chain defect law: chain_rho(N) - d == gap / 2N for each N, exactly.
 
-    gap = I(lo) - I(hi) with I(w) = integral (hi - lo) dMA(w), from the
-    energy difference report.  lhs is d, rhs the gap; one row per N.
+    gap = I(lo) - I(hi) with I(w) = integral (hi - lo) dMA(w), the two
+    pairings of the energy difference.  lhs is d, rhs the gap; one row per N.
     """
-    d = dist(psi, hi, lo)
-    rep = energy_diff_report(psi, hi, lo)
-    gap = rep.witnesses["int_against_ma_v"] - rep.witnesses["int_against_ma_u"]
+    d = dist(psi, hi, lo)  # checks both sectors
+    i_hi, i_lo = _pairings(hi, lo)
+    gap = i_lo - i_hi
     rows, passed = [], True
     for n in steps:
         value = chain_rho(psi, hi, lo, n)

@@ -251,7 +251,7 @@ def test_criterion_09_direct_limit_laws():
     generator = entropy_cap_filter(
         random_candidates(rng, GRID3, REF3_ND, 12), 2.0, rat(2), REF3_ND
     )
-    report = direct_limit_check(family, generator, schedule=(1, 2, 4, 8, 16))
+    report = direct_limit_check(family, generator)
     w = report.witnesses
     ok = report.passed and w["lipschitz"] and w["composition"] and w["density"]
     for gaps in w["density_rows"]:

@@ -161,7 +161,6 @@ def test_chain_with_no_nodes_is_the_single_edge():
     assert res.value == sp.quasi(p, q)
     assert res.path == (0, 1)
     assert res.points == (p, q)
-    assert len(res.edge_parts) == 1
 
 
 def test_chain_never_exceeds_the_direct_edge_and_pools_only_help():
@@ -206,6 +205,31 @@ def test_default_node_pools_cover_the_other_levels_and_their_union():
     per_level, union = pools[:-1], pools[-1]
     assert len(union) == sum(len(p) for p in per_level)
     assert all(pt.level != 0 for pool in per_level for pt in pool)
+
+
+def test_default_node_pools_of_one_level_and_its_limit_have_no_union():
+    fam = family_from_intervals(GRID3, ((0, 1),), (0, rat(1, 2)), REF_ND)
+    gen = entropy_cap_filter(random_candidates(random.Random(7), GRID3, REF_ND, 6), 4.0, rat(3), REF_ND)
+    sp = BigSpace(fam, gen)
+    assert sp.level_count == 2
+    for level in (0, 1):
+        (pool,) = default_node_pools(sp, level)
+        assert [pt.level for pt in pool] == [1 - level] * len(gen)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pool_holds_the_members_the_cap_filter_keeps(seed):
+    shifts = [REF_ND.shift(rat(k, 3)) for k in range(7)]
+    candidates = shifts + random_candidates(random.Random(seed), GRID3, REF_ND, 10)
+    random.Random(seed).shuffle(candidates)
+    sp = BigSpace(seeded_space().family, entropy_cap_filter(candidates, math.inf, math.inf, REF_ND))
+    members = sp.generator.members
+    caps = [float(rat(k, 3)) for k in range(7)] + [rat(k, 3) for k in range(7)] + [0.5, 4.0, math.inf]
+    for cap in caps:
+        kept = entropy_cap_filter(members, cap, cap, REF_ND).members
+        index = sp.pool(cap)
+        assert len(index) == len(kept)
+        assert all(members[i] is u for i, u in zip(index, kept))
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])

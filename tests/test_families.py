@@ -84,6 +84,16 @@ def test_family_rejects_broken_schedules():
         )
 
 
+def test_family_rejects_levels_on_different_polytopes():
+    wide = Grid(nodes=(-1, 0, 1), polytope=(0, 2))
+    wide_ref = make_pl(wide, (0, rat(1, 2), 2), 0, 2)
+    with pytest.raises(ScheduleInvalid, match="^levels live on different polytopes$"):
+        ModelFamily(
+            (model_from_interval(wide, (0, 1), wide_ref),),
+            model_from_interval(GRID3, LIMIT_Q, REF_ND),
+        )
+
+
 def test_family_rejects_mixed_references():
     other_ref = make_pl(GRID3, (0, rat(1, 2), 1), 0, 1)
     with pytest.raises(ScheduleInvalid):
@@ -113,6 +123,17 @@ def test_split_caps_infinite_off_the_reference_mass():
 
 def test_member_cap_of_the_reference_is_zero():
     assert member_cap(REF_ND, REF_ND) == 0.0
+
+
+def test_member_cap_admits_exactly_what_the_cap_filter_keeps():
+    # float(k/3) falls below k/3 for k = 1, 2, 4, so a rounded sup part would
+    # admit u at cap float(k/3) where the exact filter drops it
+    for k in range(1, 7):
+        u = REF_ND.shift(rat(k, 3))
+        cap = float(rat(k, 3))
+        assert member_cap(u, REF_ND) == rat(k, 3)
+        kept = entropy_cap_filter([u], cap, cap, REF_ND).members
+        assert (member_cap(u, REF_ND) <= cap) == bool(kept)
 
 
 def test_sampled_family_rejects_cap_violations():

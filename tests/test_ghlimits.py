@@ -27,6 +27,7 @@ from femlab import (
     rat,
     space_from_potentials,
 )
+from femlab import ghlimits
 from femlab.errors import GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from femlab.ghlimits import GH_EXACT_CAP, Correspondence
 from femlab.sampling import random_candidates
@@ -203,6 +204,21 @@ def test_nested_distortions_match_a_per_cap_recomputation(seed, caps):
     assert report.as_dict() == want_report.as_dict()
 
 
+def test_nested_distortions_filter_once_and_read_each_cap_from_the_pool(monkeypatch):
+    # members whose sup part is exactly k/3 sit on either side of the float caps
+    cands = [REF_ND.shift(rat(k, 3)) for k in (1, 2, 3)]
+    cands += random_candidates(random.Random(4), GRID3, REF_ND, 6)
+    caps = [float(rat(1, 3)), float(rat(2, 3)), 1.0, rat(2, 3)]
+    calls = []
+    real = ghlimits.entropy_cap_filter
+    monkeypatch.setattr(ghlimits, "entropy_cap_filter", lambda *a: calls.append(a) or real(*a))
+    rows, report = nested_family_distortions(canonical_family(), cands, caps, 0.1)
+    assert len(calls) == 1
+    want_rows, want_report = oracles.nested_distortions_by_recomputation(canonical_family(), cands, caps, 0.1)
+    assert rows == want_rows
+    assert report.as_dict() == want_report.as_dict()
+
+
 def test_nested_distortions_rejects_bad_schedules():
     up = family_from_intervals(
         GRID3, ((0, rat(1, 2)), (0, rat(3, 4))), (0, 1), REF_ND
@@ -245,13 +261,6 @@ def test_direct_limit_rejects_increasing_schedules():
     gen = entropy_cap_filter([REF_ND], 1.0, rat(1), REF_ND)
     with pytest.raises(ScheduleInvalid):
         direct_limit_check(up, gen)
-
-
-def test_direct_limit_rejects_an_empty_density_schedule():
-    rng = random.Random(5)
-    gen = entropy_cap_filter(random_candidates(rng, GRID3, REF_ND, 6), 2.0, rat(2), REF_ND)
-    with pytest.raises(ScheduleInvalid, match="density schedule is empty"):
-        direct_limit_check(canonical_family(), gen, schedule=())
 
 
 def test_direct_limit_rejects_a_generator_over_another_polytope():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from femlab import (
     affine_combine,
     biconjugate,
     check_reference,
+    dist,
+    energy,
     is_leq,
     legendre,
     make_pl,
@@ -36,6 +40,7 @@ from femlab._rational import Lattice
 from femlab.grid_convex import DualPL, align, refine_to
 from femlab.sampling import nondegenerate_reference
 
+GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
 REF5 = nondegenerate_reference(GRID5)
 
@@ -214,6 +219,31 @@ def test_refinement_preserves_the_function(u):
     for x in finer.nodes:
         assert r.evaluate(x) == u.evaluate(x)
     assert r.dual_domain() == u.dual_domain()
+
+
+def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
+    full = make_pl(GRID3, (0, 0, 1), 0, 1)
+    for part in (make_pl(GRID3, (0, 0, rat(1, 2)), 0, rat(1, 2)), make_pl(GRID3, (-1, 0, 1), 1, 1)):
+        assert sup_diff(full, part) == math.inf
+        assert sup_diff(part, full) != math.inf
+
+
+@given(data=st.data())
+def test_a_level_lives_on_its_references_grid(data):
+    # the level's kinks are reference nodes: a grid with extra nodes gives
+    # the function the reference refined onto that grid gives
+    finer = GRID5.with_nodes(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})))
+    fine_ref = refine_to(REF5, finer)
+    q = data.draw(own.subintervals())
+    psi = model_from_interval(finer, q, REF5)
+    refined = model_from_interval(finer, q, fine_ref)
+    assert psi.grid == GRID5 and refined.grid == finer
+    assert pl_equal(psi.potential, refined.potential)
+    assert pl_equal(model_from_interval(GRID5, q, fine_ref).potential, psi.potential)
+    u = data.draw(own.sector_potentials(finer, q))
+    v = data.draw(own.sector_potentials(finer, q))
+    assert energy(psi, u) == energy(refined, u)
+    assert dist(psi, u, v) == dist(refined, u, v)
 
 
 @given(data=st.data())
