@@ -35,7 +35,6 @@ from .ghlimits import (
     distortion,
     gh_exact,
     gh_exact_witness,
-    gh_upper,
     identity_correspondence,
     nested_family_distortions,
     space_from_potentials,
@@ -143,7 +142,6 @@ __all__ = [
     "space_from_potentials",
     "identity_correspondence",
     "distortion",
-    "gh_upper",
     "gh_exact",
     "gh_exact_witness",
     "nested_family_distortions",

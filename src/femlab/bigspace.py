@@ -10,7 +10,10 @@ limit).  The quasi-distance between points at nested levels is
 
 evaluated exactly; the sup term is a finite-sample lower bound of the
 corresponding supremum over the full capped set, and pools are drawn from
-one shared generator so projection composition is exact.  The chained
+one shared generator so projection composition is exact.  Projections
+contract, so the sup term is also the distortion of the identity
+correspondence between the two levels on the pool, and each row of the gh
+table (``nested_family_distortions``) is read from it.  The chained
 distance is the shortest path in the complete graph over the queried
 points, found with a standard nonnegative-weights search.
 """
@@ -109,7 +112,12 @@ class BigSpace:
         """The one pool rule: indices of the members with member_cap <= cap, in order."""
         return [k for k, c in enumerate(self.caps) if c <= cap]
 
-    def _sup_term(self, hi_level: int, lo_level: int, cap_limit):
+    def sup_term(self, hi_level: int, lo_level: int, cap_limit):
+        """max(0, d_hi(a, b) - d_lo(P a, P b)) over pairs of pool(cap_limit), exact.
+
+        Projections contract, so this is the identity correspondence's
+        distortion between the two levels on that pool: a gh table row.
+        """
         key = ("sup", hi_level, lo_level, cap_limit)
         if key not in self._cache:
             pool = self.pool(cap_limit)
@@ -126,9 +134,7 @@ class BigSpace:
         qp, qq = self.envs[p.level].potential._ends, self.envs[q.level].potential._ends
         hi, lo = (p, q) if _contains(qp, qq) else (q, p)
         first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
-        sup_term = self._sup_term(hi.level, lo.level, max(p.cap, q.cap))
-        dv = self.envs[hi.level].mass - self.envs[lo.level].mass
-        return first, sup_term, dv
+        return first, self.sup_term(hi.level, lo.level, max(p.cap, q.cap)), self.volume_gap(p, q)
 
     def quasi(self, p: BigPoint, q: BigPoint):
         """The quasi-distance, exact; equals plain dist on a shared level."""

@@ -126,10 +126,6 @@ def distortion(rel: Correspondence):
     return rat(worst, dx * dy)
 
 
-def gh_upper(rel: Correspondence):
-    return distortion(rel) / 2
-
-
 def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
     """Minimal distortion over all correspondences, by branch and bound.
 
@@ -190,11 +186,15 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
 
     The candidates are filtered once, at the widest cap, into one
     ``BigSpace``; each cap's members are ``space.pool(cap)``, which is what
-    filtering at that cap keeps, in order.  Their projections to every
-    level and the limit give one space per level; each row records the
-    distortion of the match-by-index correspondence.  Returns (rows,
-    report); rows carry exact rationals.  The reference is always included,
-    so each level's own envelope point is in every space the table compares.
+    filtering at that cap keeps, in order.  Row (cap, k) is the sup term
+    ``space.sup_term(k, limit, cap)``: projections contract, so the largest
+    gap d_k - d_limit over the pool's pairs is the distortion of the
+    match-by-index correspondence between level k and the limit.  Each
+    level's matrix over the widest pool is validated once as a
+    ``FiniteMetricSpace``; every cap's matrix is a principal submatrix of
+    it, so it satisfies the same axioms.  Returns (rows, report);
+    rows carry exact rationals.  The reference is always included, so each
+    level's own envelope point is in every space the table compares.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the convergence experiment needs a decreasing schedule")
@@ -204,41 +204,31 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
     reference = family.reference
     widest = max(caps)
     space = BigSpace(family, entropy_cap_filter([reference, *candidates], widest, widest, reference))
-    rows = []
-    monotone = True
-    finals = []
     for cap in caps:
-        index = space.pool(cap)
-        if not index:
+        if not space.pool(cap):
             raise ScheduleInvalid("cap %s keeps no candidates" % cap)
-        spaces = [
-            FiniteMetricSpace(
-                tuple(tuple(ZERO if i == j else space.pair_dist(k, i, j) for j in index) for i in index)
-            )
-            for k in range(space.level_count)
+    index = space.pool(widest)
+    for k in range(space.level_count):
+        FiniteMetricSpace(
+            tuple(tuple(ZERO if i == j else space.pair_dist(k, i, j) for j in index) for i in index)
+        )
+    rows, finals, monotone = [], [], True
+    for cap in caps:
+        members = len(space.pool(cap))
+        values = [space.sup_term(k, space.limit_level, cap) for k in range(len(family.levels))]
+        rows += [
+            {"cap": cap, "level": k, "distortion": v, "members": members}
+            for k, v in enumerate(values)
         ]
-        previous = None
-        for k in range(len(family.levels)):
-            value = distortion(identity_correspondence(spaces[k], spaces[-1]))
-            rows.append({"cap": cap, "level": k, "distortion": value, "members": len(index)})
-            if previous is not None and value > previous:
-                monotone = False
-            previous = value
-        finals.append(previous)
-    passed = monotone and all(float(v) < tolerance for v in finals)
-    report = Report(
+        monotone = monotone and all(map(ge, values, values[1:]))
+        finals.append(values[-1])
+    return rows, Report(
         name="nested_family_distortions",
-        passed=passed,
+        passed=monotone and all(float(v) < tolerance for v in finals),
         lhs=max(finals),
         rhs=rat(0),
-        witnesses={
-            "monotone": monotone,
-            "finals": finals,
-            "tolerance": tolerance,
-            "rows": len(rows),
-        },
+        witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},
     )
-    return rows, report
 
 
 def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:

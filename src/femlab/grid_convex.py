@@ -100,9 +100,6 @@ class Grid(_Frozen):
     def polytope(self) -> tuple:
         return self._rationals("polytope", self._poly)
 
-    def with_nodes(self, nodes) -> "Grid":
-        return Grid(tuple(nodes), self._poly)
-
 
 def _grid_on(grids, points=()) -> Grid:
     """The grid on the nodes of all grids plus points, given as (num, den) int pairs.
@@ -621,15 +618,8 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
 
 
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """u <= v pointwise on the whole line, decided exactly.
-
-    Node comparisons settle the compact part; ray comparisons reduce to the
-    end values plus slope inequalities (left slopes reversed).
-    """
-    u, v = align(u, v)
-    if any(d > 0 for d in _difference(u, v).nums):
-        return False
-    return _contains(v._ends, u._ends)
+    """u <= v pointwise on the whole line, decided exactly: sup(u - v) <= 0."""
+    return sup_diff(u, v) <= 0
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):

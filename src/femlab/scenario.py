@@ -23,8 +23,9 @@ Each kind is one ``_KINDS`` entry (keys, reader, runner).  A block may carry
 only its kind's keys, and the parser fills the optional ones: tolerance is
 DEFAULT_TOLERANCE, a chain's interval the polytope, its steps DEFAULT_CHAIN_STEPS.
 Rationals are JSON integers or strings "p" or "p/q" of ASCII digits,
-optionally preceded by "-".  Caps and tolerances must be finite JSON
-numbers, and caps must be non-negative.
+optionally preceded by "-".  Caps and tolerances must be finite,
+non-negative JSON numbers.  Every object, nested ones included, may carry
+only the keys shown above.
 Every interval must lie inside the polytope, and a gh block needs a
 decreasing family.
 Every block with randomness carries an explicit seed, so identical files
@@ -76,9 +77,6 @@ DEFAULT_CHAIN_STEPS = (1, 2, 4, 8, 16)
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _EXPECTED = {dict: "an object", list: "a list", str: "a string"}
-_TOP_KEYS = frozenset(
-    ("grid", "reference", "potentials", "families", "samples", "experiments")
-)
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,13 @@ class Scenario:
     families: dict = field(default_factory=dict)
     samples: dict = None
     experiments: tuple = ()
+
+
+def _only(obj, keys, message):
+    """Raise ValidationError(message: the sorted keys of obj outside keys)."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValidationError("%s: %s" % (message, ", ".join(sorted(unknown))))
 
 
 def _require(doc, key, where, kind=object):
@@ -153,6 +158,7 @@ def _interval(value, where, polytope=None):
 
 def _potential(grid, spec, where):
     _expect(spec, dict, where)
+    _only(spec, ("values", "slope_left", "slope_right"), where + ": unknown keys")
     values = [_rational(v, where + ".values") for v in _require(spec, "values", where, list)]
     sl = _rational(_require(spec, "slope_left", where), where + ".slope_left")
     sr = _rational(_require(spec, "slope_right", where), where + ".slope_right")
@@ -184,9 +190,11 @@ def parse_scenario(doc) -> Scenario:
     """
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValidationError("unknown scenario keys: %s" % ", ".join(sorted(unknown)))
+    _only(
+        doc,
+        ("grid", "reference", "potentials", "families", "samples", "experiments"),
+        "unknown scenario keys",
+    )
 
     experiments = doc.get("experiments", [])
     if not isinstance(experiments, list):
@@ -195,6 +203,7 @@ def parse_scenario(doc) -> Scenario:
         return Scenario(experiments=())
 
     grid_spec = _require(doc, "grid", "scenario", dict)
+    _only(grid_spec, ("nodes", "polytope"), "grid: unknown keys")
     nodes = [_rational(x, "grid.nodes") for x in _require(grid_spec, "nodes", "grid", list)]
     polytope = _interval(_require(grid_spec, "polytope", "grid"), "grid.polytope")
     try:
@@ -224,6 +233,7 @@ def parse_scenario(doc) -> Scenario:
     for name, spec in _expect(doc.get("families", {}), dict, "families").items():
         where = "families.%s" % name
         _expect(spec, dict, where)
+        _only(spec, ("levels", "limit"), where + ": unknown keys")
         levels = [
             _interval(iv, where + ".levels", grid.polytope)
             for iv in _require(spec, "levels", where, list)
@@ -237,6 +247,7 @@ def parse_scenario(doc) -> Scenario:
     samples = doc.get("samples")
     if samples is not None:
         _expect(samples, dict, "samples")
+        _only(samples, ("seed", "count", "cap", "sup_bound"), "samples: unknown keys")
         _integer(
             _require(samples, "seed", "samples"), -math.inf, "samples: seed must be an integer"
         )
@@ -259,14 +270,10 @@ def parse_scenario(doc) -> Scenario:
                 "%s: unknown kind %r; known: %s" % (where, kind, ", ".join(sorted(_KINDS)))
             )
         keys, reader, _ = _KINDS[kind]
-        unknown = set(block) - {"kind", *keys}
-        if unknown:
-            raise ValidationError(
-                "%s: unknown keys for a %s block: %s" % (where, kind, ", ".join(sorted(unknown)))
-            )
+        _only(block, ("kind", *keys), "%s: unknown keys for a %s block" % (where, kind))
         if "tolerance" in keys:
             entry["tolerance"] = _number(
-                block.get("tolerance", DEFAULT_TOLERANCE), where + ".tolerance"
+                block.get("tolerance", DEFAULT_TOLERANCE), where + ".tolerance", non_negative=True
             )
         reader(scn, entry, where)
         checked.append(entry)

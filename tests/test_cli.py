@@ -249,6 +249,8 @@ def test_chain_block_with_no_steps_exits_two(tmp_path):
         lambda d: d["samples"].update(sup_bound=-1),
         _set_block("gh", "caps", [float("nan")]),
         _set_block("converge", "tolerance", float("nan")),
+        _set_block("converge", "tolerance", -1),
+        lambda d: d["samples"].update(cpa=0.5),
         lambda d: d["samples"].update(cap=float("nan")),
         _set_block("chain", "interval", [0, 2]),
         lambda d: d["families"]["nested"].update(levels=[[0, 2], [0, "3/4"]]),
@@ -266,6 +268,8 @@ def test_chain_block_with_no_steps_exits_two(tmp_path):
         "sup_bound_negative",
         "caps_nan",
         "tolerance_nan",
+        "tolerance_negative",
+        "samples_unknown_key",
         "samples_cap_nan",
         "chain_interval_outside",
         "family_level_outside",

@@ -18,7 +18,6 @@ from femlab import (
     family_from_intervals,
     gh_exact,
     gh_exact_witness,
-    gh_upper,
     identity_correspondence,
     make_pl,
     metric_context,
@@ -28,9 +27,10 @@ from femlab import (
     space_from_potentials,
 )
 from femlab import ghlimits
+from femlab.bigspace import BigSpace
 from femlab.errors import GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from femlab.ghlimits import GH_EXACT_CAP, Correspondence
-from femlab.sampling import random_candidates
+from femlab.sampling import nondegenerate_reference, random_candidates
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 REF_ND = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
@@ -123,7 +123,7 @@ def test_distortion_hand_example():
     y = FiniteMetricSpace(((0, 3), (3, 0)))
     rel = identity_correspondence(x, y)
     assert distortion(rel) == 2
-    assert gh_upper(rel) == 1
+    assert distortion(rel) / 2 == 1
     assert gh_exact(x, y) == 1
 
 
@@ -135,7 +135,7 @@ def test_gh_exact_matches_the_enumeration_oracle(seed, na, nb):
     value, witness = gh_exact_witness(x, y)
     assert value == oracles.gh_by_enumeration(x, y)
     assert gh_exact(y, x) == value
-    assert gh_upper(witness) == value
+    assert distortion(witness) / 2 == value
 
 
 @given(
@@ -146,7 +146,7 @@ def test_gh_over_coprime_denominators_matches_the_enumeration_oracle(xs, ys):
     x, y = FiniteMetricSpace(xs), FiniteMetricSpace(ys)
     value, witness = gh_exact_witness(x, y)
     assert value == oracles.gh_by_enumeration(x, y)
-    assert gh_upper(witness) == value
+    assert distortion(witness) / 2 == value
     if x.size == y.size:
         n = x.size
         gaps = [abs(xs[i][j] - ys[i][j]) for i in range(n) for j in range(n)]
@@ -195,9 +195,26 @@ def test_nested_distortions_frozen_table():
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("caps", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.5, 4.0]])
 def test_nested_distortions_match_a_per_cap_recomputation(seed, caps):
-    fam = canonical_family()
     cands = random_candidates(random.Random(seed), GRID3, REF_ND, 8)
     cands.insert(5, cands[2])
+    assert_matches_recomputation(canonical_family(), cands, caps)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("caps", [[1.0, 2.0], [2.0, 1.0], [0.5, 4.0]])
+@pytest.mark.parametrize("nodes", [5, 17])
+def test_two_sided_nested_distortions_match_a_per_cap_recomputation(nodes, caps, seed):
+    # levels shrink at both ends, so each row's gaps come from both ends of the limit
+    grid = Grid(tuple(rat(2 * i, nodes - 1) - 1 for i in range(nodes)), (0, 1))
+    ref = nondegenerate_reference(grid)
+    levels = ((0, 1), (rat(1, 16), rat(15, 16)), (rat(1, 8), rat(7, 8)), (rat(3, 16), rat(13, 16)))
+    fam = family_from_intervals(grid, levels, (rat(1, 4), rat(3, 4)), ref)
+    cands = random_candidates(random.Random(seed), grid, ref, 8)
+    cands.insert(5, cands[2])
+    assert_matches_recomputation(fam, cands, caps)
+
+
+def assert_matches_recomputation(fam, cands, caps):
     rows, report = nested_family_distortions(fam, cands, caps, 0.1)
     want_rows, want_report = oracles.nested_distortions_by_recomputation(fam, cands, caps, 0.1)
     assert rows == want_rows
@@ -217,6 +234,33 @@ def test_nested_distortions_filter_once_and_read_each_cap_from_the_pool(monkeypa
     want_rows, want_report = oracles.nested_distortions_by_recomputation(canonical_family(), cands, caps, 0.1)
     assert rows == want_rows
     assert report.as_dict() == want_report.as_dict()
+
+
+def test_nested_distortions_validate_each_level_once_over_the_widest_pool(monkeypatch):
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 10)
+    sizes = []
+    monkeypatch.setattr(
+        ghlimits, "FiniteMetricSpace", lambda m: sizes.append(len(m)) or FiniteMetricSpace(m)
+    )
+    nested_family_distortions(canonical_family(), cands, [1.0, 2.0], 0.25)
+    # four levels and the limit, each over the 11 members cap 2.0 keeps
+    assert sizes == [11] * 5
+
+
+def test_nested_distortions_raise_a_defect_before_reading_any_row(monkeypatch):
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 10)
+    real = BigSpace.pair_dist
+
+    def skewed(space, k, i, j):
+        # member 10 is kept by cap 2.0 only; one of its level-0 distances is off
+        return real(space, k, i, j) + (1 if (k, i, j) == (0, 3, 10) else 0)
+
+    reads = []
+    monkeypatch.setattr(BigSpace, "pair_dist", skewed)
+    monkeypatch.setattr(BigSpace, "sup_term", lambda *args: reads.append(args))
+    with pytest.raises(ValidationError, match=r"asymmetry at \(3, 10\)"):
+        nested_family_distortions(canonical_family(), cands, [1.0, 2.0], 0.25)
+    assert reads == []
 
 
 def test_nested_distortions_rejects_bad_schedules():

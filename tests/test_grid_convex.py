@@ -116,7 +116,7 @@ def test_equal_potentials_share_one_representation():
         (half, make_pl(GRID5, ("1/2", rat(1), rat(3, 2), rat(2), rat(5, 2)), "1/2", "1/1")),
         (make_pl(GRID5, (0, 0, 1, 2, 3), 0, 1), make_pl(GRID5, (rat(0, 1), rat(0), rat(1, 1), "2", "6/2"), 0, 1)),
     ]
-    finer = GRID5.with_nodes(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7), rat(3, 2)}))
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7), rat(3, 2)})), GRID5.polytope)
     coarse = REF5.shift(rat(1, 6))
     fine = make_pl(finer, [coarse.evaluate(x) for x in finer.nodes], coarse.slope_left, coarse.slope_right)
     pairs.append((fine, refine_to(coarse, finer)))
@@ -214,7 +214,7 @@ def test_sup_diff_bounds_the_difference(u, v):
 
 @given(u=own.potentials_on(GRID5))
 def test_refinement_preserves_the_function(u):
-    finer = GRID5.with_nodes(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})))
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})), GRID5.polytope)
     r = refine_to(u, finer)
     for x in finer.nodes:
         assert r.evaluate(x) == u.evaluate(x)
@@ -232,7 +232,7 @@ def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
 def test_a_level_lives_on_its_references_grid(data):
     # the level's kinks are reference nodes: a grid with extra nodes gives
     # the function the reference refined onto that grid gives
-    finer = GRID5.with_nodes(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})))
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})), GRID5.polytope)
     fine_ref = refine_to(REF5, finer)
     q = data.draw(own.subintervals())
     psi = model_from_interval(finer, q, REF5)

@@ -180,13 +180,13 @@ def test_refinement_matches_ray_evaluation(grid, data):
     extra = data.draw(
         st.lists(own.rationals(-6, 6, DEN), min_size=1, max_size=2 * len(grid.nodes), unique=True)
     )
-    finer = grid.with_nodes(sorted(set(grid.nodes) | set(extra)))
+    finer = Grid(tuple(sorted(set(grid.nodes) | set(extra))), grid.polytope)
     r = refine_to(u, finer)
     assert r.values == tuple(oracles.ray_value(u, x) for x in finer.nodes)
     assert r.dual_domain() == u.dual_domain()
     dropped = grid.nodes[len(grid.nodes) // 2]
     with pytest.raises(GridMismatch):
-        refine_to(u, finer.with_nodes(x for x in finer.nodes if x != dropped))
+        refine_to(u, Grid(tuple(x for x in finer.nodes if x != dropped), finer.polytope))
 
 
 def sector(data, grid):

@@ -227,6 +227,25 @@ def test_unknown_block_keys_are_rejected(kind, key):
 @pytest.mark.parametrize(
     "mutate, message",
     [
+        (lambda d: d["grid"].update(step=1), "grid: unknown keys: step"),
+        (lambda d: d["reference"].update(slope=0), "reference: unknown keys: slope"),
+        (lambda d: d["potentials"]["tent"].update(value=[0]), "potentials.tent: unknown keys: value"),
+        (lambda d: d["families"]["nested"].update(limits=[0, 1]), "nested: unknown keys: limits"),
+        (lambda d: d["samples"].update(cpa=0.5, bound=1), "samples: unknown keys: bound, cpa"),
+        (lambda d: _set_first(d, "converge", "tolerance", -1), "tolerance must be non-negative"),
+        (lambda d: _set_first(d, "gh", "caps", [1.0, -0.5]), "caps must be non-negative"),
+    ],
+)
+def test_unknown_nested_keys_and_negative_bounds_are_rejected(mutate, message):
+    doc = load_json(SCENARIO)
+    mutate(doc)
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
         (lambda d: d["samples"].update(cap="abc"), "samples.cap must be a number"),
         (lambda d: d["samples"].update(sup_bound=True), "samples.sup_bound must be a number"),
         (lambda d: _set_first(d, "gh", "caps", [1.0, "x"]), "caps must be a number"),
