@@ -88,7 +88,7 @@ def lattice(xs) -> Lattice:
     if type(xs) is Lattice:
         nums, den = xs
         g = math.gcd(den, *nums)
-        return xs if g == 1 else Lattice(tuple(n // g for n in nums), den // g)
+        return xs if g == 1 else Lattice(tuple([n // g for n in nums]), den // g)
     qs = [rat(x) for x in xs]
     den = math.lcm(*(q.denominator for q in qs))
     return Lattice(tuple(q.numerator * (den // q.denominator) for q in qs), den)

@@ -224,7 +224,7 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
         finals.append(values[-1])
     return rows, Report(
         name="nested_family_distortions",
-        passed=monotone and all(float(v) < tolerance for v in finals),
+        passed=monotone and all(float(v) <= tolerance for v in finals),
         lhs=max(finals),
         rhs=rat(0),
         witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},

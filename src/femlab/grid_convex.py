@@ -33,8 +33,9 @@ backend rationals, built on first read.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from operator import le
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
+from operator import gt, le, mul, sub
 
 from ._rational import ONE, Lattice, _Frozen, lattice, rat, rat_str
 from .errors import (
@@ -57,7 +58,7 @@ class Grid(_Frozen):
     ``nodes`` and ``polytope`` give them as backend rationals.  For the
     chord slopes of a potential, ``_step_lcm`` is the lcm of the node steps
     (in units of the node scale) and ``_step_weights[i]`` is it divided by
-    step i.
+    step i; on equal steps every weight is 1 and ``_step_weights`` is empty.
     """
 
     __slots__ = ("_poly", "_xs", "_scale", "_step_lcm", "_step_weights", "_memo")
@@ -85,7 +86,7 @@ class Grid(_Frozen):
             _xs=xs,
             _scale=scale,
             _step_lcm=step_lcm,
-            _step_weights=tuple(step_lcm // d for d in steps),
+            _step_weights=tuple(step_lcm // d for d in steps) if len(set(steps)) > 1 else (),
             _memo={},
         )
 
@@ -113,7 +114,7 @@ def _grid_on(grids, points=()) -> Grid:
 
 
 def _scaled(nums, r):
-    return nums if r == 1 else tuple(n * r for n in nums)
+    return nums if r == 1 else tuple([n * r for n in nums])
 
 
 def _frac(num, den):
@@ -188,11 +189,9 @@ class GridPLConvex(_Frozen):
         chord_den = den * grid._step_lcm
         sden = math.lcm(eden, chord_den)
         r = grid._scale * (sden // chord_den)
-        slopes = (
-            sl * (sden // eden),
-            *((b - a) * w * r for a, b, w in zip(nums, nums[1:], grid._step_weights)),
-            sr * (sden // eden),
-        )
+        w = grid._step_weights
+        chords = map(mul, map(sub, nums[1:], nums), w) if w else map(sub, nums[1:], nums)
+        slopes = (sl * (sden // eden), *_scaled(chords, r), sr * (sden // eden))
         if not all(map(le, slopes, slopes[1:])):
             i = next(i for i in range(len(slopes) - 1) if slopes[i] > slopes[i + 1])
             raise ConvexityViolation(
@@ -263,7 +262,7 @@ def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
     """u - v node by node, on a grid both share; not reduced."""
     den = math.lcm(u._den, v._den)
     a, b = den // u._den, den // v._den
-    return Lattice(tuple(x * a - y * b for x, y in zip(u._num, v._num)), den)
+    return Lattice(tuple([x * a - y * b for x, y in zip(u._num, v._num)]), den)
 
 
 def make_pl(grid: Grid, values, slope_left, slope_right) -> GridPLConvex:
@@ -295,13 +294,12 @@ class DualPL(_Frozen):
             raise ValueError("dual needs at least one breakpoint")
         if len(ws) != len(ps):
             raise ValueError("%d values for %d breakpoints" % (len(ws), len(ps)))
-        dp = tuple(b - a for a, b in zip(ps, ps[1:]))
-        if any(d <= 0 for d in dp):
+        dp = tuple(map(sub, ps[1:], ps))
+        if dp and min(dp) <= 0:
             raise ValueError("dual breakpoints must increase strictly")
-        dw = tuple(b - a for a, b in zip(ws, ws[1:]))
-        for i in range(len(dp) - 1):
-            if dw[i] * dp[i + 1] > dw[i + 1] * dp[i]:
-                raise ConvexityViolation("dual breakpoint data is not convex")
+        dw = tuple(map(sub, ws[1:], ws))
+        if any(map(gt, map(mul, dw, dp[1:]), map(mul, dw[1:], dp))):
+            raise ConvexityViolation("dual breakpoint data is not convex")
         self._set(_p=ps, _pden=pden, _w=ws, _wden=wden, _dp=dp, _dw=dw, _memo={})
 
     def _key(self):
@@ -381,15 +379,16 @@ def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:
     scale = pden * grid._scale
     den = math.lcm(scale, wden)
     a, b = den // scale, den // wden
-    # c_k <= x/s  <=>  dw_k * pden * s <= x * wden * dp_k
-    rise = [d * scale for d in dual._dw]
-    run = [d * wden for d in dual._dp]
-    k, last = 0, len(rise)
+    # c_k <= x/s  <=>  dw_k * pden * s <= x * wden * dp_k  <=>  x >= limits[k]
+    limits = [-(-d * scale // (e * wden)) for d, e in zip(dual._dw, dual._dp)] + [math.inf]
+    k, limit, s, c = 0, limits[0], ps[0] * a, ws[0] * b
     values = []
     for x in grid._xs:
-        while k < last and rise[k] <= x * run[k]:
-            k += 1
-        values.append(x * ps[k] * a - ws[k] * b)
+        if x >= limit:
+            while x >= limits[k]:
+                k += 1
+            limit, s, c = limits[k], ps[k] * a, ws[k] * b
+        values.append(x * s - c)
     return GridPLConvex(grid, Lattice(tuple(values), den), Lattice((ps[0], ps[-1]), pden))
 
 
@@ -421,30 +420,19 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     return DualPL(Lattice((a, *ps[i:j], b), pden), _common(samples, dual._wden))
 
 
-def _merged_samples(a, wa, b, wb):
-    """(p, d1(p), d2(p)) at every breakpoint of either dual, p increasing.
-
-    a, b are the breakpoints and wa, wb the values of two duals on one
-    domain, each pair over a shared denominator; each sample is a (num,
-    mult) pair as from ``_on_segment``.  A two-pointer merge interpolates
-    each dual on the segment that holds the other's breakpoints.
-    """
-    i = j = 0
-    out = []
-    while i < len(a) and j < len(b):
-        p = min(a[i], b[j])
-        if a[i] == p:
-            s1 = (wa[i], 1)
-            i += 1
-        else:
-            s1 = _on_segment(a, wa, i - 1, p)
-        if b[j] == p:
-            s2 = (wb[j], 1)
-            j += 1
-        else:
-            s2 = _on_segment(b, wb, j - 1, p)
-        out.append((p, s1, s2))
-    return out
+def _sampled(ps, ws, points):
+    """(ints, mult): PL data (ps, ws) at points, a sorted superset of ps, as ints / mult in ws's units."""
+    if len(points) == len(ps):
+        return ws, 1
+    lack = sorted(set(points).difference(ps))
+    extra = [_frac(*_on_segment(ps, ws, bisect_right(ps, p) - 1, p)) for p in lack]
+    m = math.lcm(*(k for _, k in extra))
+    own, out, start = _scaled(ws, m), [], 0
+    for j, (p, (n, k)) in enumerate(zip(lack, extra)):  # each point ps lacks sits between runs of its own
+        stop = bisect_left(points, p) - j
+        out += [*own[start:stop], n * (m // k)]
+        start = stop
+    return out + list(own[start:]), m
 
 
 def _crossing(prev, cur):
@@ -468,31 +456,33 @@ def _crossing(prev, cur):
 def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
     """Pointwise max of two duals on a common domain, crossings inserted.
 
-    Both inputs must already share their domain (restrict first).  One
-    merged walk over both breakpoint lists samples each dual at every
-    breakpoint of either, O(m1 + m2).  Within each merged interval both
-    functions are affine, so at most one strict crossing exists and it is
-    an exact rational.
+    Both inputs must already share their domain (restrict first).  Both are
+    sampled at the sorted union of their breakpoints, O(m1 + m2) after the
+    sort; on each merged interval both are affine, so a strict crossing,
+    where the sampled difference changes sign, is one exact rational.
     """
     pden = math.lcm(d1._pden, d2._pden)
     a, b = _scaled(d1._p, pden // d1._pden), _scaled(d2._p, pden // d2._pden)
     if a[0] != b[0] or a[-1] != b[-1]:
         raise ValueError("max_dual needs duals on a common domain")
     wden = math.lcm(d1._wden, d2._wden)
-    wa, wb = _scaled(d1._w, wden // d1._wden), _scaled(d2._w, wden // d2._wden)
-    ps, ws = [], []
-    prev = None
-    for cur in _merged_samples(a, wa, b, wb):
-        p, (n1, m1), (n2, m2) = cur
-        if prev is not None:
-            crossing = _crossing(prev, cur)
-            if crossing is not None:
-                ps.append(crossing[0])
-                ws.append(crossing[1])
-        ps.append((p, 1))
-        ws.append((n1, m1) if n1 * m2 >= n2 * m1 else (n2, m2))
-        prev = cur
-    return DualPL(_common(ps, pden), _common(ws, wden))
+    ps = a if a == b else sorted(set(a).union(b))
+    w1, m1 = _sampled(a, _scaled(d1._w, wden // d1._wden), ps)
+    w2, m2 = _sampled(b, _scaled(d2._w, wden // d2._wden), ps)
+    m = math.lcm(m1, m2)
+    w1, w2 = _scaled(w1, m // m1), _scaled(w2, m // m2)
+    ws = [x if x >= y else y for x, y in zip(w1, w2)]
+    diff = tuple(map(sub, w1, w2))
+    signs = compress(range(len(ps) - 1), map(gt, repeat(0), map(mul, diff, diff[1:])))
+    cuts = [(i, _crossing(*((ps[j], (w1[j], 1), (w2[j], 1)) for j in (i, i + 1)))) for i in signs]
+    pm = math.lcm(*(t[1] for _, (t, _) in cuts))
+    vm = math.lcm(*(v[1] for _, (_, v) in cuts))
+    ps, ws, pp, ww, start = _scaled(ps, pm), _scaled(ws, vm), [], [], 0
+    for i, ((tn, tk), (vn, vk)) in cuts:
+        pp += [*ps[start : i + 1], tn * (pm // tk)]
+        ww += [*ws[start : i + 1], vn * (vm // vk)]
+        start = i + 1
+    return DualPL(Lattice((*pp, *ps[start:]), pden * pm), Lattice((*ww, *ws[start:]), wden * m * vm))
 
 
 # --- grid alignment ---------------------------------------------------------
@@ -617,9 +607,17 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     return GridPLConvex(u.grid, mix(u._num, u._den, v._num, v._den), mix(*u._ends, *v._ends))
 
 
+def _below(u: GridPLConvex, v: GridPLConvex) -> bool:
+    """u <= v on the whole line, for potentials on one grid: at every node and on both rays."""
+    if not _contains(v._ends, u._ends):
+        return False
+    den = math.lcm(u._den, v._den)
+    return all(map(le, _scaled(u._num, den // u._den), _scaled(v._num, den // v._den)))
+
+
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """u <= v pointwise on the whole line, decided exactly: sup(u - v) <= 0."""
-    return sup_diff(u, v) <= 0
+    """u <= v pointwise on the whole line, decided exactly."""
+    return _below(*align(u, v))
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -642,19 +640,26 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
 def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
     """Largest convex minorant of min(u1, ..., uk).
 
-    Computed as the conjugate of max of duals on the intersection of dual
+    An input below all others on the common grid is returned as it is: it
+    is the minorant, and the conjugation below gives it back exactly (its
+    dual domain lies inside theirs, so max of the duals is its own dual).
+    Otherwise: the conjugate of max of duals on the intersection of dual
     domains; raises EmptyRooftop when that intersection is empty, because
     then no convex function sits below both inputs.
     """
     if len(potentials) < 2:
         raise ValueError("rooftop needs at least two potentials")
     us = align(*potentials)
+    for u in us:
+        if all(_below(u, v) for v in us if v is not u):
+            return u
     den = math.lcm(*(u._ends.den for u in us))
     lo = max(u._ends.nums[0] * (den // u._ends.den) for u in us)
     hi = min(u._ends.nums[1] * (den // u._ends.den) for u in us)
     if lo > hi:
         raise EmptyRooftop("slope ranges %s are disjoint" % ", ".join(_interval_str(u._ends) for u in us))
-    duals = [restrict_dual(legendre(u), rat(lo, den), rat(hi, den)) for u in us]
+    lo, hi = rat(lo, den), rat(hi, den)
+    duals = [restrict_dual(legendre(u), lo, hi) for u in us]
     g = duals[0]
     for d in duals[1:]:
         g = max_dual(g, d)
@@ -740,7 +745,10 @@ def model_project(psi: ModelEnvelope, u: GridPLConvex) -> GridPLConvex:
 
     Equals the large-C limit of rooftop(ψ + C, u); the limit stabilizes at
     finite C in this model.  Raises EmptyRooftop when u's dual domain and Q
-    are disjoint, since the limit then degenerates to -infinity.
+    are disjoint, since the limit then degenerates to -infinity.  The dual's
+    chords are nodes of u's grid, so it is the image's own ``legendre``.
     """
     dual = restrict_dual(legendre(u), *psi.Q)
-    return biconjugate(dual, u.grid)
+    image = biconjugate(dual, u.grid)
+    image._memo["legendre"] = dual
+    return image

@@ -8,8 +8,9 @@ measure that arises from a potential.  Relative entropy is the single place
 floats appear; it reads exact masses and converts only at the final log.
 
 Masses are kept as ints over one reduced denominator, like potential
-values.  Every mass pairing goes through ``_charged_sum``, an int dot
-product; ``_pairings`` pairs u - v with MA(u) and MA(v) for the energy.
+values.  Every mass pairing is an int dot product: ``_charged_sum`` pairs
+node values with a measure, and ``_pairings`` pairs u - v with MA(u) and
+MA(v) for the energy as the pairing of u minus that of v.
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u).
@@ -18,7 +19,7 @@ model projection P[psi](u).
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import mul, sub
 
 from ._rational import ZERO, Lattice, _Frozen, lattice, rat, rat_str
 from .errors import GridMismatch, NotNormalized, PreconditionViolated
@@ -81,7 +82,7 @@ def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
     if "monge_ampere" in memo:
         return memo["monge_ampere"]
     slopes, den = u._slope_lattice
-    jumps = tuple(b - a for a, b in zip(slopes, slopes[1:]))
+    jumps = tuple(map(sub, slopes[1:], slopes))
     memo["monge_ampere"] = mu = AtomicMeasure(u.grid, Lattice(jumps, den))
     return mu
 
@@ -93,10 +94,13 @@ def _charged_sum(values: Lattice, mu: AtomicMeasure):
 
 
 def _pairings(u: GridPLConvex, v: GridPLConvex):
-    """(integral (u - v) dMA(u), integral (u - v) dMA(v)), on the aligned grid."""
+    """(integral (u - v) dMA(u), integral (u - v) dMA(v)) on the aligned grid, by int dot products."""
     u, v = align(u, v)
-    diff = _difference(u, v)
-    return _charged_sum(diff, monge_ampere(u)), _charged_sum(diff, monge_ampere(v))
+    out = []
+    for mu in (monge_ampere(u), monge_ampere(v)):
+        a, b = sum(map(mul, u._num, mu._num)), sum(map(mul, v._num, mu._num))
+        out.append(rat(a * v._den - b * u._den, u._den * v._den * mu._den))
+    return tuple(out)
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:

@@ -15,6 +15,7 @@ from .energy import energy
 from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
+    _below,
     _difference,
     affine_combine,
     align,
@@ -37,7 +38,10 @@ _LINE_CONSTANT = double_inequality_constant(1)
 
 
 def dist(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex):
-    """d(u, v), exact and non-negative; zero iff u == v when the mass is positive."""
+    """d(u, v), exact and non-negative; zero iff u == v when the mass is positive.
+
+    For u <= v the rooftop is u itself, so d(u, v) = E(v) - E(u) (Darvas 2015).
+    """
     eu, ev = energy(psi, u), energy(psi, v)  # each checks the sector before the rooftop
     return eu + ev - 2 * energy(psi, rooftop(u, v))
 
@@ -47,13 +51,11 @@ def rho(u: GridPLConvex, v: GridPLConvex):
 
     Dominates d on a common sector and contracts under envelope projection.
     """
-    if is_leq(v, u):
-        hi, lo = u, v
-    elif is_leq(u, v):
-        hi, lo = v, u
-    else:
-        raise NotComparable("rho needs a pointwise-ordered pair")
-    a, b = align(hi, lo)
+    a, b = align(u, v)
+    if not _below(b, a):
+        if not _below(a, b):
+            raise NotComparable("rho needs a pointwise-ordered pair")
+        a, b = b, a
     return _charged_sum(_difference(a, b), monge_ampere(b))
 
 

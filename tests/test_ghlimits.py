@@ -192,6 +192,15 @@ def test_nested_distortions_frozen_table():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_nested_distortions_pass_at_zero_tolerance_when_every_final_is_zero():
+    # the pool is the reference alone, so every distortion is exactly 0
+    rows, report = nested_family_distortions(canonical_family(), [], [1.0], 0.0)
+    assert [row["distortion"] for row in rows] == [0, 0, 0, 0]
+    assert report.passed and report.witnesses["finals"] == [0]
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 10)
+    assert not nested_family_distortions(canonical_family(), cands, [1.0], 0.0)[1].passed
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("caps", [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.5, 4.0]])
 def test_nested_distortions_match_a_per_cap_recomputation(seed, caps):

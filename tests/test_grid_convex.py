@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -37,8 +39,8 @@ from femlab.errors import (
     SlopeOutOfPolytope,
 )
 from femlab._rational import Lattice
-from femlab.grid_convex import DualPL, align, refine_to
-from femlab.sampling import nondegenerate_reference
+from femlab.grid_convex import DualPL, align, max_dual, refine_to, restrict_dual
+from femlab.sampling import nondegenerate_reference, random_sector_potential
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
@@ -152,6 +154,136 @@ def test_rooftop_matches_minimax_oracle(data):
     assert tuple(rooftop(u, v).values) == expected
 
 
+GRID17 = Grid(nodes=tuple(range(-8, 9)), polytope=(0, 1))
+GRID65 = Grid(nodes=tuple(rat(k, 8) for k in range(-32, 33)), polytope=(0, 1))
+# (grid, largest slope denominator, examples): the minimax oracle takes about a
+# second per call on 65 nodes, so those draws are few; 17 and 65 nodes run
+# under marker scale
+ORDER_GRIDS = [
+    pytest.param(GRID5, 8, 30, id="5"),
+    pytest.param(GRID17, 64, 8, id="17", marks=pytest.mark.scale),
+    pytest.param(GRID65, 64, 2, id="65", marks=pytest.mark.scale),
+]
+
+
+def run_examples(examples, check):
+    """Run check(data) as a hypothesis test with the given example count."""
+    settings(max_examples=examples)(given(data=st.data())(check))()
+
+
+def minimax_rooftop(*potentials):
+    """The rooftop as a full object from the minimax oracle, on the inputs' common grid."""
+    us = align(*potentials)
+    s_lo, s_hi = max(u.slope_left for u in us), min(u.slope_right for u in us)
+    mins = tuple(map(min, *(u.values for u in us)))
+    nodes = us[0].grid.nodes
+    return make_pl(us[0].grid, oracles.envelope_values_by_minimax(nodes, mins, s_lo, s_hi), s_lo, s_hi)
+
+
+def conjugated_rooftop(*potentials):
+    """The rooftop by the conjugation kernels alone: restrict, max of duals, conjugate back."""
+    us = align(*potentials)
+    lo, hi = max(u.slope_left for u in us), min(u.slope_right for u in us)
+    return biconjugate(reduce(max_dual, (restrict_dual(legendre(u), lo, hi) for u in us)), us[0].grid)
+
+
+def ordered_pair(data, grid, q, den, kind):
+    """(u, v) with u <= v, both with dual domain q.
+
+    "max": v = max(u, w), whose grid gains the crossings; "coarse": the
+    same with u on every other node, so v's grid strictly refines u's;
+    "shift": v = u + c with c >= 0; "equal": an equal copy of u.
+    """
+
+    def draw(g):
+        return data.draw(own.sector_potentials(g, q, max_denominator=den))
+
+    if kind == "coarse":
+        u = draw(Grid(grid.nodes[::2], grid.polytope))
+        v = pointwise_max(u, draw(grid))
+        assert len(v.grid.nodes) > len(u.grid.nodes)
+        return u, v
+    u = draw(grid)
+    if kind == "max":
+        return u, pointwise_max(u, draw(grid))
+    if kind == "shift":
+        return u, u.shift(data.draw(own.rationals(0, 2, den)))
+    return u, u.shift(0)
+
+
+@pytest.mark.parametrize("kind", ["max", "coarse", "shift", "equal"])
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_rooftop_of_an_ordered_pair_is_its_lower_member(grid, den, examples, kind):
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        u, v = ordered_pair(data, grid, q, den, kind)
+        assert is_leq(u, v)
+        r = rooftop(u, v)
+        assert r == rooftop(v, u) == align(u, v)[0]
+        assert r == minimax_rooftop(u, v) and r.dual_domain() == u.dual_domain()
+        assert r == conjugated_rooftop(u, v)
+        psi = model_from_interval(grid, q, nondegenerate_reference(grid))
+        assert dist(psi, u, v) == energy(psi, v) - energy(psi, u) == dist(psi, v, u)
+
+    run_examples(examples, check)
+
+
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_rooftop_of_three_returns_the_lowest_member_in_the_middle(grid, den, examples):
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        u, above = ordered_pair(data, grid, q, den, "max")
+        shifted = u.shift(data.draw(own.rationals(0, 2, den)))
+        r = rooftop(above, u, shifted)
+        assert r == align(above, u, shifted)[1]
+        assert r == minimax_rooftop(above, u, shifted) == conjugated_rooftop(above, u, shifted)
+        # the last member may sit below the middle one somewhere
+        other = data.draw(own.sector_potentials(grid, q, den))
+        r = rooftop(above, u, other)
+        assert r == minimax_rooftop(above, u, other) == conjugated_rooftop(above, u, other)
+
+    run_examples(examples, check)
+
+
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS[:2])
+def test_rooftop_of_an_unordered_pair_matches_the_minimax_oracle(grid, den, examples):
+    def check(data):
+        u, v = (
+            data.draw(own.sector_potentials(grid, data.draw(own.subintervals(max_denominator=den)), den))
+            for _ in range(2)
+        )
+        assume(not (is_leq(u, v) or is_leq(v, u)))
+        if max(u.slope_left, v.slope_left) > min(u.slope_right, v.slope_right):
+            with pytest.raises(EmptyRooftop):
+                rooftop(u, v)
+            return
+        r = rooftop(u, v)
+        assert r == rooftop(v, u) == minimax_rooftop(u, v) == conjugated_rooftop(u, v)
+
+    run_examples(examples, check)
+
+
+@pytest.mark.scale
+def test_rooftop_of_a_frozen_unordered_pair_on_65_nodes():
+    rng = random.Random(3)
+    u = random_sector_potential(rng, GRID65, (rat(1, 8), rat(7, 8)))
+    v = random_sector_potential(rng, GRID65, (rat(1, 8), rat(7, 8)))
+    v = v.shift((sup_diff(u, v) - sup_diff(v, u)) / 2)  # now each is above the other somewhere
+    assert not (is_leq(u, v) or is_leq(v, u))
+    r = rooftop(u, v)
+    assert r == minimax_rooftop(u, v) == conjugated_rooftop(u, v)
+    assert r != align(u, v)[0] and r != align(u, v)[1]
+
+
+@given(data=st.data())
+def test_is_leq_is_the_sign_of_sup_diff(data):
+    u = data.draw(own.sector_potentials(GRID5, data.draw(own.subintervals())))
+    w = data.draw(own.sector_potentials(GRID5, data.draw(own.subintervals())))
+    for v in (w, pointwise_max(u, w), u.shift(data.draw(own.rationals(-1, 1)))):
+        assert is_leq(u, v) == (sup_diff(u, v) <= 0)
+        assert is_leq(v, u) == (sup_diff(v, u) <= 0)
+
+
 def test_rooftop_on_detached_plateau_case():
     """Envelope must detach from both inputs: frozen adversarial instance."""
     g3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
@@ -252,6 +384,21 @@ def test_model_projection_matches_minimax_oracle(data):
     psi = model_from_interval(GRID5, q, REF5)
     u = data.draw(own.potentials_on(GRID5))
     assert tuple(model_project(psi, u).values) == oracles.project_by_minimax(psi, u)
+
+
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_model_projection_keeps_the_legendre_of_a_fresh_copy(grid, den, examples):
+    """The dual model_project hands its image is what legendre computes anew."""
+    ref = nondegenerate_reference(grid)
+
+    def check(data):
+        psi = model_from_interval(grid, data.draw(own.subintervals()), ref)
+        u = data.draw(own.potentials_on(grid, den))
+        p = model_project(psi, u)
+        fresh = make_pl(p.grid, p.values, p.slope_left, p.slope_right)
+        assert legendre(p) == legendre(fresh) == restrict_dual(legendre(u), *psi.Q)
+
+    run_examples(examples, check)
 
 
 @given(data=st.data())
