@@ -40,10 +40,16 @@ _LINE_CONSTANT = double_inequality_constant(1)
 def dist(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex):
     """d(u, v), exact and non-negative; zero iff u == v when the mass is positive.
 
-    For u <= v the rooftop is u itself, so d(u, v) = E(v) - E(u) (Darvas 2015).
+    For u <= v the rooftop is u itself, so d(u, v) = E(v) - E(u) (Darvas 2015):
+    an ordered pair, on any grids, costs its two memoized energies.
     """
     eu, ev = energy(psi, u), energy(psi, v)  # each checks the sector before the rooftop
-    return eu + ev - 2 * energy(psi, rooftop(u, v))
+    a, b = align(u, v)
+    if _below(a, b):
+        return ev - eu
+    if _below(b, a):
+        return eu - ev
+    return eu + ev - 2 * energy(psi, rooftop(a, b))
 
 
 def rho(u: GridPLConvex, v: GridPLConvex):

@@ -4,14 +4,29 @@ Slopes are drawn as sorted lattice fractions k/8 of the target interval and
 base heights as eighths in [-2, 2], so a generated potential has dual domain
 exactly that interval and every derived quantity stays exact.  Generators
 take a `random.Random` instance; identical seeds give identical output.
+
+The draws, `rng.randint` calls in a fixed order, are part of that
+contract: a rational-arithmetic sampler with the same draws (the tests'
+oracle) gives equal potentials.  From the draws each generator builds its
+node values as ints over one denominator and hands them to `GridPLConvex`
+as one `Lattice`, whose constructor reduces and checks them.
 """
 
 from __future__ import annotations
 
-from ._rational import rat
-from .grid_convex import Grid, GridPLConvex, make_pl, pointwise_max, sup_diff
+from ._rational import Lattice, lattice, rat
+from .grid_convex import Grid, GridPLConvex, pointwise_max, sup_diff
 
 _DEN, _SHIFT = 8, 2  # lattice 1/_DEN for slopes and heights; heights in [-_SHIFT, _SHIFT]
+
+
+def _integrate(grid: Grid, start, slopes) -> tuple:
+    """Node values from start, rising by slopes[i] times step i; ints in the grid's node units."""
+    xs = grid._xs
+    values = [start]
+    for s, x0, x1 in zip(slopes, xs, xs[1:]):
+        values.append(values[-1] + s * (x1 - x0))
+    return tuple(values)
 
 
 def nondegenerate_reference(grid: Grid) -> GridPLConvex:
@@ -20,13 +35,13 @@ def nondegenerate_reference(grid: Grid) -> GridPLConvex:
     Chord slopes interpolate the polytope linearly in the piece midpoints,
     so entropy against this reference is finite for every full potential.
     """
-    a, b = grid.polytope
-    x0, xm = grid.nodes[0], grid.nodes[-1]
-    values = [rat(0)]
-    for lo, hi in zip(grid.nodes, grid.nodes[1:]):
-        s = a + (b - a) * (lo + hi - 2 * x0) / (2 * (xm - x0))
-        values.append(values[-1] + s * (hi - lo))
-    return make_pl(grid, values, a, b)
+    (a, b), pden = grid._poly
+    xs = grid._xs
+    x0, width = xs[0], 2 * (xs[-1] - xs[0])
+    # chord i is (a * width + (b - a) * (xs[i] + xs[i + 1] - 2 x0)) / (pden * width)
+    chords = [a * width + (b - a) * (lo + hi - 2 * x0) for lo, hi in zip(xs, xs[1:])]
+    values = Lattice(_integrate(grid, 0, chords), pden * width * grid._scale)
+    return GridPLConvex(grid, values, grid._poly)
 
 
 def random_sector_potential(rng, grid: Grid, interval) -> GridPLConvex:
@@ -36,21 +51,20 @@ def random_sector_potential(rng, grid: Grid, interval) -> GridPLConvex:
     the interval ends; values integrate the chords from a random base
     height in [-_SHIFT, _SHIFT].
     """
-    lo, hi = rat(interval[0]), rat(interval[1])
-    span = hi - lo
-    pieces = len(grid.nodes) - 1
+    ends = lattice(interval)
+    (lo, hi), den = ends
+    pieces = len(grid._xs) - 1
     ks = sorted(rng.randint(0, _DEN) for _ in range(pieces))
-    chords = [lo + span * rat(k, _DEN) for k in ks]
-    base = rat(rng.randint(-_SHIFT * _DEN, _SHIFT * _DEN), _DEN)
-    values = [base]
-    for s, x0, x1 in zip(chords, grid.nodes, grid.nodes[1:]):
-        values.append(values[-1] + s * (x1 - x0))
-    return make_pl(grid, values, lo, hi)
+    base = rng.randint(-_SHIFT * _DEN, _SHIFT * _DEN)
+    # over _DEN * den * scale: chord k is (_DEN * lo + (hi - lo) * k) / (_DEN * den)
+    chords = [_DEN * lo + (hi - lo) * k for k in ks]
+    values = Lattice(_integrate(grid, base * den * grid._scale, chords), _DEN * den * grid._scale)
+    return GridPLConvex(grid, values, ends)
 
 
 def random_full_potential(rng, grid: Grid) -> GridPLConvex:
     """Random potential spanning the whole moment polytope."""
-    return random_sector_potential(rng, grid, grid.polytope)
+    return random_sector_potential(rng, grid, grid._poly)
 
 
 def random_normalized_potential(rng, grid: Grid, reference: GridPLConvex) -> GridPLConvex:
@@ -73,9 +87,8 @@ def random_candidates(rng, grid: Grid, reference: GridPLConvex, count: int):
 
 def random_subinterval(rng, polytope):
     """Random non-degenerate rational subinterval of the polytope."""
-    lo, hi = rat(polytope[0]), rat(polytope[1])
-    span = hi - lo
+    (lo, hi), den = lattice(polytope)
     while True:
         a, b = sorted(rng.randint(0, _DEN) for _ in range(2))
         if a < b:
-            return (lo + span * rat(a, _DEN), lo + span * rat(b, _DEN))
+            return (rat(_DEN * lo + (hi - lo) * a, _DEN * den), rat(_DEN * lo + (hi - lo) * b, _DEN * den))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from femlab import rat
+from femlab import make_pl, rat
 
 
 def conjugate_by_enumeration(u, p):
@@ -280,3 +280,40 @@ def nested_distortions_by_recomputation(family, candidates, caps, tolerance):
         witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},
     )
     return rows, report
+
+
+def reference_by_fractions(grid):
+    """nondegenerate_reference by rational arithmetic on the public fields."""
+    a, b = grid.polytope
+    x0, xm = grid.nodes[0], grid.nodes[-1]
+    values = [rat(0)]
+    for lo, hi in zip(grid.nodes, grid.nodes[1:]):
+        s = a + (b - a) * (lo + hi - 2 * x0) / (2 * (xm - x0))
+        values.append(values[-1] + s * (hi - lo))
+    return make_pl(grid, values, a, b)
+
+
+def sector_potential_by_fractions(rng, grid, interval):
+    """random_sector_potential by rational arithmetic, with the same draws.
+
+    Sorted chord slopes lo + span * k/8 and a base height in eighths of
+    [-2, 2], integrated node by node.
+    """
+    lo, hi = rat(interval[0]), rat(interval[1])
+    span = hi - lo
+    ks = sorted(rng.randint(0, 8) for _ in range(len(grid.nodes) - 1))
+    chords = [lo + span * rat(k, 8) for k in ks]
+    values = [rat(rng.randint(-16, 16), 8)]
+    for s, x0, x1 in zip(chords, grid.nodes, grid.nodes[1:]):
+        values.append(values[-1] + s * (x1 - x0))
+    return make_pl(grid, values, lo, hi)
+
+
+def subinterval_by_fractions(rng, polytope):
+    """random_subinterval by rational arithmetic, with the same draws."""
+    lo, hi = rat(polytope[0]), rat(polytope[1])
+    span = hi - lo
+    while True:
+        a, b = sorted(rng.randint(0, 8) for _ in range(2))
+        if a < b:
+            return (lo + span * rat(a, 8), lo + span * rat(b, 8))

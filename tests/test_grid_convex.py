@@ -213,7 +213,10 @@ def ordered_pair(data, grid, q, den, kind):
 
 @pytest.mark.parametrize("kind", ["max", "coarse", "shift", "equal"])
 @pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
-def test_rooftop_of_an_ordered_pair_is_its_lower_member(grid, den, examples, kind):
+def test_rooftop_of_an_ordered_pair_is_its_lower_member(grid, den, examples, kind, monkeypatch):
+    def no_rooftop(*potentials):
+        raise AssertionError("dist of an ordered pair made a rooftop")
+
     def check(data):
         q = data.draw(own.subintervals(max_denominator=den))
         u, v = ordered_pair(data, grid, q, den, kind)
@@ -223,7 +226,9 @@ def test_rooftop_of_an_ordered_pair_is_its_lower_member(grid, den, examples, kin
         assert r == minimax_rooftop(u, v) and r.dual_domain() == u.dual_domain()
         assert r == conjugated_rooftop(u, v)
         psi = model_from_interval(grid, q, nondegenerate_reference(grid))
-        assert dist(psi, u, v) == energy(psi, v) - energy(psi, u) == dist(psi, v, u)
+        with monkeypatch.context() as m:  # on one grid or, for "coarse", on two
+            m.setattr("femlab.metric.rooftop", no_rooftop)
+            assert dist(psi, u, v) == energy(psi, v) - energy(psi, u) == dist(psi, v, u)
 
     run_examples(examples, check)
 
