@@ -51,7 +51,6 @@ class BigPoint:
 class ChainResult:
     value: object
     path: tuple
-    points: tuple
 
 
 class BigSpace:
@@ -173,7 +172,7 @@ class BigSpace:
         while path[-1] != 0:
             path.append(prev[path[-1]])
         path.reverse()
-        return ChainResult(value=best[target], path=tuple(path), points=tuple(pts[i] for i in path))
+        return ChainResult(value=best[target], path=tuple(path))
 
 
 def default_node_pools(space: BigSpace, level: int):

@@ -11,7 +11,8 @@ operations go through the Legendre transform:
   PL function whose breakpoints are the chord slopes and whose slopes are
   grid nodes,
 * ``rooftop`` conjugates the pointwise max of two duals on the intersection
-  of their domains,
+  of their domains; that max and ``pointwise_max`` of two potentials go
+  through one exact crossing merge, ``_max_merge``,
 * ``model_project`` conjugates a dual restricted to a singularity interval.
 
 Because dual slopes are node coordinates, every envelope constructed this
@@ -33,7 +34,7 @@ backend rationals, built on first read.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import compress, repeat
 from operator import gt, le, mul, sub
 
@@ -420,37 +421,47 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     return DualPL(Lattice((a, *ps[i:j], b), pden), _common(samples, dual._wden))
 
 
+def _splice(nums, inserts):
+    """(ints, mult): nums times mult, with each insert (i, (num, k)), sorted by i, before nums[i].
+
+    num / k is in the units of nums; mult is the lcm of the inserts' k.
+    """
+    if not inserts:
+        return tuple(nums), 1
+    m = math.lcm(*(k for _, (_, k) in inserts))
+    own, out, start = _scaled(nums, m), [], 0
+    for i, (n, k) in inserts:
+        out += own[start:i]
+        out.append(n * (m // k))
+        start = i
+    out += own[start:]
+    return tuple(out), m
+
+
 def _sampled(ps, ws, points):
     """(ints, mult): PL data (ps, ws) at points, a sorted superset of ps, as ints / mult in ws's units."""
-    if len(points) == len(ps):
-        return ws, 1
-    lack = sorted(set(points).difference(ps))
-    extra = [_frac(*_on_segment(ps, ws, bisect_right(ps, p) - 1, p)) for p in lack]
-    m = math.lcm(*(k for _, k in extra))
-    own, out, start = _scaled(ws, m), [], 0
-    for j, (p, (n, k)) in enumerate(zip(lack, extra)):  # each point ps lacks sits between runs of its own
-        stop = bisect_left(points, p) - j
-        out += [*own[start:stop], n * (m // k)]
-        start = stop
-    return out + list(own[start:]), m
+    inserts = []
+    for p in sorted(set(points).difference(ps)):
+        i = bisect_right(ps, p)
+        inserts.append((i, _frac(*_on_segment(ps, ws, i - 1, p))))
+    return _splice(ws, inserts)
 
 
-def _crossing(prev, cur):
-    """Where d1 - d2 changes sign strictly between two merged samples, or None.
+def _max_merge(ps, w1, w2):
+    """The max of two PL functions sampled as ints w1, w2 at the sorted int knots ps.
 
-    Returns ((num, mult), (num, mult)): the abscissa over the breakpoint
-    denominator and d1's value there over the value denominator.
+    Both are affine between knots, so each strict sign change of w1 - w2 is
+    one exact crossing, inserted with its value.  Returns the knots and the
+    values as lattices whose denominators multiply the units of ps and w1.
     """
-    q, (u1, e1), (u2, e2) = prev
-    p, (w1, f1), (w2, f2) = cur
-    da, db = u1 * e2 - u2 * e1, w1 * f2 - w2 * f1  # over e1 e2 and f1 f2
-    if not ((da > 0 > db) or (da < 0 < db)):
-        return None
-    ea, eb = e1 * e2, f1 * f2
-    k = da * eb - db * ea  # the crossing sits at the share s = da * eb / k of [q, p]
-    t = _frac(q * k + (p - q) * da * eb, k)
-    value = _frac(u1 * f1 * k + da * eb * (w1 * e1 - u1 * f1), e1 * f1 * k)
-    return t, value
+    diff = tuple(map(sub, w1, w2))
+    ws = [x if x >= y else y for x, y in zip(w1, w2)]
+    knots, values = [], []
+    for i in compress(range(len(ps) - 1), map(gt, repeat(0), map(mul, diff, diff[1:]))):
+        da, k = diff[i], diff[i] - diff[i + 1]  # the crossing sits at the share da / k of the segment
+        knots.append((i + 1, _frac(ps[i] * k + (ps[i + 1] - ps[i]) * da, k)))
+        values.append((i + 1, _frac(w1[i] * k + (w1[i + 1] - w1[i]) * da, k)))
+    return Lattice(*_splice(ps, knots)), Lattice(*_splice(ws, values))
 
 
 def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
@@ -458,8 +469,7 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 
     Both inputs must already share their domain (restrict first).  Both are
     sampled at the sorted union of their breakpoints, O(m1 + m2) after the
-    sort; on each merged interval both are affine, so a strict crossing,
-    where the sampled difference changes sign, is one exact rational.
+    sort, and ``_max_merge`` takes the max, which ``pointwise_max`` shares.
     """
     pden = math.lcm(d1._pden, d2._pden)
     a, b = _scaled(d1._p, pden // d1._pden), _scaled(d2._p, pden // d2._pden)
@@ -470,19 +480,8 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
     w1, m1 = _sampled(a, _scaled(d1._w, wden // d1._wden), ps)
     w2, m2 = _sampled(b, _scaled(d2._w, wden // d2._wden), ps)
     m = math.lcm(m1, m2)
-    w1, w2 = _scaled(w1, m // m1), _scaled(w2, m // m2)
-    ws = [x if x >= y else y for x, y in zip(w1, w2)]
-    diff = tuple(map(sub, w1, w2))
-    signs = compress(range(len(ps) - 1), map(gt, repeat(0), map(mul, diff, diff[1:])))
-    cuts = [(i, _crossing(*((ps[j], (w1[j], 1), (w2[j], 1)) for j in (i, i + 1)))) for i in signs]
-    pm = math.lcm(*(t[1] for _, (t, _) in cuts))
-    vm = math.lcm(*(v[1] for _, (_, v) in cuts))
-    ps, ws, pp, ww, start = _scaled(ps, pm), _scaled(ws, vm), [], [], 0
-    for i, ((tn, tk), (vn, vk)) in cuts:
-        pp += [*ps[start : i + 1], tn * (pm // tk)]
-        ww += [*ws[start : i + 1], vn * (vm // vk)]
-        start = i + 1
-    return DualPL(Lattice((*pp, *ps[start:]), pden * pm), Lattice((*ww, *ws[start:]), wden * m * vm))
+    (ps, pm), (ws, vm) = _max_merge(ps, _scaled(w1, m // m1), _scaled(w2, m // m2))
+    return DualPL(Lattice(ps, pden * pm), Lattice(ws, wden * m * vm))
 
 
 # --- grid alignment ---------------------------------------------------------
@@ -536,36 +535,13 @@ def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
 
 
 def _ray_root(x, d, den, sn, sd, scale):
-    """Where d / den + (sn / sd) (y - x / scale) vanishes, as (num, den) ints, or None.
+    """Where d / den + (sn / sd) (y - x / scale) vanishes, as (num, den) ints.
 
-    x is a node over ``scale``, d / den the difference there and sn / sd
-    the difference of the two end slopes.
+    x is a node over ``scale``, d / den the nonzero difference there and
+    sn / sd the nonzero difference of the two end slopes.
     """
-    if sn == 0 or d == 0:
-        return None
     num, mult = _frac(x * den * sn - d * sd * scale, den * sn)
     return num, mult * scale
-
-
-def _crossings(u: GridPLConvex, v: GridPLConvex):
-    """Abscissas where u - v changes sign strictly, rays included, as (num, den) ints."""
-    xs, scale = u.grid._xs, u.grid._scale
-    d, den = _difference(u, v)
-    (ul, ur), ue = u._ends
-    (vl, vr), ve = v._ends
-    out = []
-    left = _ray_root(xs[0], d[0], den, ul * ve - vl * ue, ue * ve, scale)
-    if left is not None and left[0] < xs[0] * (left[1] // scale):
-        out.append(left)
-    for i in range(len(xs) - 1):
-        a, b = d[i], d[i + 1]
-        if (a > 0 > b) or (a < 0 < b):
-            num, mult = _frac(xs[i] * (a - b) + (xs[i + 1] - xs[i]) * a, a - b)
-            out.append((num, mult * scale))
-    right = _ray_root(xs[-1], d[-1], den, ur * ve - vr * ue, ue * ve, scale)
-    if right is not None and right[0] > xs[-1] * (right[1] // scale):
-        out.append(right)
-    return out
 
 
 def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
@@ -573,20 +549,30 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
 
     Sign changes between nodes, or on either ray, are rational and are
     inserted so the result represents max(u, v) exactly, never a node-wise
-    max with its kinks forgotten.
+    max with its kinks forgotten.  A crossing on a ray refines both inputs;
+    ``_max_merge``, shared with ``max_dual``, places the others.
     """
     u, v = align(u, v)
-    cross = _crossings(u, v)
-    if cross:
-        grid = _grid_on([u.grid], cross)
-        u, v = refine_to(u, grid), refine_to(v, grid)
-    den = math.lcm(u._den, v._den)
-    a, b = den // u._den, den // v._den
+    xs, scale, ud, vd = u.grid._xs, u.grid._scale, u._den, v._den
     (ul, ur), ue = u._ends
     (vl, vr), ve = v._ends
+    dl, dr = u._num[0] * vd - v._num[0] * ud, u._num[-1] * vd - v._num[-1] * ud  # over ud vd
+    sl, sr = ul * ve - vl * ue, ur * ve - vr * ue  # over ue ve
+    roots = []
+    if dl * sl > 0:  # u - v vanishes left of the first node
+        roots.append(_ray_root(xs[0], dl, ud * vd, sl, ue * ve, scale))
+    if dr * sr < 0:  # and right of the last one
+        roots.append(_ray_root(xs[-1], dr, ud * vd, sr, ue * ve, scale))
+    if roots:
+        grid = _grid_on([u.grid], roots)
+        u, v = refine_to(u, grid), refine_to(v, grid)
+    den = math.lcm(u._den, v._den)
+    w1, w2 = _scaled(u._num, den // u._den), _scaled(v._num, den // v._den)
+    (ps, pm), (ws, vm) = _max_merge(u.grid._xs, w1, w2)
+    grid = u.grid if len(ps) == len(u._num) else Grid(Lattice(ps, u.grid._scale * pm), u.grid._poly)
     return GridPLConvex(
-        u.grid,
-        Lattice(tuple(max(x * a, y * b) for x, y in zip(u._num, v._num)), den),
+        grid,
+        Lattice(ws, den * vm),
         Lattice((min(ul * ve, vl * ue), max(ur * ve, vr * ue)), ue * ve),
     )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -58,7 +58,8 @@ GRID17_MIXED = Grid(
 )
 KERNEL_GRIDS = GRIDS + [pytest.param(GRID17_MIXED, id="17mixed")]
 GRID257 = Grid(nodes=tuple(rat(k, 32) for k in range(-128, 129)), polytope=(0, 1))
-SMALL = settings(max_examples=8)
+# no shrinking: on these grids it takes minutes to report a failure
+SMALL = settings(max_examples=8, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def potential(data, grid, interval=None):
@@ -131,6 +132,14 @@ def test_max_dual_matches_sampling_oracle(grid, data):
     assert {p for p, _ in m.points} <= set(expected)
     for p, w in expected.items():
         assert m.evaluate(p) == w
+    # every added breakpoint is a strict crossing: d1 - d2 vanishes there and changes sign across it
+    old = {p for p, _ in d1.points} | {p for p, _ in d2.points}
+    ps = [p for p, _ in m.points]
+    for i, p in enumerate(ps):
+        if p not in old:
+            assert 0 < i < len(ps) - 1
+            gaps = [d1.evaluate(q) - d2.evaluate(q) for q in ps[i - 1 : i + 2]]
+            assert gaps[1] == 0 and gaps[0] * gaps[2] < 0
 
 
 @pytest.mark.parametrize("grid", KERNEL_GRIDS)
