@@ -97,11 +97,12 @@ def lattice(xs) -> Lattice:
 class _Frozen:
     """An immutable exact value.
 
-    A subclass sets its slots once, through ``_set``, and defines
-    ``_key()``: two values are equal when they have the same type and equal
-    keys, and the hash is the key's.  ``_shown`` names the public fields
-    the repr prints.  ``_memo`` (a slot of each subclass) holds the hash
-    and every backend rational or derived value, built on first read.
+    A subclass sets its slots once, through ``_set``.  ``_shown`` names the
+    public fields the repr prints, and ``_key()`` (by default those fields
+    as a tuple) decides the rest: two values are equal when they have the
+    same type and equal keys, and the hash is the key's.  ``_memo`` (a slot
+    of each subclass) holds the hash and every backend rational or derived
+    value, built on first read.
     """
 
     __slots__ = ()
@@ -115,6 +116,9 @@ class _Frozen:
     def _set(self, **attrs):
         for name, value in attrs.items():
             object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._shown])
 
     def __eq__(self, other):
         if type(other) is not type(self):

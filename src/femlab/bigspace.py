@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
-from ._rational import ZERO
+from ._rational import ZERO, _Frozen
 from .errors import PreconditionViolated
 from .families import ModelFamily, SampledFamily, member_cap
 from .grid_convex import GridPLConvex, _contains, model_project, pl_equal
@@ -32,8 +31,7 @@ from .metric import dist
 from .report import Report
 
 
-@dataclass(frozen=True)
-class BigPoint:
+class BigPoint(_Frozen):
     """A potential at one level, with its least admitting cap.
 
     rep_index points into the shared generator at the first member realizing
@@ -41,16 +39,19 @@ class BigPoint:
     member projects here.
     """
 
-    level: int
-    potential: GridPLConvex
-    rep_index: object
-    cap: object
+    __slots__ = ("level", "potential", "rep_index", "cap", "_memo")
+    _shown = ("level", "potential", "rep_index", "cap")
+
+    def __init__(self, level: int, potential: GridPLConvex, rep_index, cap):
+        self._set(level=level, potential=potential, rep_index=rep_index, cap=cap, _memo={})
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    value: object
-    path: tuple
+class ChainResult(_Frozen):
+    __slots__ = ("value", "path", "_memo")
+    _shown = ("value", "path")
+
+    def __init__(self, value, path: tuple):
+        self._set(value=value, path=path, _memo={})
 
 
 class BigSpace:

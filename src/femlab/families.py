@@ -11,9 +11,8 @@ projected compact sets used by the convergence experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._rational import rat
+from ._rational import _Frozen, rat
 from .errors import GridMismatch, PreconditionViolated, ScheduleInvalid, ValidationError
 from .grid_convex import (
     GridPLConvex,
@@ -29,38 +28,39 @@ from .metric import dist
 from .report import Report
 
 
-@dataclass(frozen=True)
-class ModelFamily:
+class ModelFamily(_Frozen):
     """Strictly nested envelope levels with a limit level.
 
     Direction is inferred: decreasing means each Q strictly shrinks and the
     limit interval sits inside every level; increasing is the mirror case.
     """
 
-    levels: tuple
-    limit: ModelEnvelope
+    __slots__ = ("levels", "limit", "direction", "_memo")
+    _shown = ("levels", "limit")
 
-    def __post_init__(self):
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, levels: tuple, limit: ModelEnvelope):
+        self.__post_init__(tuple(levels), limit)
+
+    def __post_init__(self, levels, limit):
         if not levels:
             raise ScheduleInvalid("a family needs at least one level")
-        for env in levels + (self.limit,):
+        for env in levels + (limit,):
             if env.grid._poly != levels[0].grid._poly:
                 raise ScheduleInvalid("levels live on different polytopes")
             if env.reference != levels[0].reference:
                 raise ScheduleInvalid("levels disagree on the reference")
         qs = [env.potential._ends for env in levels]
-        limit = self.limit.potential._ends
+        ql = limit.potential._ends
         decreasing = all(
             _contains(a, b) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(q, limit) for q in qs)
+        ) and all(_contains(q, ql) for q in qs)
         increasing = all(
             _contains(b, a) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(limit, q) for q in qs)
+        ) and all(_contains(ql, q) for q in qs)
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
-        object.__setattr__(self, "direction", "decreasing" if decreasing else "increasing")
+        direction = "decreasing" if decreasing else "increasing"
+        self._set(levels=levels, limit=limit, direction=direction, _memo={})
 
     @property
     def reference(self) -> GridPLConvex:
@@ -95,23 +95,23 @@ def member_cap(u: GridPLConvex, reference: GridPLConvex):
     return max(split_caps(u, reference))
 
 
-@dataclass(frozen=True)
-class SampledFamily:
+class SampledFamily(_Frozen):
     """Finite capped family: every member obeys both declared bounds."""
 
-    members: tuple
-    cap: float
-    sup_bound: object
-    reference: GridPLConvex
+    __slots__ = ("members", "cap", "sup_bound", "reference", "_memo")
+    _shown = ("members", "cap", "sup_bound", "reference")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        for i, u in enumerate(self.members):
-            sup_part, ent = split_caps(u, self.reference)
-            if not ent <= self.cap:
+    def __init__(self, members: tuple, cap: float, sup_bound, reference: GridPLConvex):
+        self.__post_init__(tuple(members), cap, sup_bound, reference)
+
+    def __post_init__(self, members, cap, sup_bound, reference):
+        for i, u in enumerate(members):
+            sup_part, ent = split_caps(u, reference)
+            if not ent <= cap:
                 raise ValidationError("member %d exceeds the entropy cap" % i)
-            if not sup_part <= self.sup_bound:
+            if not sup_part <= sup_bound:
                 raise ValidationError("member %d exceeds the sup bound" % i)
+        self._set(members=members, cap=cap, sup_bound=sup_bound, reference=reference, _memo={})
 
     def __len__(self):
         return len(self.members)

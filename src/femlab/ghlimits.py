@@ -8,10 +8,9 @@ threshold a caller may impose on the last row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge
 
-from ._rational import ZERO, lattice, rat
+from ._rational import ZERO, _Frozen, lattice, rat
 from .bigspace import BigSpace
 from .errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from .families import (
@@ -28,8 +27,7 @@ GH_EXACT_CAP = 5
 DENSITY_SCHEDULE = (1, 2, 4, 8, 16)
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(_Frozen):
     """Pseudometric space on the points 0..n-1, given by its exact distance matrix.
 
     Distinct points at distance zero are allowed (projections collapse);
@@ -37,17 +35,20 @@ class FiniteMetricSpace:
     are enforced on ``_ints``: the matrix as ints, and their one denominator.
     """
 
-    matrix: tuple
+    __slots__ = ("matrix", "_ints", "_memo")
+    _shown = ("matrix",)
 
-    def __post_init__(self):
-        matrix = tuple(tuple(rat(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, matrix: tuple):
+        self.__post_init__(matrix)
+
+    def __post_init__(self, matrix):
+        matrix = tuple(tuple(rat(v) for v in row) for row in matrix)
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValidationError("distance matrix shape is not square")
         nums, den = lattice([v for row in matrix for v in row])
         m = tuple(nums[i * n:(i + 1) * n] for i in range(n))
-        object.__setattr__(self, "_ints", (m, den))
+        self._set(matrix=matrix, _ints=(m, den), _memo={})
         for i in range(n):
             if m[i][i] != 0:
                 raise ValidationError("nonzero diagonal at %d" % i)
@@ -83,27 +84,28 @@ def space_from_potentials(psi, potentials) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(tuple(r) for r in matrix))
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_Frozen):
     """Relation between two spaces, total on both sides."""
 
-    x: FiniteMetricSpace
-    y: FiniteMetricSpace
-    pairs: tuple
+    __slots__ = ("x", "y", "pairs", "_memo")
+    _shown = ("x", "y", "pairs")
 
-    def __post_init__(self):
-        for a, b in self.pairs:
+    def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace, pairs: tuple):
+        self.__post_init__(x, y, pairs)
+
+    def __post_init__(self, x, y, pairs):
+        for a, b in pairs:
             if type(a) is not int or type(b) is not int:
                 raise ValidationError("relation pair (%r, %r) must hold two ints" % (a, b))
-        pairs = tuple(sorted(set((a, b) for a, b in self.pairs)))
-        object.__setattr__(self, "pairs", pairs)
+        pairs = tuple(sorted(set((a, b) for a, b in pairs)))
         for a, b in pairs:
-            if not (0 <= a < self.x.size and 0 <= b < self.y.size):
+            if not (0 <= a < x.size and 0 <= b < y.size):
                 raise ValidationError("relation pair (%d, %d) out of range" % (a, b))
         left = {a for a, _ in pairs}
         right = {b for _, b in pairs}
-        if len(left) != self.x.size or len(right) != self.y.size:
+        if len(left) != x.size or len(right) != y.size:
             raise NotTotal("relation must cover both spaces")
+        self._set(x=x, y=y, pairs=pairs, _memo={})
 
 
 def identity_correspondence(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Correspondence:

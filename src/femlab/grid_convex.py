@@ -669,9 +669,6 @@ class ModelEnvelope(_Frozen):
     def __init__(self, potential: GridPLConvex, reference: GridPLConvex):
         self._set(potential=potential, reference=reference, _memo={})
 
-    def _key(self):
-        return (self.potential, self.reference)
-
     @property
     def grid(self) -> Grid:
         return self.potential.grid

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._rational import Rational, rat_str
+from ._rational import Rational, _Frozen, rat_str
 
 
 def encode_value(x):
@@ -23,15 +22,14 @@ def encode_value(x):
     return x
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """Outcome of one inequality or identity check."""
 
-    name: str
-    passed: bool
-    lhs: object
-    rhs: object
-    witnesses: dict
+    __slots__ = ("name", "passed", "lhs", "rhs", "witnesses", "_memo")
+    _shown = ("name", "passed", "lhs", "rhs", "witnesses")
+
+    def __init__(self, name: str, passed: bool, lhs, rhs, witnesses: dict):
+        self._set(name=name, passed=passed, lhs=lhs, rhs=rhs, witnesses=witnesses, _memo={})
 
     def as_dict(self) -> dict:
         return {

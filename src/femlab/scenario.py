@@ -40,9 +40,8 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass, field, replace
 
-from ._rational import rat, rat_str
+from ._rational import _Frozen, rat, rat_str
 from .errors import (
     AssertionFailed,
     ConvexityViolation,
@@ -79,16 +78,17 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _EXPECTED = {dict: "an object", list: "a list", str: "a string"}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """Validated in-memory form of one scenario document."""
 
-    grid: Grid = None
-    reference: object = None
-    potentials: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    samples: dict = None
-    experiments: tuple = ()
+    __slots__ = ("grid", "reference", "potentials", "families", "samples", "experiments", "_memo")
+    _shown = ("grid", "reference", "potentials", "families", "samples", "experiments")
+
+    def __init__(self, grid: Grid = None, reference=None, potentials: dict = None,
+                 families: dict = None, samples: dict = None, experiments: tuple = ()):
+        self._set(grid=grid, reference=reference, samples=samples, experiments=experiments,
+                  potentials={} if potentials is None else potentials,
+                  families={} if families is None else families, _memo={})
 
 
 def _only(obj, keys, message):
@@ -277,7 +277,7 @@ def parse_scenario(doc) -> Scenario:
             )
         reader(scn, entry, where)
         checked.append(entry)
-    return replace(scn, experiments=tuple(checked))
+    return Scenario(grid, reference, potentials, families, samples, tuple(checked))
 
 
 def _read_suite(scn, block, where):

@@ -23,6 +23,7 @@ from femlab import (
     pl_equal,
     rat,
 )
+from femlab.bigspace import BigPoint, ChainResult
 from femlab.errors import PreconditionViolated, SingularityMismatch
 from femlab.sampling import random_candidates
 
@@ -160,6 +161,22 @@ def test_chain_with_no_nodes_is_the_single_edge():
     res = sp.chain(p, q)
     assert res.value == sp.quasi(p, q)
     assert res.path == (0, 1)
+
+
+def test_points_and_chain_results_are_frozen_values():
+    sp = seeded_space()
+    p, q = sp.point_from_member(0, 0), sp.point_from_member(2, 1)
+    same = BigPoint(level=p.level, potential=p.potential, rep_index=p.rep_index, cap=p.cap)
+    assert same is not p and same == p and hash(same) == hash(p)
+    assert BigPoint(1, p.potential, p.rep_index, p.cap) != p
+    res = sp.chain(p, q)
+    again = ChainResult(value=res.value, path=res.path)
+    assert again is not res and again == res and hash(again) == hash(res)
+    assert ChainResult(res.value, (0,)) != res
+    with pytest.raises(AttributeError):
+        p.cap = 0
+    with pytest.raises(AttributeError):
+        res.value = 0
 
 
 def test_chain_never_exceeds_the_direct_edge_and_pools_only_help():

@@ -61,6 +61,20 @@ def test_family_direction_and_lengths():
     assert pl_equal(fam.reference, REF_ND)
 
 
+def test_families_are_frozen_values():
+    fam, again = canonical_family(), canonical_family()
+    assert fam is not again and fam == again and hash(fam) == hash(again)
+    assert ModelFamily(levels=list(fam.levels), limit=fam.limit) == fam
+    assert fam != ModelFamily(fam.levels[:2], fam.limit)
+    gen = SampledFamily(members=[REF_ND], cap=1.0, sup_bound=rat(2), reference=REF_ND)
+    same = SampledFamily((REF_ND,), 1.0, rat(2), REF_ND)
+    assert gen.members == (REF_ND,) and gen == same and hash(gen) == hash(same)
+    assert gen != SampledFamily((REF_ND,), 2.0, rat(2), REF_ND)
+    for value, name in ((fam, "levels"), (fam, "direction"), (gen, "cap")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
 def test_family_rejects_broken_schedules():
     with pytest.raises(ScheduleInvalid):
         ModelFamily((), model_from_interval(GRID3, LIMIT_Q, REF_ND))

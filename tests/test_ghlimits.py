@@ -83,6 +83,21 @@ def test_space_accessors():
     FiniteMetricSpace(((0, 0), (0, 0)))
 
 
+def test_spaces_and_correspondences_are_frozen_values():
+    x = FiniteMetricSpace(matrix=((0, 1), (1, 0)))
+    again = FiniteMetricSpace(((0, rat(1)), (rat(1), 0)))
+    assert x is not again and x == again and hash(x) == hash(again)
+    assert x != FiniteMetricSpace(((0, 2), (2, 0)))
+    rel = Correspondence(x=x, y=again, pairs=((1, 1), (0, 0)))
+    same = Correspondence(x, again, ((0, 0), (1, 1), (0, 0)))
+    assert rel == same and hash(rel) == hash(same)
+    assert rel != Correspondence(x, again, ((0, 0), (0, 1), (1, 0)))
+    with pytest.raises(AttributeError):
+        x.matrix = ((0,),)
+    with pytest.raises(AttributeError):
+        rel.pairs = ()
+
+
 def test_space_from_potentials_matches_dist():
     x = seeded_space(9, 4)
     assert x.size == 4

@@ -4,21 +4,64 @@ The dead-code checks read the package's source with the standard ``ast``
 module: no module imports a name it never reads, every module-level
 private name is read somewhere in the package, and every defaulted
 parameter is passed by some call in the package, the tests or perfbench.
-The same scan keeps the rational backend behind ``_rational.py``.
+The same scan keeps the rational backend behind ``_rational.py``.  A fresh
+interpreter imports the CLI without the stdlib's class-building modules,
+and each validated type runs its ``__post_init__`` once per construction,
+so a tracer that patches it there sees every validation.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import femlab
+from femlab import AtomicMeasure, FiniteMetricSpace, Grid, GridPLConvex
+from femlab.grid_convex import DualPL
 
 
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from femlab import *", namespace)
     assert set(femlab.__all__) <= set(namespace)
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import femlab.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
+VALIDATED = {
+    GridPLConvex: (GRID3, (0, 0, 1), (0, 1)),
+    DualPL: ((0, 1), (0, 1)),
+    AtomicMeasure: (GRID3, (0, 1, 0)),
+    FiniteMetricSpace: (((0, 1), (1, 0)),),
+}
+
+
+@pytest.mark.parametrize("cls", VALIDATED, ids=lambda cls: cls.__name__)
+def test_one_construction_runs_the_class_validator_once(monkeypatch, cls):
+    calls = []
+    validate = cls.__post_init__
+
+    def counted(self, *args):
+        calls.append(self)
+        return validate(self, *args)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    value = cls(*VALIDATED[cls])
+    assert calls == [value]
 
 
 PACKAGE = pathlib.Path(femlab.__file__).parent

@@ -11,7 +11,14 @@ from fractions import Fraction
 
 import pytest
 
-from femlab import load_json, nested_family_distortions, parse_scenario, rat_str, run_scenario
+from femlab import (
+    Scenario,
+    load_json,
+    nested_family_distortions,
+    parse_scenario,
+    rat_str,
+    run_scenario,
+)
 from femlab.errors import AssertionFailed, ParseError, ValidationError
 from femlab.sampling import random_candidates
 
@@ -40,6 +47,25 @@ def test_canonical_file_parses():
     assert set(scn.families) == {"nested"}
     assert len(scn.experiments) == 4
     assert scn.samples["seed"] == 2026
+
+
+def test_scenario_is_a_frozen_value_with_its_own_dicts():
+    a, b = Scenario(), Scenario(experiments=())
+    assert a == b and a.potentials == a.families == {} and a.samples is None
+    assert a.potentials is not b.potentials and a.families is not b.families
+    with pytest.raises(AttributeError):
+        a.experiments = ()
+    scn = parse_scenario(load_json(SCENARIO))
+    assert scn == parse_scenario(load_json(SCENARIO))
+    rebuilt = Scenario(
+        grid=scn.grid,
+        reference=scn.reference,
+        potentials=scn.potentials,
+        families=scn.families,
+        samples=scn.samples,
+        experiments=scn.experiments,
+    )
+    assert rebuilt == scn and repr(rebuilt) == repr(scn)
 
 
 def test_document_must_be_an_object():

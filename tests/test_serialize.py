@@ -8,6 +8,7 @@ import math
 import pytest
 
 from femlab import (
+    Report,
     dumps_canonical,
     encode_value,
     load_json,
@@ -28,6 +29,16 @@ def test_dumps_canonical_sorts_keys_and_strips_spaces():
 def test_encode_value_handles_rationals_and_infinities():
     doc = encode_value({"d": rat(1, 4), "caps": [math.inf, -math.inf, 0.5], "n": 3})
     assert doc == {"d": "1/4", "caps": ["inf", "-inf", 0.5], "n": 3}
+
+
+def test_report_is_a_frozen_value_printed_field_by_field():
+    report = Report(name="law", passed=True, lhs=rat(1, 4), rhs=0.5, witnesses={"k": 2})
+    assert repr(report) == "Report(name='law', passed=True, lhs=%r, rhs=0.5, witnesses={'k': 2})" % rat(1, 4)
+    assert report == Report("law", True, rat(1, 4), 0.5, {"k": 2})
+    assert report != Report("law", False, rat(1, 4), 0.5, {"k": 2})
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert report.as_dict() == {"check": "law", "pass": True, "lhs": "1/4", "rhs": 0.5, "witnesses": {"k": 2}}
 
 
 def test_write_json_round_trips_through_load(tmp_path):
