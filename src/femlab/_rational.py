@@ -73,6 +73,15 @@ def rat_str(x) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def at_most(x, tolerance) -> bool:
+    """x <= tolerance for an exact x, against the exact value of the float tolerance.
+
+    ``float(x) <= tolerance`` would round x first: a value just above the
+    tolerance can round onto it, and a tiny positive one underflows to 0.0.
+    """
+    return rat(x) <= _make(*tolerance.as_integer_ratio())
+
+
 class Lattice(NamedTuple):
     """The rationals nums[i] / den: ints over one positive denominator."""
 

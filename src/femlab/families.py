@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._rational import _Frozen, rat
+from ._rational import _Frozen, at_most, rat
 from .errors import GridMismatch, PreconditionViolated, ScheduleInvalid, ValidationError
 from .grid_convex import (
     GridPLConvex,
@@ -157,7 +157,8 @@ def monotone_distance_convergence(family: ModelFamily, u1_seq, u2_seq, tolerance
     """Tabulate level distances against the limit-level distance.
 
     Each sequence supplies one potential per level plus a final entry at
-    the limit level; distances are exact, only the threshold is a float.
+    the limit level; distances are exact, only the threshold is a float,
+    and the exact defect is compared with the float's exact value.
     """
     u1_seq, u2_seq = list(u1_seq), list(u2_seq)
     want = len(family.levels) + 1
@@ -165,11 +166,11 @@ def monotone_distance_convergence(family: ModelFamily, u1_seq, u2_seq, tolerance
         raise PreconditionViolated("need one potential per level plus the limit entry")
     table = [dist(psi, a, b) for psi, a, b in zip(family.levels, u1_seq, u2_seq)]
     d_lim = dist(family.limit, u1_seq[-1], u2_seq[-1])
-    final_defect = abs(float(table[-1] - d_lim))
+    defect = abs(table[-1] - d_lim)
     return Report(
         name="monotone_distance_convergence",
-        passed=final_defect <= tolerance,
+        passed=at_most(defect, tolerance),
         lhs=table[-1],
         rhs=d_lim,
-        witnesses={"distances": table, "final_defect": final_defect, "tolerance": tolerance},
+        witnesses={"distances": table, "final_defect": float(defect), "tolerance": tolerance},
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import ge
 
-from ._rational import ZERO, _Frozen, lattice, rat
+from ._rational import ZERO, _Frozen, at_most, lattice, rat
 from .bigspace import BigSpace
 from .errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from .families import (
@@ -226,7 +226,7 @@ def nested_family_distortions(family: ModelFamily, candidates, caps, tolerance: 
         finals.append(values[-1])
     return rows, Report(
         name="nested_family_distortions",
-        passed=monotone and all(float(v) <= tolerance for v in finals),
+        passed=monotone and all(at_most(v, tolerance) for v in finals),
         lhs=max(finals),
         rhs=rat(0),
         witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},

@@ -34,7 +34,7 @@ backend rationals, built on first read.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
 from operator import gt, le, mul, sub
 
@@ -231,10 +231,7 @@ class GridPLConvex(_Frozen):
         scale = math.lcm(self.grid._scale, x.denominator)
         xs = _scaled(self.grid._xs, scale // self.grid._scale)
         t = x.numerator * (scale // x.denominator)
-        k = bisect_right(xs, t)
-        if k and xs[k - 1] == t:
-            return rat(self._num[k - 1], self._den)
-        num, mult = _value_at(self, xs, scale, k, t)
+        num, mult = _value_at(self, xs, scale, bisect_right(xs, t), t)
         return rat(num, self._den * mult)
 
     def shift(self, c) -> "GridPLConvex":
@@ -245,13 +242,14 @@ class GridPLConvex(_Frozen):
 
 
 def _value_at(u: GridPLConvex, xs, scale, k, x):
-    """u at a non-node x as (num, mult), meaning num / (u._den * mult).
+    """u at any point x as (num, mult), meaning num / (u._den * mult).
 
-    xs are u's nodes and x a point, all ints over ``scale``, and k is
-    bisect_right(xs, x): the ray or chord that holds x.
+    The one rule for PL values at new points: xs are u's nodes and x a
+    point, all ints over ``scale``, and k is bisect_right(xs, x), the ray or
+    chord that holds x.  A node gives its own value with mult 1.
     """
     vs, den = u._num, u._den
-    if 0 < k < len(xs):
+    if 0 < k < len(xs) or x == xs[-1]:
         return _on_segment(xs, vs, k - 1, x)
     (sl, sr), eden = u._ends
     j, s = (0, sl) if k == 0 else (k - 1, sr)
@@ -396,8 +394,10 @@ def biconjugate(dual: DualPL, grid: Grid) -> GridPLConvex:
 def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     """Restrict a dual to [lo, hi] intersected with its own domain.
 
-    One walk over the breakpoints keeps the interior ones and interpolates
-    the two new ends; when [lo, hi] covers the domain, the dual is returned.
+    Bisection finds the segment of each new end, ``_on_segment`` gives its
+    value (a breakpoint keeps its own), and the breakpoints strictly
+    between the ends are kept as one slice; when [lo, hi] covers the
+    domain, the dual is returned.
     """
     lo, hi = rat(lo), rat(hi)
     pden = math.lcm(dual._pden, lo.denominator, hi.denominator)
@@ -408,15 +408,12 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
         return dual
     if a > b:
         raise EmptyRooftop("dual domains miss the interval %s" % _interval_str(Lattice((a, b), pden)))
-    i = bisect_right(ps, a) - 1
-    first = _on_segment(ps, ws, i, a)
+    i = bisect_right(ps, a)
+    first = _on_segment(ps, ws, i - 1, a)
     if a == b:
         return DualPL(Lattice((a,), pden), _common([first], dual._wden))
-    i += 1
-    j = i
-    while ps[j] < b:
-        j += 1
-    end = (ws[j], 1) if ps[j] == b else _on_segment(ps, ws, j - 1, b)
+    j = bisect_left(ps, b, i)  # ps[i:j] lie strictly between a and b
+    end = _on_segment(ps, ws, j if ps[j] == b else j - 1, b)
     samples = [first, *((w, 1) for w in ws[i:j]), end]
     return DualPL(Lattice((a, *ps[i:j], b), pden), _common(samples, dual._wden))
 
@@ -490,32 +487,24 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: new node values are exact evaluations, made
-    in one merged walk over the old and the new nodes.
+    PL refinement is lossless: every target node takes its exact value
+    from ``_value_at``, so old nodes keep theirs.  On u's own grid, u is
+    returned, with its memoized values.
     """
+    if grid == u.grid:
+        return u
     if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
     r, rest = divmod(grid._scale, u.grid._scale)
-    if rest:  # some old node has a denominator the new grid lacks
+    xs = _scaled(u.grid._xs, r)
+    if rest or not set(grid._xs).issuperset(xs):
         raise GridMismatch("refinement target must contain all existing nodes")
-    xs, vs = _scaled(u.grid._xs, r), u._num
-    k, last = 0, len(xs)
-    values = []
-    for x in grid._xs:
-        if k < last and xs[k] < x:
-            break
-        if k < last and xs[k] == x:
-            values.append((vs[k], 1))
-            k += 1
-        else:
-            values.append(_value_at(u, xs, grid._scale, k, x))
-    if k < last:
-        raise GridMismatch("refinement target must contain all existing nodes")
+    values = [_value_at(u, xs, grid._scale, bisect_right(xs, x), x) for x in grid._xs]
     return GridPLConvex(grid, _common(values, u._den), u._ends)
 
 
 def align(*us: GridPLConvex):
-    """Bring potentials onto their common node-union grid, exactly."""
+    """Bring potentials onto their common node-union grid, exactly; one already on it is kept."""
     first = us[0].grid
     if all(u.grid == first for u in us):
         return us

@@ -67,12 +67,6 @@ def random_full_potential(rng, grid: Grid) -> GridPLConvex:
     return random_sector_potential(rng, grid, grid._poly)
 
 
-def random_normalized_potential(rng, grid: Grid, reference: GridPLConvex) -> GridPLConvex:
-    """Full-polytope potential shifted so sup(u - reference) == 0."""
-    u = random_full_potential(rng, grid)
-    return u.shift(-sup_diff(u, reference))
-
-
 def random_ordered_pair(rng, grid: Grid, interval):
     """(hi, lo) with hi >= lo pointwise, both with dual domain `interval`."""
     lo_pot = random_sector_potential(rng, grid, interval)
@@ -81,8 +75,9 @@ def random_ordered_pair(rng, grid: Grid, interval):
 
 
 def random_candidates(rng, grid: Grid, reference: GridPLConvex, count: int):
-    """List of normalized full-polytope potentials, the raw family material."""
-    return [random_normalized_potential(rng, grid, reference) for _ in range(count)]
+    """Full-polytope potentials, each shifted so sup(u - reference) == 0: the raw family material."""
+    us = [random_full_potential(rng, grid) for _ in range(count)]
+    return [u.shift(-sup_diff(u, reference)) for u in us]
 
 
 def random_subinterval(rng, polytope):

@@ -9,6 +9,7 @@ tautology.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from femlab import make_pl, rat
 
@@ -274,7 +275,7 @@ def nested_distortions_by_recomputation(family, candidates, caps, tolerance):
         finals.append(values[-1])
     report = Report(
         name="nested_family_distortions",
-        passed=monotone and all(float(v) <= tolerance for v in finals),
+        passed=monotone and all(v <= Fraction(tolerance) for v in finals),
         lhs=max(finals),
         rhs=rat(0),
         witnesses={"monotone": monotone, "finals": finals, "tolerance": tolerance, "rows": len(rows)},

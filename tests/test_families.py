@@ -264,6 +264,21 @@ def test_convergence_table_frozen_values():
     assert not tight.passed
 
 
+def test_convergence_compares_the_exact_defect_with_the_exact_tolerance():
+    # the defect is 1/48, and float(1/48) lies just below it
+    fam = canonical_family()
+    tent = make_pl(GRID3, (0, 0, 1), 0, 1)
+    ramp = make_pl(GRID3, (0, rat(1, 3), 1), 0, 1)
+    seq_a = [model_project(env, tent) for env in (*fam.levels, fam.limit)]
+    seq_b = [model_project(env, ramp) for env in (*fam.levels, fam.limit)]
+    defect = rat(1, 48)
+    assert abs(dist(fam.levels[-1], seq_a[-2], seq_b[-2]) - dist(fam.limit, seq_a[-1], seq_b[-1])) == defect
+    assert float(defect) < defect
+    report = monotone_distance_convergence(fam, seq_a, seq_b, float(defect))
+    assert not report.passed and report.witnesses["final_defect"] == float(defect)
+    assert monotone_distance_convergence(fam, seq_a, seq_b, math.nextafter(float(defect), 1)).passed
+
+
 def test_convergence_requires_one_entry_per_level_plus_limit():
     fam = canonical_family()
     tent = make_pl(GRID3, (0, 0, 1), 0, 1)

@@ -369,6 +369,16 @@ def test_refinement_preserves_the_function(u):
     assert r.dual_domain() == u.dual_domain()
 
 
+def test_a_potential_on_the_target_grid_is_not_copied():
+    coarse = REF5.shift(rat(1, 6))
+    assert refine_to(coarse, coarse.grid) is coarse
+    assert refine_to(coarse, Grid(GRID5.nodes, GRID5.polytope)) is coarse
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7)})), GRID5.polytope)
+    fine = refine_to(coarse, finer)
+    aligned = align(coarse, fine)
+    assert aligned[1] is fine and aligned[0] == fine
+
+
 def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
     full = make_pl(GRID3, (0, 0, 1), 0, 1)
     for part in (make_pl(GRID3, (0, 0, rat(1, 2)), 0, rat(1, 2)), make_pl(GRID3, (-1, 0, 1), 1, 1)):

@@ -1,16 +1,19 @@
 """Conjugation kernels, energy and the distance against oracles beyond desk scale.
 
-The merged walks in biconjugate, restrict_dual, max_dual and refine_to are
-only exercised in earnest when a dual carries many breakpoints and when a
-breakpoint pointer meets exact ties, so these properties run on 17- and
-65-node grids with slopes on the 1/64 lattice.  The kernels keep each
-object's numbers as ints over one denominator, so the conjugation and
-refinement properties also run on a non-uniform 17-node grid whose nodes
-have the denominators 3, 5, 7 and 8: a node scale above 1 with unequal
-steps, as the grids ``pointwise_max`` creates.  Conjugating back on the
-potential's own grid makes every kink an exact tie between a dual chord
-slope and a node.  The energy, the distance and its metric laws are checked
-on the same grids, since they pair the kernels' node values with masses.
+The walks in biconjugate and max_dual, and the bisections by which
+restrict_dual and refine_to place each new point on its segment, are only
+exercised in earnest when a dual carries many breakpoints and when a
+pointer or a bisection meets exact ties (a new end on a breakpoint, a
+target node on an old node), so these properties run on 17- and 65-node
+grids with slopes on the 1/64 lattice, and restrict_dual's ends also sit
+on the breakpoints of 257-node duals.  The kernels keep each object's
+numbers as ints over one denominator, so the conjugation and refinement
+properties also run on a non-uniform 17-node grid whose nodes have the
+denominators 3, 5, 7 and 8: a node scale above 1 with unequal steps, as
+the grids ``pointwise_max`` creates.  Conjugating back on the potential's
+own grid makes every kink an exact tie between a dual chord slope and a
+node.  The energy, the distance and its metric laws are checked on the
+same grids, since they pair the kernels' node values with masses.
 Marked ``scale``; example counts are bounded so tier-1 time stays bounded.
 """
 
@@ -117,6 +120,13 @@ def test_restrict_dual_to_a_covering_interval_is_the_dual(seed):
         assert restrict_dual(dual, lo, hi).points == oracles.restrict_by_sampling(dual, lo, hi)
         mid = (lo + hi) / 2
         assert restrict_dual(dual, mid, hi + 1).points == oracles.restrict_by_sampling(dual, mid, hi)
+        # ends on breakpoints, and a single breakpoint
+        ps = [p for p, _ in dual.points]
+        k = len(ps) // 2
+        for a, b in ((ps[k], ps[-1]), (ps[0], ps[k]), (ps[k // 2], ps[k])):
+            assert restrict_dual(dual, a, b).points == oracles.restrict_by_sampling(dual, a, b)
+        for p in (ps[0], ps[k], ps[-1]):
+            assert restrict_dual(dual, p, p).points == ((p, dual.evaluate(p)),)
 
 
 @pytest.mark.parametrize("grid", KERNEL_GRIDS)

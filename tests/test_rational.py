@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from femlab import BACKEND, Rational, rat, rat_str
+from femlab._rational import at_most
 
 
 def test_constructors_agree():
@@ -93,3 +94,10 @@ def test_pure_backend_can_be_forced():
 
 def test_default_backend_is_reported():
     assert BACKEND in ("gmpy2", "fractions")
+
+
+def test_at_most_compares_with_the_exact_value_of_the_float():
+    # float() of either value rounds it onto the tolerance, so a float compare passes both
+    assert not at_most(Fraction(1e-9) + Fraction(1, 10**40), 1e-9)
+    assert not at_most(rat(1, 2**1100), 0.0)
+    assert at_most(Fraction(1e-9), 1e-9) and at_most(0, 0.0)
