@@ -61,7 +61,10 @@ class BigSpace:
     limit envelope.  ``_cache`` holds every cross-level value, keyed by
     (kind, ...) with the potentials and points compared by value:
     projections, level distances, sup terms, quasi-distances and the points
-    of generator members.  It lives and dies with the space.
+    of generator members.  It belongs to the (family, generator) pair, not
+    to the space: it is kept in the generator's memo under the family, so
+    every space over that generator object and an equal family shares it,
+    and it lives exactly as long as the generator.
     """
 
     def __init__(self, family: ModelFamily, generator: SampledFamily):
@@ -71,7 +74,7 @@ class BigSpace:
         self.caps = tuple(member_cap(g, family.reference) for g in generator.members)
         self.level_count = len(self.envs)
         self.limit_level = len(self.envs) - 1
-        self._cache = {}
+        self._cache = generator._memo.setdefault(("bigspace", family), {})
 
     def project(self, level: int, u: GridPLConvex) -> GridPLConvex:
         """model_project of u to a level, computed once per (level, u) value."""

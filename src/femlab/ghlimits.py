@@ -241,6 +241,10 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:
         straight to the limit, as PL data;
     (c) for each limit-level point, the clipped approximants at the j of
         DENSITY_SCHEDULE converge to it with exactly stabilizing distances.
+
+    Its ``BigSpace`` shares the cache of every other space over the same
+    family and generator, so projections and level distances a caller's
+    space already holds are read, not recomputed.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")

@@ -487,19 +487,27 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: every target node takes its exact value
-    from ``_value_at``, so old nodes keep theirs.  On u's own grid, u is
-    returned, with its memoized values.
+    PL refinement is lossless: one walk over both node lists keeps each old
+    node's value and takes each new node's exact value from ``_value_at``,
+    the walk's position in the old nodes being its segment; a target that
+    skips an old node is refused.  On u's own grid, u is returned, with its
+    memoized values.
     """
     if grid == u.grid:
         return u
     if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
     r, rest = divmod(grid._scale, u.grid._scale)
-    xs = _scaled(u.grid._xs, r)
-    if rest or not set(grid._xs).issuperset(xs):
+    xs, vs = _scaled(u.grid._xs, r), u._num
+    values, i = [], 0
+    for x in grid._xs:
+        if i < len(xs) and x == xs[i]:
+            values.append((vs[i], 1))
+            i += 1
+        else:
+            values.append(_value_at(u, xs, grid._scale, i, x))
+    if rest or i < len(xs):
         raise GridMismatch("refinement target must contain all existing nodes")
-    values = [_value_at(u, xs, grid._scale, bisect_right(xs, x), x) for x in grid._xs]
     return GridPLConvex(grid, _common(values, u._den), u._ends)
 
 
@@ -668,8 +676,11 @@ class ModelEnvelope(_Frozen):
 
     @property
     def mass(self):
-        (a, b), den = self.potential._ends
-        return rat(b - a, den)
+        memo = self._memo
+        if "mass" not in memo:
+            (a, b), den = self.potential._ends
+            memo["mass"] = rat(b - a, den)
+        return memo["mass"]
 
     @property
     def degenerate(self) -> bool:

@@ -11,6 +11,7 @@ import oracles
 from femlab import (
     BigSpace,
     Grid,
+    ModelFamily,
     SampledFamily,
     default_node_pools,
     dist,
@@ -139,6 +140,34 @@ def test_a_cached_level_distance_still_checks_the_other_levels_sector():
     assert sp.level_dist(sp.limit_level, v, u) == d == dist(sp.envs[-1], u, v)
     with pytest.raises(SingularityMismatch):
         sp.level_dist(0, u, v)
+
+
+def quasi_matrix(sp):
+    """Every quasi-distance among the member points of every level."""
+    members = range(len(sp.generator.members))
+    pts = [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
+    return [[sp.quasi(p, q) for q in pts] for p in pts]
+
+
+def test_spaces_over_one_generator_and_an_equal_family_share_one_cache():
+    sp = seeded_space(seed=3, count=6)
+    fam, gen = sp.family, sp.generator
+    assert BigSpace(fam, gen)._cache is BigSpace(fam, gen)._cache is sp._cache
+    twin = ModelFamily(fam.levels, fam.limit)
+    assert twin == fam and twin is not fam
+    assert BigSpace(twin, gen)._cache is sp._cache
+
+
+def test_a_space_over_another_family_keeps_its_own_entries():
+    sp = seeded_space(seed=3, count=6)
+    quasi_matrix(sp)
+    gen = sp.generator
+    other = family_from_intervals(GRID3, ((0, 1), (0, rat(7, 8))), (0, rat(3, 4)), REF_ND)
+    shared = BigSpace(other, gen)
+    # level 1 is (0, 3/4) in the first family and (0, 7/8) in this one
+    assert shared._cache is not sp._cache and not shared._cache
+    fresh = BigSpace(other, SampledFamily(gen.members, gen.cap, gen.sup_bound, gen.reference))
+    assert quasi_matrix(shared) == quasi_matrix(fresh)
 
 
 def test_quasi_dominates_the_volume_gap_across_levels():

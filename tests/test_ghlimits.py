@@ -12,6 +12,7 @@ import strategies as own
 from femlab import (
     FiniteMetricSpace,
     Grid,
+    SampledFamily,
     direct_limit_check,
     distortion,
     entropy_cap_filter,
@@ -22,11 +23,12 @@ from femlab import (
     make_pl,
     metric_context,
     model_from_interval,
+    model_project,
     nested_family_distortions,
     rat,
     space_from_potentials,
 )
-from femlab import ghlimits
+from femlab import bigspace, ghlimits
 from femlab.bigspace import BigSpace
 from femlab.errors import GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from femlab.ghlimits import GH_EXACT_CAP, Correspondence
@@ -320,6 +322,42 @@ def test_direct_limit_laws_hold_on_a_seeded_generator():
     for gaps in w["density_rows"]:
         assert gaps[-1] == 0
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+
+def filled_space(seed=5, count=10):
+    """A BigSpace over the canonical family whose full quasi matrix is cached."""
+    gen = entropy_cap_filter(
+        random_candidates(random.Random(seed), GRID3, REF_ND, count), 2.0, rat(2), REF_ND
+    )
+    space = BigSpace(canonical_family(), gen)
+    members = range(len(gen.members))
+    pts = [space.point_from_member(k, i) for k in range(space.level_count) for i in members]
+    for p in pts:
+        for q in pts:
+            space.quasi(p, q)
+    return space
+
+
+def test_direct_limit_projects_nothing_the_callers_space_already_holds(monkeypatch):
+    space = filled_space()
+    cached = {key for key in space._cache if key[0] == "project"}
+    calls = []
+
+    def counted(psi, u):
+        calls.append(("project", space.envs.index(psi), u))
+        return model_project(psi, u)
+
+    monkeypatch.setattr(bigspace, "model_project", counted)
+    assert direct_limit_check(space.family, space.generator).passed
+    assert not cached.intersection(calls)
+
+
+def test_direct_limit_reports_the_same_with_a_shared_or_a_fresh_generator():
+    space = filled_space()
+    gen = space.generator
+    fresh = SampledFamily(gen.members, gen.cap, gen.sup_bound, gen.reference)
+    shared = direct_limit_check(space.family, gen).as_dict()
+    assert shared == direct_limit_check(canonical_family(), fresh).as_dict()
 
 
 def test_direct_limit_rejects_increasing_schedules():

@@ -1,7 +1,7 @@
 """Conjugation kernels, energy and the distance against oracles beyond desk scale.
 
-The walks in biconjugate and max_dual, and the bisections by which
-restrict_dual and refine_to place each new point on its segment, are only
+The walks in biconjugate, max_dual and refine_to, and the bisections by
+which restrict_dual places each new end on its segment, are only
 exercised in earnest when a dual carries many breakpoints and when a
 pointer or a bisection meets exact ties (a new end on a breakpoint, a
 target node on an old node), so these properties run on 17- and 65-node
