@@ -58,11 +58,16 @@ class BigSpace:
     """A family with a shared generator and the one cache its queries share.
 
     Level indices run over the family levels, with one extra index for the
-    limit envelope.  ``_cache`` holds every cross-level value, keyed by
-    (kind, ...) with the potentials and points compared by value:
-    projections, level distances, sup terms, quasi-distances and the points
-    of generator members.  It belongs to the (family, generator) pair, not
-    to the space: it is kept in the generator's memo under the family, so
+    limit envelope.  ``_cache`` holds every cross-level value.  Values of
+    potentials and points are keyed by (kind, ...) and compared by value:
+    projections, level distances, sup terms, quasi-distances, volume gaps
+    and the points of generator members.  Generator members are also keyed
+    by index: the projection of member i to a level by (level, i), and the
+    level distance of members i and j by (level, min(i, j), max(i, j)).
+    These index entries are filled through the value-keyed ones, so equal
+    projections still share one distance, and a cache hit hashes no
+    potential.  The cache belongs to the (family, generator) pair, not to
+    the space: it is kept in the generator's memo under the family, so
     every space over that generator object and an equal family shares it,
     and it lives exactly as long as the generator.
     """
@@ -90,10 +95,26 @@ class BigSpace:
             self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.envs[level], u, v)
         return self._cache[key]
 
+    def _check_level(self, level: int):
+        if level not in range(self.level_count):
+            raise PreconditionViolated("level index %r is not in 0..%d" % (level, self.limit_level))
+
     def projection(self, level: int, i: int) -> GridPLConvex:
-        return self.project(level, self.generator.members[i])
+        """The projection of generator member i to a level; bad indices are refused."""
+        key = (level, i)
+        try:
+            return self._cache[key]
+        except KeyError:
+            self._check_level(level)
+            if i not in range(len(self.generator.members)):
+                raise PreconditionViolated(
+                    "member index %r is not in 0..%d" % (i, len(self.generator.members) - 1)
+                ) from None
+            u = self._cache[key] = self.project(level, self.generator.members[i])
+            return u
 
     def make_point(self, level: int, potential: GridPLConvex) -> BigPoint:
+        self._check_level(level)
         if potential._ends != self.envs[level].potential._ends:
             raise PreconditionViolated("potential does not span the level's interval")
         best_cap, best_i = math.inf, None
@@ -109,7 +130,13 @@ class BigSpace:
         return self._cache[key]
 
     def pair_dist(self, level: int, i: int, j: int):
-        return self.level_dist(level, self.projection(level, i), self.projection(level, j))
+        """The level distance of members i and j, one entry for either order."""
+        key = (level, i, j) if i <= j else (level, j, i)
+        try:
+            return self._cache[key]
+        except KeyError:
+            d = self._cache[key] = self.level_dist(level, self.projection(level, i), self.projection(level, j))
+            return d
 
     def pool(self, cap) -> list:
         """The one pool rule: indices of the members with member_cap <= cap, in order."""
@@ -143,11 +170,16 @@ class BigSpace:
         """The quasi-distance, exact; equals plain dist on a shared level."""
         key = ("quasi", p, q)
         if key not in self._cache:
-            self._cache[key] = self._cache[("quasi", q, p)] = sum(self.quasi_parts(p, q), ZERO)
+            first, sup, gap = self.quasi_parts(p, q)
+            self._cache[key] = self._cache[("quasi", q, p)] = first + sup + gap
         return self._cache[key]
 
     def volume_gap(self, p: BigPoint, q: BigPoint):
-        return abs(self.envs[p.level].mass - self.envs[q.level].mass)
+        """|V_k - V_l| for the levels of p and q, computed once per level pair."""
+        key = ("gap", p.level, q.level)
+        if key not in self._cache:
+            self._cache[key] = abs(self.envs[p.level].mass - self.envs[q.level].mass)
+        return self._cache[key]
 
     def chain(self, p: BigPoint, q: BigPoint, nodes=()) -> ChainResult:
         """Cheapest chain through the node pool; single edge bounds it above."""

@@ -106,11 +106,15 @@ class Grid(_Frozen):
 def _grid_on(grids, points=()) -> Grid:
     """The grid on the nodes of all grids plus points, given as (num, den) int pairs.
 
-    The grids share one polytope.
+    The grids share one polytope.  A grid with as many nodes as the union
+    holds all of it and is returned as it is, memo and all.
     """
     den = math.lcm(*(g._scale for g in grids), *(d for _, d in points))
     xs = {x * (den // g._scale) for g in grids for x in g._xs}
     xs.update(n * (den // d) for n, d in points)
+    for g in grids:
+        if len(g._xs) == len(xs):
+            return g
     return Grid(Lattice(tuple(sorted(xs)), den), grids[0]._poly)
 
 
@@ -512,7 +516,11 @@ def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
 
 
 def align(*us: GridPLConvex):
-    """Bring potentials onto their common node-union grid, exactly; one already on it is kept."""
+    """Bring potentials onto their common node-union grid, exactly; one already on it is kept.
+
+    When one input's grid holds the whole union, that grid object is the
+    union: the input is returned itself and the others are refined onto it.
+    """
     first = us[0].grid
     if all(u.grid == first for u in us):
         return us

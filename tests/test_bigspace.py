@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+from femlab import bigspace
 from femlab import (
     BigSpace,
     Grid,
@@ -293,3 +294,53 @@ def test_level_restriction_singleton_is_trivial():
     report = level_restriction_check(sp, 1, [0])
     assert report.passed
     assert report.witnesses["checked"] == 0
+
+
+def test_member_indices_out_of_range_are_refused():
+    sp = seeded_space()
+    members = len(sp.generator.members)
+    for level, i in ((-1, 0), (sp.level_count, 0), (9, 0), (0, -1), (0, members), (0, 99)):
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.point_from_member(level, i)
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.projection(level, i)
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.pair_dist(level, i, 0)
+    with pytest.raises(PreconditionViolated, match="index"):
+        level_restriction_check(sp, 0, [0, 99])
+    with pytest.raises(PreconditionViolated, match="index"):
+        level_restriction_check(sp, -1, [0, 1])
+    # the limit is named by its own index only
+    assert sp.point_from_member(sp.limit_level, 0).level == sp.limit_level
+
+
+def test_pair_distances_are_one_entry_for_either_order_computed_once(monkeypatch):
+    sp = seeded_space()
+    members = range(len(sp.generator.members))
+    calls = []
+    monkeypatch.setattr(bigspace, "dist", lambda *args: calls.append(args) or dist(*args))
+    for k in range(sp.level_count):
+        for i in members:
+            for j in members:
+                assert sp.pair_dist(k, i, j) is sp.pair_dist(k, j, i)
+                assert sp.pair_dist(k, i, j) == dist(sp.envs[k], sp.projection(k, i), sp.projection(k, j))
+    computed = len(calls)
+    assert 0 < computed
+    for k in range(sp.level_count):
+        for i in members:
+            for j in members:
+                sp.pair_dist(k, i, j)
+    assert len(calls) == computed
+
+
+def test_volume_gaps_and_quasi_distances_add_up():
+    sp = seeded_space(seed=3, count=6)
+    for k in range(sp.level_count):
+        for m in range(sp.level_count):
+            p, q = sp.point_from_member(k, 0), sp.point_from_member(m, 0)
+            assert sp.volume_gap(p, q) == abs(sp.envs[k].mass - sp.envs[m].mass)
+    members = range(len(sp.generator.members))
+    pts = [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
+    for p in pts:
+        for q in pts:
+            assert sp.quasi(p, q) == sum(sp.quasi_parts(p, q))

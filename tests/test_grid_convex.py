@@ -379,6 +379,26 @@ def test_a_potential_on_the_target_grid_is_not_copied():
     assert aligned[1] is fine and aligned[0] == fine
 
 
+def test_a_grid_that_holds_the_union_is_the_union(monkeypatch):
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7)})), GRID5.polytope)
+    fine = refine_to(REF5, finer)
+    # crosses fine, so the rooftop below conjugates rather than picking a member
+    coarse = make_pl(GRID5, (rat(1, 4), rat(1, 4), rat(1, 4), rat(3, 4), rat(5, 4)), 0, 1)
+    assert not is_leq(coarse, fine) and not is_leq(fine, coarse)
+    psi = model_from_interval(GRID5, (0, 1), REF5)
+    built = []
+    real = Grid.__init__
+    monkeypatch.setattr(Grid, "__init__", lambda self, *a, **kw: built.append(a or kw) or real(self, *a, **kw))
+    for pair in ((coarse, fine), (fine, coarse)):
+        aligned = align(*pair)
+        assert aligned[pair.index(fine)] is fine
+        assert aligned[pair.index(coarse)].grid is finer
+        assert aligned[pair.index(coarse)] == refine_to(coarse, finer)
+    assert dist(psi, coarse, fine) == dist(psi, fine, coarse) > 0
+    assert rooftop(coarse, fine).grid is finer
+    assert built == []
+
+
 def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
     full = make_pl(GRID3, (0, 0, 1), 0, 1)
     for part in (make_pl(GRID3, (0, 0, rat(1, 2)), 0, rat(1, 2)), make_pl(GRID3, (-1, 0, 1), 1, 1)):
