@@ -39,7 +39,6 @@ Rational = type(_make(0))
 
 ZERO = _make(0)
 ONE = _make(1)
-HALF = _make(1, 2)
 
 
 def rat(a, b=None):

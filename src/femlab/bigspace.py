@@ -85,6 +85,7 @@ class BigSpace:
         """model_project of u to a level, computed once per (level, u) value."""
         key = ("project", level, u)
         if key not in self._cache:
+            self._check_level(level)
             self._cache[key] = model_project(self.envs[level], u)
         return self._cache[key]
 
@@ -92,6 +93,7 @@ class BigSpace:
         """dist on one level, computed once per (level, u, v) value, either order."""
         key = ("dist", level, u, v)
         if key not in self._cache:
+            self._check_level(level)
             self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.envs[level], u, v)
         return self._cache[key]
 
@@ -150,6 +152,8 @@ class BigSpace:
         """
         key = ("sup", hi_level, lo_level, cap_limit)
         if key not in self._cache:
+            self._check_level(hi_level)
+            self._check_level(lo_level)
             pool = self.pool(cap_limit)
             gaps = (
                 self.pair_dist(hi_level, i, j) - self.pair_dist(lo_level, i, j)

@@ -12,7 +12,7 @@ form, sandwich bounds) are emitted as reports with both sides included.
 
 from __future__ import annotations
 
-from ._rational import HALF
+from ._rational import rat
 from .grid_convex import GridPLConvex, ModelEnvelope, is_leq
 from .measures import _pairings
 from .report import Report
@@ -29,8 +29,8 @@ def energy(psi: ModelEnvelope, u: GridPLConvex):
     memo = u._memo
     if psi in memo:
         return memo[psi]
-    iu, ipsi = _pairings(u, psi.potential)
-    memo[psi] = e = HALF * (iu + ipsi)
+    (iu, ipsi), den = _pairings(u, psi.potential)
+    memo[psi] = e = rat(iu + ipsi, 2 * den)
     return e
 
 
@@ -43,17 +43,18 @@ def energy_diff_report(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex) -> 
     """
     psi.require_in_sector(u)
     psi.require_in_sector(v)
-    iu, iv = _pairings(u, v)
+    (nu, nv), den = _pairings(u, v)
+    iu, iv, rhs = rat(nu, den), rat(nv, den), rat(nu + nv, 2 * den)
     lhs = energy(psi, u) - energy(psi, v)
-    identity_ok = lhs == HALF * (iu + iv)
+    identity_ok = lhs == rhs
     sandwich_ok = iu <= lhs <= iv
     refined_applies = is_leq(u, v)
-    refined_ok = (not refined_applies) or lhs <= HALF * iu
+    refined_ok = (not refined_applies) or 2 * lhs <= iu
     return Report(
         name="energy_difference",
         passed=identity_ok and sandwich_ok and refined_ok,
         lhs=lhs,
-        rhs=HALF * (iu + iv),
+        rhs=rhs,
         witnesses={
             "int_against_ma_u": iu,
             "int_against_ma_v": iv,

@@ -170,8 +170,10 @@ class GridPLConvex(_Frozen):
 
     A potential is immutable, so every pure function of it is computed at
     most once: ``_memo`` holds its hash, ``values``, ``legendre(u)``,
-    ``monge_ampere(u)``, ``energy(psi, u)`` per level and
-    ``split_caps(u, reference)`` per reference, and lives and dies with it.
+    ``monge_ampere(u)``, ``energy(psi, u)`` per level,
+    ``split_caps(u, reference)`` per reference and, for a reference, the
+    level potential of ``model_from_interval`` per Q, and lives and dies
+    with it.
     """
 
     __slots__ = ("grid", "_num", "_den", "_ends", "_slope_lattice", "_memo")
@@ -718,7 +720,11 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
     """Model envelope of the singularity interval Q = [a, b], a <= b.
 
     Degenerate Q (a == b) is allowed and yields a zero-mass level.  It lives
-    on the reference's grid, since its kinks are reference nodes.
+    on the reference's grid, since its kinks are reference nodes.  Every
+    input is checked on every call; the level potential is computed once
+    per (reference, Q) and kept in the reference's memo under ("level", Q),
+    and each call wraps it in a fresh envelope.  The memo keeps the
+    potential, not the envelope, which holds the reference itself.
     """
     a, b = (rat(q) for q in Q)
     if a > b:
@@ -726,9 +732,11 @@ def model_from_interval(grid: Grid, Q, reference: GridPLConvex) -> ModelEnvelope
     q = lattice((a, b))
     if not _contains(grid._poly, q):
         raise IntervalOutOfPolytope("%s leaves polytope %s" % (_interval_str(q), _interval_str(grid._poly)))
-    reference = check_reference(grid, reference)
-    dual = restrict_dual(legendre(reference), a, b)
-    return ModelEnvelope(biconjugate(dual, reference.grid), reference)
+    memo = check_reference(grid, reference)._memo
+    key = ("level", q)
+    if key not in memo:
+        memo[key] = biconjugate(restrict_dual(legendre(reference), a, b), reference.grid)
+    return ModelEnvelope(memo[key], reference)
 
 
 def model_project(psi: ModelEnvelope, u: GridPLConvex) -> GridPLConvex:

@@ -10,7 +10,9 @@ floats appear; it reads exact masses and converts only at the final log.
 Masses are kept as ints over one reduced denominator, like potential
 values.  Every mass pairing is an int dot product: ``_charged_sum`` pairs
 node values with a measure, and ``_pairings`` pairs u - v with MA(u) and
-MA(v) for the energy as the pairing of u minus that of v.
+MA(v) for the energy as the pairing of u minus that of v.  ``_pairings``
+returns both as ints over one unreduced denominator, so the energy, the
+difference identity and the chain gap each build one rational from them.
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u).
@@ -93,14 +95,21 @@ def _charged_sum(values: Lattice, mu: AtomicMeasure):
     return rat(sum(map(mul, nums, mu._num)), den * mu._den)
 
 
-def _pairings(u: GridPLConvex, v: GridPLConvex):
-    """(integral (u - v) dMA(u), integral (u - v) dMA(v)) on the aligned grid, by int dot products."""
+def _pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
+    """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one denominator.
+
+    Both pairings are int dot products on the aligned grid, brought to the
+    shared denominator u.den * v.den * MA(u).den * MA(v).den, which is not
+    reduced: a caller builds the one rational it needs from the ints.
+    """
     u, v = align(u, v)
-    out = []
-    for mu in (monge_ampere(u), monge_ampere(v)):
-        a, b = sum(map(mul, u._num, mu._num)), sum(map(mul, v._num, mu._num))
-        out.append(rat(a * v._den - b * u._den, u._den * v._den * mu._den))
-    return tuple(out)
+    mu, mv = monge_ampere(u), monge_ampere(v)
+    ud, vd = u._den, v._den
+
+    def pairing(m):
+        return sum(map(mul, u._num, m._num)) * vd - sum(map(mul, v._num, m._num)) * ud
+
+    return Lattice((pairing(mu) * mv._den, pairing(mv) * mu._den), ud * vd * mu._den * mv._den)
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:

@@ -19,7 +19,6 @@ from .grid_convex import (
     _difference,
     affine_combine,
     align,
-    is_leq,
     rooftop,
     sup_diff,
 )
@@ -65,36 +64,60 @@ def rho(u: GridPLConvex, v: GridPLConvex):
     return _charged_sum(_difference(a, b), monge_ampere(b))
 
 
+def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> list:
+    """(N, chain_rho(psi, u, v, N)) for each N in steps, each link built once.
+
+    The link at t = j/N is keyed by the reduced ints (j, N), so a t shared
+    by several N is one potential, and t = 0 and t = 1 are the aligned
+    inputs themselves.  The links live only for this call.
+    """
+    steps = tuple(steps)
+    for big_n in steps:
+        if type(big_n) is not int or big_n < 1:
+            raise ValueError("chain length must be a positive integer")
+    psi.require_in_sector(u)
+    psi.require_in_sector(v)
+    u, v = align(u, v)
+    if not (_below(v, u) or _below(u, v)):
+        raise NotComparable("chain_rho needs a pointwise-ordered pair")
+    links = {(0, 1): v, (1, 1): u}
+    rows = []
+    for big_n in steps:
+        chain = []
+        for j in range(big_n + 1):
+            g = math.gcd(j, big_n)
+            key = (j // g, big_n // g)
+            if key not in links:
+                links[key] = affine_combine(rat(*key), u, v)
+            chain.append(links[key])
+        acc = ZERO
+        for w0, w1 in zip(chain, chain[1:]):
+            acc += rho(w0, w1)
+        rows.append((big_n, acc))
+    return rows
+
+
 def chain_rho(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, big_n: int):
     """Sum of rho along the affine chain w_j = (j/N) u + ((N-j)/N) v.
 
-    Exact; always >= dist(psi, u, v) with defect O(1/N).
+    Exact; always >= dist(psi, u, v) with defect O(1/N).  The links come
+    from the helper that ``chain_defect_report`` shares, for this one N.
     """
-    if type(big_n) is not int or big_n < 1:
-        raise ValueError("chain length must be a positive integer")
-    psi.require_in_sector(u)
-    psi.require_in_sector(v)
-    if not (is_leq(v, u) or is_leq(u, v)):
-        raise NotComparable("chain_rho needs a pointwise-ordered pair")
-    links = [affine_combine(rat(j, big_n), u, v) for j in range(big_n + 1)]
-    acc = ZERO
-    for w0, w1 in zip(links, links[1:]):
-        acc += rho(w0, w1)
-    return acc
+    return _chain_sums(psi, u, v, (big_n,))[0][1]
 
 
 def chain_defect_report(psi: ModelEnvelope, hi: GridPLConvex, lo: GridPLConvex, steps) -> Report:
     """The chain defect law: chain_rho(N) - d == gap / 2N for each N, exactly.
 
     gap = I(lo) - I(hi) with I(w) = integral (hi - lo) dMA(w), the two
-    pairings of the energy difference.  lhs is d, rhs the gap; one row per N.
+    pairings of the energy difference.  lhs is d, rhs the gap; one row per
+    N.  The chains of all N share their links: one per distinct t = j/N.
     """
     d = dist(psi, hi, lo)  # checks both sectors
-    i_hi, i_lo = _pairings(hi, lo)
-    gap = i_lo - i_hi
+    (i_hi, i_lo), den = _pairings(hi, lo)
+    gap = rat(i_lo - i_hi, den)
     rows, passed = [], True
-    for n in steps:
-        value = chain_rho(psi, hi, lo, n)
+    for n, value in _chain_sums(psi, hi, lo, steps):
         defect = value - d
         rows.append({"N": n, "chain": value, "defect": defect})
         passed = passed and defect >= 0 and defect * (2 * n) == gap

@@ -9,6 +9,7 @@ tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from femlab import make_pl, rat
@@ -175,8 +176,35 @@ def gh_by_enumeration(x, y):
 
     Every correspondence contains the graph relation of some (f, g) pair
     and enlarging a correspondence cannot shrink distortion, so the min
-    over pairs equals the min over correspondences.
+    over pairs equals the min over correspondences.  The same loop as
+    ``gh_by_enumeration_fractions``, on ints: with dx and dy the common
+    denominators of the two matrices' rationals, a table holds
+    |d_X * dx * dy - d_Y * dx * dy| for every pair of pairs, and the
+    result is one rational.
     """
+    nx, ny = x.size, y.size
+    dx = math.lcm(*(v.denominator for row in x.matrix for v in row))
+    dy = math.lcm(*(v.denominator for row in y.matrix for v in row))
+    a = [[int(v * dx) * dy for v in row] for row in x.matrix]
+    b = [[int(v * dy) * dx for v in row] for row in y.matrix]
+    # pair (i, j) is the index i * ny + j
+    gaps = [
+        [abs(a[i1][i2] - b[j1][j2]) for i2 in range(nx) for j2 in range(ny)]
+        for i1 in range(nx)
+        for j1 in range(ny)
+    ]
+    best = None
+    for f in itertools.product(range(ny), repeat=nx):
+        for g in itertools.product(range(nx), repeat=ny):
+            pairs = {i * ny + f[i] for i in range(nx)} | {g[j] * ny + j for j in range(ny)}
+            dis = max(gaps[p][q] for p in pairs for q in pairs)
+            if best is None or dis < best:
+                best = dis
+    return rat(best, 2 * dx * dy)
+
+
+def gh_by_enumeration_fractions(x, y):
+    """gh_by_enumeration with every distortion a rational."""
     nx, ny = x.size, y.size
     best = None
     for f in itertools.product(range(ny), repeat=nx):

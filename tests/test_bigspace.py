@@ -314,6 +314,23 @@ def test_member_indices_out_of_range_are_refused():
     assert sp.point_from_member(sp.limit_level, 0).level == sp.limit_level
 
 
+def test_level_indices_out_of_range_are_refused_by_the_value_reads():
+    sp = seeded_space()
+    u = sp.generator.members[0]
+    for level in (-1, sp.level_count, 9):
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.project(level, u)
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.level_dist(level, u, u)
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.sup_term(level, 0, 0.0)
+        with pytest.raises(PreconditionViolated, match="index"):
+            sp.sup_term(0, level, 0.0)
+    limit = sp.limit_level
+    assert sp.project(limit, u) == model_project(sp.envs[limit], u)
+    assert sp.sup_term(limit, limit, 0.0) == 0
+
+
 def test_pair_distances_are_one_entry_for_either_order_computed_once(monkeypatch):
     sp = seeded_space()
     members = range(len(sp.generator.members))

@@ -170,6 +170,25 @@ def test_gh_over_coprime_denominators_matches_the_enumeration_oracle(xs, ys):
         assert distortion(identity_correspondence(x, y)) == max(gaps)
 
 
+@given(
+    xs=own.distance_matrices(dens=(1, 2, 3), min_points=1, max_points=3, perturb=False),
+    ys=own.distance_matrices(dens=(5, 7), min_points=1, max_points=3, perturb=False),
+)
+def test_the_int_enumeration_oracle_agrees_with_the_rational_one(xs, ys):
+    x, y = FiniteMetricSpace(xs), FiniteMetricSpace(ys)
+    value = oracles.gh_by_enumeration(x, y)
+    assert value == oracles.gh_by_enumeration_fractions(x, y)
+    assert value == oracles.gh_by_enumeration(y, x)
+
+
+@pytest.mark.parametrize("seed,na,nb", [(1, 3, 3), (4, 2, 5)])
+def test_the_int_enumeration_oracle_agrees_on_seeded_spaces(seed, na, nb):
+    rng = random.Random(seed)
+    x = space_from_potentials(CTX, random_candidates(rng, GRID3, REF_ND, na))
+    y = space_from_potentials(CTX, random_candidates(rng, GRID3, REF_ND, nb))
+    assert oracles.gh_by_enumeration(x, y) == oracles.gh_by_enumeration_fractions(x, y)
+
+
 def test_gh_exact_needs_both_spaces_empty_or_both_nonempty():
     empty, point = FiniteMetricSpace(()), FiniteMetricSpace(((0,),))
     for x, y in ((empty, point), (point, empty)):

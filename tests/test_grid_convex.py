@@ -35,6 +35,7 @@ from femlab.errors import (
     BadReference,
     ConvexityViolation,
     EmptyRooftop,
+    GridMismatch,
     IntervalOutOfPolytope,
     SlopeOutOfPolytope,
 )
@@ -490,6 +491,37 @@ def test_model_from_interval_rejects_escaping_intervals():
         model_from_interval(GRID5, (0, 2), REF5)
     with pytest.raises(IntervalOutOfPolytope):
         model_from_interval(GRID5, (rat(1, 2), rat(1, 4)), REF5)
+
+
+def test_a_level_potential_is_computed_once_per_reference_and_interval():
+    ref = nondegenerate_reference(GRID5)
+    psi = model_from_interval(GRID5, (0, rat(1, 2)), ref)
+    again = model_from_interval(GRID5, ("0", "1/2"), ref)
+    assert again is not psi and again == psi
+    assert again.potential is psi.potential
+    assert model_from_interval(GRID5, (0, 1), ref).potential is not psi.potential
+    other = model_from_interval(GRID5, (0, rat(1, 2)), ref.shift(1))
+    assert other.potential is not psi.potential and other != psi
+
+
+def test_every_input_is_checked_after_a_cached_level():
+    ref = nondegenerate_reference(GRID5)
+    model_from_interval(GRID5, (0, 1), ref)
+    model_from_interval(GRID5, (0, rat(1, 2)), ref)
+    with pytest.raises(IntervalOutOfPolytope):
+        model_from_interval(GRID5, (0, 2), ref)
+    with pytest.raises(IntervalOutOfPolytope):
+        model_from_interval(GRID5, (rat(1, 2), 0), ref)
+    with pytest.raises(TypeError):
+        model_from_interval(GRID5, (0, 0.5), ref)
+    narrow = Grid(nodes=GRID5.nodes, polytope=(0, rat(1, 2)))
+    with pytest.raises(IntervalOutOfPolytope):
+        model_from_interval(narrow, (0, 1), ref)
+    with pytest.raises(GridMismatch):
+        model_from_interval(narrow, (0, rat(1, 2)), ref)
+    half = make_pl(GRID5, (0, 0, 0, 0, 0), 0, rat(1, 2))
+    with pytest.raises(BadReference):
+        model_from_interval(GRID5, (0, rat(1, 2)), half)
 
 
 def test_model_envelopes_are_model_type():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -28,6 +28,7 @@ from femlab import (
     rooftop,
 )
 from femlab.errors import BadExponent, EmptyFamily, NotComparable, SingularityMismatch
+from femlab import metric
 from femlab.metric import abs_diff_pairing
 from femlab.sampling import nondegenerate_reference
 
@@ -173,6 +174,49 @@ def test_chain_rho_decreases_along_doubling_to_d(u, v):
         if prev is not None:
             assert value <= prev
         prev = value
+
+
+def test_chain_defect_report_builds_one_link_per_distinct_t(monkeypatch, ctx3, ref3, tent3):
+    built = []
+    combine = metric.affine_combine
+    monkeypatch.setattr(metric, "affine_combine", lambda t, u, v: built.append(t) or combine(t, u, v))
+    assert chain_defect_report(ctx3, ref3, tent3, (1, 2, 4, 8)).passed
+    assert sorted(built) == [rat(k, 8) for k in range(1, 8)]
+    built.clear()
+    assert chain_defect_report(ctx3, ref3, tent3, (1, 2, 4, 8, 16)).passed
+    assert sorted(built) == [rat(k, 16) for k in range(1, 16)]
+    built.clear()
+    assert chain_rho(ctx3, ref3, tent3, 4) == rat(5, 16)
+    assert sorted(built) == [rat(1, 4), rat(1, 2), rat(3, 4)]
+
+
+def plain_chain_rho(hi, lo, big_n):
+    """chain_rho by rational arithmetic on the public fields, every link built afresh."""
+    nodes = sorted(set(hi.grid.nodes) | set(lo.grid.nodes))
+    ends = (hi.slope_left, hi.slope_right)  # lo spans the same sector
+    tops, bottoms = [hi.evaluate(x) for x in nodes], [lo.evaluate(x) for x in nodes]
+
+    def link(t):
+        return [t * a + (1 - t) * b for a, b in zip(tops, bottoms)]
+
+    def masses(values):
+        chords = [(b - a) / (y - x) for a, b, x, y in zip(values, values[1:], nodes, nodes[1:])]
+        slopes = [ends[0], *chords, ends[1]]
+        return [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
+
+    total = rat(0)
+    for j in range(big_n):
+        lower, upper = link(rat(j, big_n)), link(rat(j + 1, big_n))
+        total += sum((b - a) * m for a, b, m in zip(lower, upper, masses(lower)))
+    return total
+
+
+@settings(max_examples=20)
+@given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5))
+def test_chain_rho_is_the_plain_sum_of_rho_over_its_links(u, v):
+    hi, lo = pointwise_max(u, v), u
+    for big_n in range(1, 17):
+        assert chain_rho(CTX5, hi, lo, big_n) == plain_chain_rho(hi, lo, big_n)
 
 
 def test_darboux_frozen_examples():

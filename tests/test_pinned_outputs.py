@@ -1,0 +1,57 @@
+"""Byte identity: the sha256 of every documented output, pinned.
+
+The six `femlab suite <name> --seed 2026 --count 20` stdouts and the five
+artifacts of `femlab run scenarios/canonical.json`, all run in process
+through `cli.main`.  A change that moves any of these bytes changes a
+published result and has to update the hash here on purpose.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from femlab.cli import main
+
+SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
+
+SUITE_STDOUT = {
+    "metric_axioms": "0a825293f523e0ee1a344dee3236f91eefe56402679b6b9631b70a57f4f837b3",
+    "energy_identities": "a766be47cc58b340bafdcd211e11e89778341fcd9d6a590d9bd405e126027c38",
+    "measure_bounds": "bb0082d24d0aae1fb0c2569b0b1227c554a9838b6bd3206422e38ccf16192871",
+    "contraction": "634f926e2ae3e64498d3b401f887b096b0b5ea41ef72407ed1e2d6ae667e064a",
+    "chains": "c6ea327e47db7fda92d3e24129020ee0b313bfb53af8a341962ba9aacd5317d9",
+    "gh": "a8e5dde3e5fd46a278e96d1b26939e510c7c2f8982b8ad1f35d950b991b5b4fc",
+}
+
+CANONICAL_ARTIFACTS = {
+    "chain_2.json": "a6db517d9b9ece1b25dd5a7a69188fbf6d557415aa8660a53fc03e9a36d270ee",
+    "converge_1.json": "6e2d0dd4dd90379919240fae9f87bffb05a9dd5b2c413a791e8a87658c61fed2",
+    "gh_3.csv": "28fd7322c626e1e9ce647484308f4243abb161bc06ef690f441f73e9e4260105",
+    "gh_3.json": "043c840b2d5d645201004e4551c0b5b9e5e9c4faa6ef8e00bb41ec6f5cdc1505",
+    "suite_0_metric_axioms.jsonl": "73d51085042f64932bb477a014882e2e80745c8a5918556274973054d98a5924",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_STDOUT))
+def test_suite_stdout_is_byte_identical(name, monkeypatch):
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["suite", name, "--seed", "2026", "--count", "20"]) == 0
+    assert sha256(out.getvalue().encode()) == SUITE_STDOUT[name]
+
+
+def test_canonical_artifacts_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+    assert main(["run", SCENARIO, "--out", str(tmp_path)]) == 0
+    written = {name: sha256((tmp_path / name).read_bytes()) for name in sorted(os.listdir(tmp_path))}
+    assert written == CANONICAL_ARTIFACTS
