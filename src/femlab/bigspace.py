@@ -58,18 +58,19 @@ class BigSpace:
     """A family with a shared generator and the one cache its queries share.
 
     Level indices run over the family levels, with one extra index for the
-    limit envelope.  ``_cache`` holds every cross-level value.  Values of
-    potentials and points are keyed by (kind, ...) and compared by value:
-    projections, level distances, sup terms, quasi-distances, volume gaps
-    and the points of generator members.  Generator members are also keyed
-    by index: the projection of member i to a level by (level, i), and the
-    level distance of members i and j by (level, min(i, j), max(i, j)).
-    These index entries are filled through the value-keyed ones, so equal
-    projections still share one distance, and a cache hit hashes no
-    potential.  The cache belongs to the (family, generator) pair, not to
-    the space: it is kept in the generator's memo under the family, so
-    every space over that generator object and an equal family shares it,
-    and it lives exactly as long as the generator.
+    limit envelope; every read of one goes through ``_env``, which refuses
+    an index outside 0..limit_level.  ``_cache`` holds every cross-level
+    value.  Values of potentials and points are keyed by (kind, ...) and
+    compared by value: projections, level distances, sup terms,
+    quasi-distances, volume gaps and the points of generator members.
+    Generator members are also keyed by index: the projection of member i
+    to a level by (level, i), and the level distance of members i and j by
+    (level, min(i, j), max(i, j)).  These index entries are filled through
+    the value-keyed ones, so equal projections still share one distance,
+    and a cache hit hashes no potential.  The cache belongs to the (family,
+    generator) pair, not to the space: it is kept in the generator's memo
+    under the family, so every space over that generator object and an
+    equal family shares it, and it lives exactly as long as the generator.
     """
 
     def __init__(self, family: ModelFamily, generator: SampledFamily):
@@ -81,25 +82,25 @@ class BigSpace:
         self.limit_level = len(self.envs) - 1
         self._cache = generator._memo.setdefault(("bigspace", family), {})
 
+    def _env(self, level: int):
+        """The envelope of a level: the one read of a level index, refused outside the space."""
+        if 0 <= level <= self.limit_level:
+            return self.envs[level]
+        raise PreconditionViolated("level index %r is not in 0..%d" % (level, self.limit_level))
+
     def project(self, level: int, u: GridPLConvex) -> GridPLConvex:
         """model_project of u to a level, computed once per (level, u) value."""
         key = ("project", level, u)
         if key not in self._cache:
-            self._check_level(level)
-            self._cache[key] = model_project(self.envs[level], u)
+            self._cache[key] = model_project(self._env(level), u)
         return self._cache[key]
 
     def level_dist(self, level: int, u: GridPLConvex, v: GridPLConvex):
         """dist on one level, computed once per (level, u, v) value, either order."""
         key = ("dist", level, u, v)
         if key not in self._cache:
-            self._check_level(level)
-            self._cache[key] = self._cache[("dist", level, v, u)] = dist(self.envs[level], u, v)
+            self._cache[key] = self._cache[("dist", level, v, u)] = dist(self._env(level), u, v)
         return self._cache[key]
-
-    def _check_level(self, level: int):
-        if level not in range(self.level_count):
-            raise PreconditionViolated("level index %r is not in 0..%d" % (level, self.limit_level))
 
     def projection(self, level: int, i: int) -> GridPLConvex:
         """The projection of generator member i to a level; bad indices are refused."""
@@ -107,7 +108,7 @@ class BigSpace:
         try:
             return self._cache[key]
         except KeyError:
-            self._check_level(level)
+            self._env(level)
             if i not in range(len(self.generator.members)):
                 raise PreconditionViolated(
                     "member index %r is not in 0..%d" % (i, len(self.generator.members) - 1)
@@ -116,8 +117,7 @@ class BigSpace:
             return u
 
     def make_point(self, level: int, potential: GridPLConvex) -> BigPoint:
-        self._check_level(level)
-        if potential._ends != self.envs[level].potential._ends:
+        if potential._ends != self._env(level).potential._ends:
             raise PreconditionViolated("potential does not span the level's interval")
         best_cap, best_i = math.inf, None
         for k in range(len(self.generator.members)):
@@ -152,8 +152,8 @@ class BigSpace:
         """
         key = ("sup", hi_level, lo_level, cap_limit)
         if key not in self._cache:
-            self._check_level(hi_level)
-            self._check_level(lo_level)
+            self._env(hi_level)
+            self._env(lo_level)
             pool = self.pool(cap_limit)
             gaps = (
                 self.pair_dist(hi_level, i, j) - self.pair_dist(lo_level, i, j)
@@ -165,7 +165,7 @@ class BigSpace:
 
     def quasi_parts(self, p: BigPoint, q: BigPoint):
         # ModelFamily nests any two of its levels, limit included
-        qp, qq = self.envs[p.level].potential._ends, self.envs[q.level].potential._ends
+        qp, qq = self._env(p.level).potential._ends, self._env(q.level).potential._ends
         hi, lo = (p, q) if _contains(qp, qq) else (q, p)
         first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         return first, self.sup_term(hi.level, lo.level, max(p.cap, q.cap)), self.volume_gap(p, q)
@@ -182,7 +182,7 @@ class BigSpace:
         """|V_k - V_l| for the levels of p and q, computed once per level pair."""
         key = ("gap", p.level, q.level)
         if key not in self._cache:
-            self._cache[key] = abs(self.envs[p.level].mass - self.envs[q.level].mass)
+            self._cache[key] = abs(self._env(p.level).mass - self._env(q.level).mass)
         return self._cache[key]
 
     def chain(self, p: BigPoint, q: BigPoint, nodes=()) -> ChainResult:
@@ -216,7 +216,11 @@ class BigSpace:
 
 
 def default_node_pools(space: BigSpace, level: int):
-    """One pool per other level, plus their union: the adversarial menu."""
+    """One pool per other level, plus their union: the adversarial menu.
+
+    The level is read through ``_env``, so one outside the space is refused.
+    """
+    space._env(level)
     members = range(len(space.generator.members))
     per_level = [
         [space.point_from_member(k, i) for i in members]

@@ -130,12 +130,6 @@ def _frac(num, den):
     return num // g, den // g
 
 
-def _common(pairs, den) -> Lattice:
-    """The values num / (den * mult), given as (num, mult) pairs, over one denominator."""
-    m = math.lcm(*(k for _, k in pairs))
-    return Lattice(tuple(n * (m // k) for n, k in pairs), den * m)
-
-
 def _contains(outer: Lattice, inner: Lattice) -> bool:
     """Interval inner lies inside interval outer; both are two-entry lattices.
 
@@ -401,9 +395,9 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     """Restrict a dual to [lo, hi] intersected with its own domain.
 
     Bisection finds the segment of each new end, ``_on_segment`` gives its
-    value (a breakpoint keeps its own), and the breakpoints strictly
-    between the ends are kept as one slice; when [lo, hi] covers the
-    domain, the dual is returned.
+    value (a breakpoint keeps its own), and ``_splice`` puts the two ends
+    around the kept slice of the breakpoints strictly between them; when
+    [lo, hi] covers the domain, the dual is returned.
     """
     lo, hi = rat(lo), rat(hi)
     pden = math.lcm(dual._pden, lo.denominator, hi.denominator)
@@ -417,11 +411,12 @@ def restrict_dual(dual: DualPL, lo, hi) -> DualPL:
     i = bisect_right(ps, a)
     first = _on_segment(ps, ws, i - 1, a)
     if a == b:
-        return DualPL(Lattice((a,), pden), _common([first], dual._wden))
+        values, m = _splice((), [(0, first)])
+        return DualPL(Lattice((a,), pden), Lattice(values, dual._wden * m))
     j = bisect_left(ps, b, i)  # ps[i:j] lie strictly between a and b
     end = _on_segment(ps, ws, j if ps[j] == b else j - 1, b)
-    samples = [first, *((w, 1) for w in ws[i:j]), end]
-    return DualPL(Lattice((a, *ps[i:j], b), pden), _common(samples, dual._wden))
+    values, m = _splice(ws[i:j], [(0, first), (j - i, end)])
+    return DualPL(Lattice((a, *ps[i:j], b), pden), Lattice(values, dual._wden * m))
 
 
 def _splice(nums, inserts):
@@ -493,28 +488,28 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: one walk over both node lists keeps each old
-    node's value and takes each new node's exact value from ``_value_at``,
-    the walk's position in the old nodes being its segment; a target that
-    skips an old node is refused.  On u's own grid, u is returned, with its
-    memoized values.
+    PL refinement is lossless: one walk over both node lists takes each new
+    node's exact value from ``_value_at``, the walk's position in the old
+    nodes being its segment, and ``_splice`` puts those values among u's
+    own; a target that skips an old node is refused.  On u's own grid, u is
+    returned, with its memoized values.
     """
     if grid == u.grid:
         return u
     if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
     r, rest = divmod(grid._scale, u.grid._scale)
-    xs, vs = _scaled(u.grid._xs, r), u._num
-    values, i = [], 0
+    xs = _scaled(u.grid._xs, r)
+    inserts, i = [], 0
     for x in grid._xs:
         if i < len(xs) and x == xs[i]:
-            values.append((vs[i], 1))
             i += 1
         else:
-            values.append(_value_at(u, xs, grid._scale, i, x))
+            inserts.append((i, _value_at(u, xs, grid._scale, i, x)))
     if rest or i < len(xs):
         raise GridMismatch("refinement target must contain all existing nodes")
-    return GridPLConvex(grid, _common(values, u._den), u._ends)
+    values, m = _splice(u._num, inserts)
+    return GridPLConvex(grid, Lattice(values, u._den * m), u._ends)
 
 
 def align(*us: GridPLConvex):
@@ -686,11 +681,8 @@ class ModelEnvelope(_Frozen):
 
     @property
     def mass(self):
-        memo = self._memo
-        if "mass" not in memo:
-            (a, b), den = self.potential._ends
-            memo["mass"] = rat(b - a, den)
-        return memo["mass"]
+        (a, b), den = self.potential._ends
+        return rat(b - a, den)
 
     @property
     def degenerate(self) -> bool:

@@ -122,7 +122,7 @@ def _rational(value, where):
         raise ParseError("%s: %s" % (where, exc))
 
 
-def _number(value, where, non_negative=False):
+def _number(value, where):
     try:
         # json reads NaN and Infinity as floats; neither is a usable bound.
         finite = not isinstance(value, bool) and math.isfinite(value)
@@ -130,7 +130,7 @@ def _number(value, where, non_negative=False):
         finite = False
     if not finite:
         raise ParseError("%s must be a number, got %r" % (where, value))
-    if non_negative and value < 0:
+    if value < 0:
         raise ValidationError("%s must be non-negative, got %r" % (where, value))
     return float(value)
 
@@ -256,7 +256,7 @@ def parse_scenario(doc) -> Scenario:
         )
         for key in ("cap", "sup_bound"):
             if key in samples:
-                _number(samples[key], "samples.%s" % key, non_negative=True)
+                _number(samples[key], "samples.%s" % key)
         samples = dict(samples)
 
     scn = Scenario(grid, reference, potentials, families, samples)
@@ -272,9 +272,7 @@ def parse_scenario(doc) -> Scenario:
         keys, reader, _ = _KINDS[kind]
         _only(block, ("kind", *keys), "%s: unknown keys for a %s block" % (where, kind))
         if "tolerance" in keys:
-            entry["tolerance"] = _number(
-                block.get("tolerance", DEFAULT_TOLERANCE), where + ".tolerance", non_negative=True
-            )
+            entry["tolerance"] = _number(block.get("tolerance", DEFAULT_TOLERANCE), where + ".tolerance")
         reader(scn, entry, where)
         checked.append(entry)
     return Scenario(grid, reference, potentials, families, samples, tuple(checked))
@@ -358,7 +356,7 @@ def _read_gh(scn, block, where):
     if not isinstance(caps, list) or not caps:
         raise ParseError("%s: caps must be a non-empty list" % where)
     for c in caps:
-        _number(c, where + ".caps", non_negative=True)
+        _number(c, where + ".caps")
     if scn.samples is None:
         raise ValidationError("%s: gh experiments need a samples block for their seed" % where)
 

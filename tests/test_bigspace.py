@@ -317,6 +317,7 @@ def test_member_indices_out_of_range_are_refused():
 def test_level_indices_out_of_range_are_refused_by_the_value_reads():
     sp = seeded_space()
     u = sp.generator.members[0]
+    p = sp.point_from_member(0, 0)
     for level in (-1, sp.level_count, 9):
         with pytest.raises(PreconditionViolated, match="index"):
             sp.project(level, u)
@@ -326,6 +327,12 @@ def test_level_indices_out_of_range_are_refused_by_the_value_reads():
             sp.sup_term(level, 0, 0.0)
         with pytest.raises(PreconditionViolated, match="index"):
             sp.sup_term(0, level, 0.0)
+        with pytest.raises(PreconditionViolated, match="index"):
+            default_node_pools(sp, level)
+        q = BigPoint(level, sp.envs[sp.limit_level].potential, None, math.inf)
+        for read in (sp.quasi, sp.chain, sp.volume_gap):
+            with pytest.raises(PreconditionViolated, match="index"):
+                read(p, q)
     limit = sp.limit_level
     assert sp.project(limit, u) == model_project(sp.envs[limit], u)
     assert sp.sup_term(limit, limit, 0.0) == 0

@@ -3,8 +3,10 @@
 The dead-code checks read the package's source with the standard ``ast``
 module: no module imports a name it never reads, every module-level
 private name is read somewhere in the package, and every defaulted
-parameter is passed by some call in the package, the tests or perfbench.
-The same scan keeps the rational backend behind ``_rational.py``.  A fresh
+parameter is passed by some call in the package, the tests or perfbench,
+and left out or given two values by them.  The same scan keeps the
+rational backend behind ``_rational.py`` and every level read of
+``bigspace.py`` inside ``BigSpace._env``.  A fresh
 interpreter imports the CLI without the stdlib's class-building modules,
 and each validated type runs its ``__post_init__`` once per construction,
 so a tracer that patches it there sees every validation.
@@ -170,7 +172,8 @@ def passes(call, parameter, position):
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def test_every_defaulted_parameter_is_passed_by_some_call():
+def calls_by_name():
+    """{called name: [every call of it in the package, the tests and perfbench]}"""
     calls = {}
     for tree in CALLER_TREES:
         for node in ast.walk(tree):
@@ -178,6 +181,11 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calls = calls_by_name()
     params = [p for tree in TREES.values() for p in defaulted_parameters(tree)]
     assert params, "the scan found no defaulted parameters at all"
     never_set = [
@@ -186,3 +194,48 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         if not any(passes(call, parameter, position) for call in calls.get(name, ()))
     ]
     assert never_set == []
+
+
+def passed_literal(call, parameter, position):
+    """The repr of the literal a call passes for the parameter, else None.
+
+    None covers a call that leaves the default, passes a splat, or passes
+    an expression that is not a literal.
+    """
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return None
+    node = next((kw.value for kw in call.keywords if kw.arg == parameter), None)
+    if node is None and position is not None and position < len(call.args):
+        node = call.args[position]
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def test_no_defaulted_parameter_takes_one_literal_at_every_call():
+    """A parameter that every call sets to the same literal is a constant, not an option."""
+    calls = calls_by_name()
+    one_valued = []
+    for tree in TREES.values():
+        for name, parameter, position in defaulted_parameters(tree):
+            literals = {passed_literal(call, parameter, position) for call in calls.get(name, ())}
+            if len(literals) == 1 and None not in literals:
+                one_valued.append("%s(%s)" % (name, parameter))
+    assert one_valued == []
+
+
+def test_bigspace_reads_a_level_envelope_only_through_env():
+    """Every subscript of ``envs`` in bigspace.py sits in ``_env``, which checks the index."""
+    tree = TREES["bigspace.py"]
+
+    def envs_reads(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Subscript) and getattr(n.value, "attr", getattr(n.value, "id", None)) == "envs"
+        ]
+
+    env = next((n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_env"), None)
+    inside = envs_reads(env) if env else []
+    assert [n.lineno for n in envs_reads(tree) if n not in inside] == []
+    assert inside, "_env reads no envelope"
