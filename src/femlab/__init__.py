@@ -62,6 +62,7 @@ from .measures import (
     is_nondegenerate_reference,
     monge_ampere,
     normalize,
+    rho,
 )
 from .metric import (
     chain_defect_report,
@@ -72,7 +73,6 @@ from .metric import (
     double_inequality_constant,
     double_inequality_report,
     estimate_sup_bound_constants,
-    rho,
 )
 from .report import Report, encode_value
 from .scenario import Scenario, parse_scenario, run_scenario

@@ -26,7 +26,7 @@ import math
 from ._rational import ZERO, _Frozen
 from .errors import PreconditionViolated
 from .families import ModelFamily, SampledFamily, member_cap
-from .grid_convex import GridPLConvex, _contains, model_project, pl_equal
+from .grid_convex import GridPLConvex, model_project, more_singular, pl_equal
 from .metric import dist
 from .report import Report
 
@@ -57,6 +57,10 @@ class ChainResult(_Frozen):
 class BigSpace:
     """A family with a shared generator and the one cache its queries share.
 
+    Member caps are read against the family's reference, which must be the
+    generator's: members over another polytope fail that read with
+    GridMismatch, and a generator over another reference is refused.
+
     Level indices run over the family levels, with one extra index for the
     limit envelope; every read of one goes through ``_env``, which refuses
     an index outside 0..limit_level.  ``_cache`` holds every cross-level
@@ -74,10 +78,12 @@ class BigSpace:
     """
 
     def __init__(self, family: ModelFamily, generator: SampledFamily):
+        self.caps = tuple(member_cap(g, family.reference) for g in generator.members)
+        if generator.reference != family.reference:
+            raise PreconditionViolated("generator and family have different references")
         self.family = family
         self.generator = generator
         self.envs = tuple(family.levels) + (family.limit,)
-        self.caps = tuple(member_cap(g, family.reference) for g in generator.members)
         self.level_count = len(self.envs)
         self.limit_level = len(self.envs) - 1
         self._cache = generator._memo.setdefault(("bigspace", family), {})
@@ -117,7 +123,7 @@ class BigSpace:
             return u
 
     def make_point(self, level: int, potential: GridPLConvex) -> BigPoint:
-        if potential._ends != self._env(level).potential._ends:
+        if potential.dual_domain() != self._env(level).Q:
             raise PreconditionViolated("potential does not span the level's interval")
         best_cap, best_i = math.inf, None
         for k in range(len(self.generator.members)):
@@ -165,8 +171,8 @@ class BigSpace:
 
     def quasi_parts(self, p: BigPoint, q: BigPoint):
         # ModelFamily nests any two of its levels, limit included
-        qp, qq = self._env(p.level).potential._ends, self._env(q.level).potential._ends
-        hi, lo = (p, q) if _contains(qp, qq) else (q, p)
+        pp, qq = self._env(p.level).potential, self._env(q.level).potential
+        hi, lo = (p, q) if more_singular(qq, pp) else (q, p)
         first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         return first, self.sup_term(hi.level, lo.level, max(p.cap, q.cap)), self.volume_gap(p, q)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ._rational import rat
 from .grid_convex import GridPLConvex, ModelEnvelope, is_leq
-from .measures import _pairings
+from .measures import pairings
 from .report import Report
 
 
@@ -29,7 +29,7 @@ def energy(psi: ModelEnvelope, u: GridPLConvex):
     memo = u._memo
     if psi in memo:
         return memo[psi]
-    (iu, ipsi), den = _pairings(u, psi.potential)
+    (iu, ipsi), den = pairings(u, psi.potential)
     memo[psi] = e = rat(iu + ipsi, 2 * den)
     return e
 
@@ -43,7 +43,7 @@ def energy_diff_report(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex) -> 
     """
     psi.require_in_sector(u)
     psi.require_in_sector(v)
-    (nu, nv), den = _pairings(u, v)
+    (nu, nv), den = pairings(u, v)
     iu, iv, rhs = rat(nu, den), rat(nv, den), rat(nu + nv, 2 * den)
     lhs = energy(psi, u) - energy(psi, v)
     identity_ok = lhs == rhs

@@ -17,9 +17,9 @@ from .errors import GridMismatch, PreconditionViolated, ScheduleInvalid, Validat
 from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
-    _contains,
     model_from_interval,
     model_project,
+    more_singular,
     pointwise_max,
     sup_diff,
 )
@@ -45,18 +45,18 @@ class ModelFamily(_Frozen):
         if not levels:
             raise ScheduleInvalid("a family needs at least one level")
         for env in levels + (limit,):
-            if env.grid._poly != levels[0].grid._poly:
+            if env.grid.polytope != levels[0].grid.polytope:
                 raise ScheduleInvalid("levels live on different polytopes")
             if env.reference != levels[0].reference:
                 raise ScheduleInvalid("levels disagree on the reference")
-        qs = [env.potential._ends for env in levels]
-        ql = limit.potential._ends
+        ps = [env.potential for env in levels]
+        pl = limit.potential
         decreasing = all(
-            _contains(a, b) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(q, ql) for q in qs)
+            more_singular(b, a) and a.dual_domain() != b.dual_domain() for a, b in zip(ps, ps[1:])
+        ) and all(more_singular(pl, p) for p in ps)
         increasing = all(
-            _contains(b, a) and a != b for a, b in zip(qs, qs[1:])
-        ) and all(_contains(ql, q) for q in qs)
+            more_singular(a, b) and a.dual_domain() != b.dual_domain() for a, b in zip(ps, ps[1:])
+        ) and all(more_singular(p, pl) for p in ps)
         if not (decreasing or increasing):
             raise ScheduleInvalid("levels are not strictly nested toward the limit")
         direction = "decreasing" if decreasing else "increasing"
@@ -133,7 +133,7 @@ def entropy_cap_filter(candidates, cap: float, sup_bound, reference: GridPLConve
 def project_family(psi: ModelEnvelope, family: SampledFamily) -> tuple:
     """The level-psi images of the members, image i of member i."""
     for u in family:
-        if u.grid._poly != psi.grid._poly:
+        if u.grid.polytope != psi.grid.polytope:
             raise GridMismatch("family and envelope live on different polytopes")
     return tuple(model_project(psi, u) for u in family)
 
@@ -147,7 +147,7 @@ def density_approximant(psi: ModelEnvelope, u: GridPLConvex, j) -> GridPLConvex:
     j = rat(j)
     if j <= 0:
         raise ValueError("approximation parameter must be positive")
-    if not _contains(psi.potential._ends, u._ends):
+    if not more_singular(u, psi.potential):
         raise PreconditionViolated("approximant needs u at least as singular as the level")
     clipped = pointwise_max(u, psi.reference.shift(-j))
     return model_project(psi, clipped)

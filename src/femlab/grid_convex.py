@@ -131,11 +131,7 @@ def _frac(num, den):
 
 
 def _contains(outer: Lattice, inner: Lattice) -> bool:
-    """Interval inner lies inside interval outer; both are two-entry lattices.
-
-    The one test of singularity order: u is at least as singular as v
-    exactly when v's dual domain contains u's.
-    """
+    """Interval inner lies inside interval outer; both are two-entry lattices."""
     (a, b), m = outer
     (c, d), n = inner
     return a * n <= c * m and d * m <= b * n
@@ -595,17 +591,22 @@ def affine_combine(t, u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     return GridPLConvex(u.grid, mix(u._num, u._den, v._num, v._den), mix(*u._ends, *v._ends))
 
 
-def _below(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """u <= v on the whole line, for potentials on one grid: at every node and on both rays."""
+def more_singular(u: GridPLConvex, v: GridPLConvex) -> bool:
+    """The singularity order: u is at least as singular as v, that is, v's dual domain contains u's."""
+    return _contains(v._ends, u._ends)
+
+
+def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
+    """u <= v pointwise on the whole line, decided exactly: at every node and on both rays.
+
+    Inputs on one grid object are compared as they are, without ``align``.
+    """
+    if u.grid is not v.grid:
+        u, v = align(u, v)
     if not _contains(v._ends, u._ends):
         return False
     den = math.lcm(u._den, v._den)
     return all(map(le, _scaled(u._num, den // u._den), _scaled(v._num, den // v._den)))
-
-
-def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """u <= v pointwise on the whole line, decided exactly."""
-    return _below(*align(u, v))
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -639,7 +640,7 @@ def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
         raise ValueError("rooftop needs at least two potentials")
     us = align(*potentials)
     for u in us:
-        if all(_below(u, v) for v in us if v is not u):
+        if all(is_leq(u, v) for v in us if v is not u):
             return u
     den = math.lcm(*(u._ends.den for u in us))
     lo = max(u._ends.nums[0] * (den // u._ends.den) for u in us)

@@ -8,11 +8,13 @@ measure that arises from a potential.  Relative entropy is the single place
 floats appear; it reads exact masses and converts only at the final log.
 
 Masses are kept as ints over one reduced denominator, like potential
-values.  Every mass pairing is an int dot product: ``_charged_sum`` pairs
-node values with a measure, and ``_pairings`` pairs u - v with MA(u) and
-MA(v) for the energy as the pairing of u minus that of v.  ``_pairings``
-returns both as ints over one unreduced denominator, so the energy, the
-difference identity and the chain gap each build one rational from them.
+values.  Every Monge-Ampere pairing lives here and is an int dot product:
+``_charged_sum`` pairs node values with a measure; ``pairings`` pairs
+u - v with MA(u) and MA(v) for the energy as the pairing of u minus that
+of v, and returns both as ints over one unreduced denominator, so the
+energy, the difference identity and the chain gap each build one rational
+from them; ``rho`` pairs hi - lo with MA(lo) for an ordered pair, and
+``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u).
@@ -24,15 +26,16 @@ import math
 from operator import mul, sub
 
 from ._rational import ZERO, Lattice, _Frozen, lattice, rat, rat_str
-from .errors import GridMismatch, NotNormalized, PreconditionViolated
+from .errors import GridMismatch, NotComparable, NotNormalized, PreconditionViolated
 from .grid_convex import (
     Grid,
     GridPLConvex,
     ModelEnvelope,
-    _contains,
     _difference,
     align,
+    is_leq,
     model_project,
+    more_singular,
     rooftop,
 )
 from .report import Report
@@ -95,7 +98,7 @@ def _charged_sum(values: Lattice, mu: AtomicMeasure):
     return rat(sum(map(mul, nums, mu._num)), den * mu._den)
 
 
-def _pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
+def pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
     """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one denominator.
 
     Both pairings are int dot products on the aligned grid, brought to the
@@ -110,6 +113,27 @@ def _pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
         return sum(map(mul, u._num, m._num)) * vd - sum(map(mul, v._num, m._num)) * ud
 
     return Lattice((pairing(mu) * mv._den, pairing(mv) * mu._den), ud * vd * mu._den * mv._den)
+
+
+def rho(u: GridPLConvex, v: GridPLConvex):
+    """integral (hi - lo) dMA(lo) for a comparable pair, symmetrized.
+
+    Dominates d on a common sector and contracts under envelope projection.
+    """
+    a, b = align(u, v)
+    if not is_leq(b, a):
+        if not is_leq(a, b):
+            raise NotComparable("rho needs a pointwise-ordered pair")
+        a, b = b, a
+    return _charged_sum(_difference(a, b), monge_ampere(b))
+
+
+def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
+    """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
+    a, b = align(u, v)
+    nums, den = _difference(a, b)
+    diff = Lattice(tuple(map(abs, nums)), den)
+    return _charged_sum(diff, monge_ampere(a)) + _charged_sum(diff, monge_ampere(b))
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:
@@ -163,7 +187,7 @@ def is_nondegenerate_reference(reference: GridPLConvex) -> bool:
 
 def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
     """MA(u)({v < u}) <= MA(v)({v < u}) for u at least as singular as v."""
-    if not _contains(v._ends, u._ends):
+    if not more_singular(u, v):
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
     u, v = align(u, v)
     mu, mv = monge_ampere(u), monge_ampere(v)

@@ -1,28 +1,21 @@
-"""The distance d, the comparison functional rho, and its chain sums.
+"""The distance d and the chain sums of the comparison functional rho.
 
 d(u, v) = E(u) + E(v) - 2 E(rooftop(u, v)) on the sector of a level psi,
 its context as for E.  Values are exact rationals, so the metric axioms,
 the Pythagorean decomposition and the chain-sum rate are checked with ==.
+rho and the other Monge-Ampere pairings are the kernel's (``measures``);
+this layer reads potentials only through the kernel's public names.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._rational import ONE, ZERO, Lattice, rat
+from ._rational import ONE, ZERO, rat
 from .errors import BadExponent, EmptyFamily, NotComparable
 from .energy import energy
-from .grid_convex import (
-    GridPLConvex,
-    ModelEnvelope,
-    _below,
-    _difference,
-    affine_combine,
-    align,
-    rooftop,
-    sup_diff,
-)
-from .measures import _charged_sum, _pairings, monge_ampere
+from .grid_convex import GridPLConvex, ModelEnvelope, affine_combine, align, is_leq, rooftop, sup_diff
+from .measures import abs_diff_pairing, pairings, rho
 from .report import Report
 
 
@@ -44,24 +37,11 @@ def dist(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex):
     """
     eu, ev = energy(psi, u), energy(psi, v)  # each checks the sector before the rooftop
     a, b = align(u, v)
-    if _below(a, b):
+    if is_leq(a, b):
         return ev - eu
-    if _below(b, a):
+    if is_leq(b, a):
         return eu - ev
     return eu + ev - 2 * energy(psi, rooftop(a, b))
-
-
-def rho(u: GridPLConvex, v: GridPLConvex):
-    """integral (hi - lo) dMA(lo) for a comparable pair, symmetrized.
-
-    Dominates d on a common sector and contracts under envelope projection.
-    """
-    a, b = align(u, v)
-    if not _below(b, a):
-        if not _below(a, b):
-            raise NotComparable("rho needs a pointwise-ordered pair")
-        a, b = b, a
-    return _charged_sum(_difference(a, b), monge_ampere(b))
 
 
 def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> list:
@@ -78,7 +58,7 @@ def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> 
     psi.require_in_sector(u)
     psi.require_in_sector(v)
     u, v = align(u, v)
-    if not (_below(v, u) or _below(u, v)):
+    if not (is_leq(v, u) or is_leq(u, v)):
         raise NotComparable("chain_rho needs a pointwise-ordered pair")
     links = {(0, 1): v, (1, 1): u}
     rows = []
@@ -114,7 +94,7 @@ def chain_defect_report(psi: ModelEnvelope, hi: GridPLConvex, lo: GridPLConvex, 
     N.  The chains of all N share their links: one per distinct t = j/N.
     """
     d = dist(psi, hi, lo)  # checks both sectors
-    (i_hi, i_lo), den = _pairings(hi, lo)
+    (i_hi, i_lo), den = pairings(hi, lo)
     gap = rat(i_lo - i_hi, den)
     rows, passed = [], True
     for n, value in _chain_sums(psi, hi, lo, steps):
@@ -122,14 +102,6 @@ def chain_defect_report(psi: ModelEnvelope, hi: GridPLConvex, lo: GridPLConvex, 
         rows.append({"N": n, "chain": value, "defect": defect})
         passed = passed and defect >= 0 and defect * (2 * n) == gap
     return Report(name="chain_defect_law", passed=passed, lhs=d, rhs=gap, witnesses={"rows": rows})
-
-
-def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
-    """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
-    a, b = align(u, v)
-    nums, den = _difference(a, b)
-    diff = Lattice(tuple(map(abs, nums)), den)
-    return _charged_sum(diff, monge_ampere(a)) + _charged_sum(diff, monge_ampere(b))
 
 
 def double_inequality_report(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex) -> Report:

@@ -62,11 +62,6 @@ def random_sector_potential(rng, grid: Grid, interval) -> GridPLConvex:
     return GridPLConvex(grid, values, ends)
 
 
-def random_full_potential(rng, grid: Grid) -> GridPLConvex:
-    """Random potential spanning the whole moment polytope."""
-    return random_sector_potential(rng, grid, grid._poly)
-
-
 def random_ordered_pair(rng, grid: Grid, interval):
     """(hi, lo) with hi >= lo pointwise, both with dual domain `interval`."""
     lo_pot = random_sector_potential(rng, grid, interval)
@@ -76,7 +71,7 @@ def random_ordered_pair(rng, grid: Grid, interval):
 
 def random_candidates(rng, grid: Grid, reference: GridPLConvex, count: int):
     """Full-polytope potentials, each shifted so sup(u - reference) == 0: the raw family material."""
-    us = [random_full_potential(rng, grid) for _ in range(count)]
+    us = [random_sector_potential(rng, grid, grid._poly) for _ in range(count)]
     return [u.shift(-sup_diff(u, reference)) for u in us]
 
 

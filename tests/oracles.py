@@ -171,6 +171,38 @@ def ma_atoms_by_sampling(u):
     return tuple(slope_jump_by_sampling(u, x) for x in u.grid.nodes)
 
 
+def ma_pairing_by_sampling(f, g, nodes):
+    """integral f dMA(g) for a function f of a point, as a sum over nodes.
+
+    MA(g) is atomic, carrying g's derivative jump at each kink, so the sum
+    of f(x) times the sampled jump over nodes that hold g's kinks is exact.
+    """
+    return sum(f(x) * slope_jump_by_sampling(g, x) for x in nodes)
+
+
+def union_nodes(u, v):
+    return sorted(set(u.grid.nodes) | set(v.grid.nodes))
+
+
+def rho_by_sampling(hi, lo):
+    """integral (hi - lo) dMA(lo) for hi >= lo, summed on the union of both grids' nodes."""
+
+    def gap(x):
+        return ray_value(hi, x) - ray_value(lo, x)
+
+    return ma_pairing_by_sampling(gap, lo, union_nodes(hi, lo))
+
+
+def abs_diff_pairing_by_sampling(u, v):
+    """integral |u - v| d(MA(u) + MA(v)), summed on the union of both grids' nodes."""
+
+    def gap(x):
+        return abs(ray_value(u, x) - ray_value(v, x))
+
+    nodes = union_nodes(u, v)
+    return ma_pairing_by_sampling(gap, u, nodes) + ma_pairing_by_sampling(gap, v, nodes)
+
+
 def gh_by_enumeration(x, y):
     """Exact GH distance by exhausting all map pairs f: X->Y, g: Y->X.
 

@@ -86,6 +86,17 @@ def test_make_point_requires_the_level_interval():
         sp.make_point(1, sp.envs[0].potential)
 
 
+def test_a_generator_capped_against_another_reference_is_refused():
+    """Member caps are read against the family's reference; a generator over
+    another one would pool its members by caps it was never filtered by."""
+    fam = family_from_intervals(GRID3, ((0, 1), (0, rat(1, 2))), (0, rat(1, 2)), REF_ND)
+    other = make_pl(GRID3, (0, rat(1, 8), 1), 0, 1)
+    gen = SampledFamily((other, REF_ND), 10.0, rat(10), other)
+    assert [member_cap(u, other) for u in gen] != [member_cap(u, REF_ND) for u in gen]
+    with pytest.raises(PreconditionViolated, match="reference"):
+        BigSpace(fam, gen)
+
+
 def test_make_point_scans_the_fiber_for_the_minimal_cap():
     fam = family_from_intervals(
         GRID3, ((0, 1), (0, rat(1, 2))), (0, rat(1, 2)), REF_ND

@@ -36,11 +36,14 @@ from femlab import (
     make_pl,
     model_from_interval,
     model_project,
+    pointwise_max,
     rat,
+    rho,
     rooftop,
 )
 from femlab.errors import EmptyRooftop, GridMismatch
 from femlab.grid_convex import max_dual, refine_to, restrict_dual
+from femlab.measures import abs_diff_pairing
 from femlab.sampling import nondegenerate_reference, random_sector_potential, random_subinterval
 
 pytestmark = pytest.mark.scale
@@ -261,3 +264,12 @@ def test_metric_laws_hold_exactly(grid, data):
     assert dist(ctx, u, w) <= duv + dist(ctx, v, w)
     p = rooftop(u, v)
     assert duv == dist(ctx, u, p) + dist(ctx, v, p)
+
+
+@SMALL
+@given(data=st.data())
+def test_rho_and_abs_diff_pairing_match_the_sampling_oracle_across_two_grids(data):
+    u, w = potential(data, GRID17), potential(data, GRID17_MIXED)
+    for hi, lo in ((pointwise_max(u, w), u), (u, rooftop(u, w))):
+        assert rho(hi, lo) == oracles.rho_by_sampling(hi, lo)
+    assert abs_diff_pairing(u, w) == oracles.abs_diff_pairing_by_sampling(u, w)

@@ -20,10 +20,13 @@ from femlab import (
     normalize,
     pointwise_max,
     rat,
+    rho,
+    rooftop,
 )
 from femlab.errors import NotNormalized, SingularityMismatch
 from femlab.measures import (
     AtomicMeasure,
+    abs_diff_pairing,
     check_comparison_principle,
     check_model_mass_bound,
     check_rooftop_mass_bound,
@@ -42,6 +45,19 @@ def test_atomic_measure_rejects_negative_mass():
 @given(u=own.potentials_on(GRID5))
 def test_monge_ampere_matches_sampling_oracle(u):
     assert tuple(monge_ampere(u).masses) == oracles.ma_atoms_by_sampling(u)
+
+
+@given(a=own.grids(), b=own.grids(), data=st.data())
+def test_rho_matches_the_sampling_oracle_on_two_grids(a, b, data):
+    u, w = data.draw(own.potentials_on(a)), data.draw(own.potentials_on(b))
+    for hi, lo in ((pointwise_max(u, w), u), (u, rooftop(u, w))):
+        assert rho(hi, lo) == rho(lo, hi) == oracles.rho_by_sampling(hi, lo)
+
+
+@given(a=own.grids(), b=own.grids(), data=st.data())
+def test_abs_diff_pairing_matches_the_sampling_oracle_on_two_grids(a, b, data):
+    u, v = data.draw(own.potentials_on(a)), data.draw(own.potentials_on(b))
+    assert abs_diff_pairing(u, v) == abs_diff_pairing(v, u) == oracles.abs_diff_pairing_by_sampling(u, v)
 
 
 @given(data=st.data())

@@ -5,8 +5,11 @@ module: no module imports a name it never reads, every module-level
 private name is read somewhere in the package, and every defaulted
 parameter is passed by some call in the package, the tests or perfbench,
 and left out or given two values by them.  The same scan keeps the
-rational backend behind ``_rational.py`` and every level read of
-``bigspace.py`` inside ``BigSpace._env``.  A fresh
+rational backend behind ``_rational.py``, every level read of
+``bigspace.py`` inside ``BigSpace._env``, and the int representation
+inside the kernel (``grid_convex``, ``measures``, ``sampling``): no other
+module imports an underscore name from it or reads an underscore slot of
+its types, ``_memo`` aside.  A fresh
 interpreter imports the CLI without the stdlib's class-building modules,
 and each validated type runs its ``__post_init__`` once per construction,
 so a tracer that patches it there sees every validation.
@@ -239,3 +242,41 @@ def test_bigspace_reads_a_level_envelope_only_through_env():
     inside = envs_reads(env) if env else []
     assert [n.lineno for n in envs_reads(tree) if n not in inside] == []
     assert inside, "_env reads no envelope"
+
+
+KERNEL = ("grid_convex.py", "measures.py", "sampling.py")
+KERNEL_TYPES = ("Grid", "GridPLConvex", "DualPL", "ModelEnvelope", "AtomicMeasure")
+
+
+def kernel_slots():
+    """The underscore slots of the kernel's types, read from their ``__slots__``.
+
+    ``_memo``, the cache every type carries, is left out.
+    """
+    slots = set()
+    for name in KERNEL:
+        for node in ast.walk(TREES[name]):
+            if isinstance(node, ast.ClassDef) and node.name in KERNEL_TYPES:
+                for item in node.body:
+                    targets = [getattr(t, "id", None) for t in getattr(item, "targets", ())]
+                    if targets == ["__slots__"]:
+                        slots.update(ast.literal_eval(item.value))
+    return {s for s in slots if s.startswith("_")} - {"_memo"}
+
+
+def test_outside_the_kernel_no_module_reads_its_representation():
+    """The int lattices are the kernel's own: other modules import no underscore
+    name from it and read no underscore slot of its types but the ``_memo`` cache."""
+    slots = kernel_slots()
+    assert {"_num", "_den", "_ends", "_poly", "_xs"} <= slots
+    sites = []
+    for name, tree in TREES.items():
+        if name in KERNEL:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] + ".py" in KERNEL:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                sites += ["%s:%d %s" % (name, node.lineno, bound) for bound in private]
+            elif isinstance(node, ast.Attribute) and node.attr in slots:
+                sites.append("%s:%d .%s" % (name, node.lineno, node.attr))
+    assert sites == []
