@@ -10,10 +10,12 @@ limit).  The quasi-distance between points at nested levels is
 
 evaluated exactly; the sup term is a finite-sample lower bound of the
 corresponding supremum over the full capped set, and pools are drawn from
-one shared generator so projection composition is exact.  Projections
-contract, so the sup term is also the distortion of the identity
-correspondence between the two levels on the pool, and each row of the gh
-table (``nested_family_distortions``) is read from it.  The chained
+one shared generator so projection composition is exact.  That law,
+P_lo(P_hi(u)) = P_lo(u), also makes the first term of two member points
+the level distance of their members, read by index from the cache.
+Projections contract, so the sup term is also the distortion of the
+identity correspondence between the two levels on the pool, and each row
+of the gh table (``nested_family_distortions``) is read from it.  The chained
 distance is the shortest path in the complete graph over the queried
 points, found with a standard nonnegative-weights search.
 """
@@ -169,11 +171,26 @@ class BigSpace:
             self._cache[key] = max((ZERO, *gaps))
         return self._cache[key]
 
+    def _is_member(self, p: BigPoint) -> bool:
+        """Whether p's potential is the projection of member p.rep_index to p's level."""
+        i = p.rep_index
+        return i in range(len(self.generator.members)) and p.potential == self.projection(p.level, i)
+
     def quasi_parts(self, p: BigPoint, q: BigPoint):
-        # ModelFamily nests any two of its levels, limit included
+        """(first term, sup term, volume gap) of the quasi-distance, exact.
+
+        The first term is d_lo(lo, P_lo(hi)).  A ModelFamily nests any two
+        of its levels, limit included, so P_lo(P_hi(u)) = P_lo(u): when
+        both points are member projections, the first term is the level
+        distance of their members, read by index through ``pair_dist``.
+        Any other point takes the value path.
+        """
         pp, qq = self._env(p.level).potential, self._env(q.level).potential
         hi, lo = (p, q) if more_singular(qq, pp) else (q, p)
-        first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
+        if self._is_member(lo) and self._is_member(hi):
+            first = self.pair_dist(lo.level, lo.rep_index, hi.rep_index)
+        else:
+            first = self.level_dist(lo.level, lo.potential, self.project(lo.level, hi.potential))
         return first, self.sup_term(hi.level, lo.level, max(p.cap, q.cap)), self.volume_gap(p, q)
 
     def quasi(self, p: BigPoint, q: BigPoint):

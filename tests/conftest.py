@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, settings
 from femlab import (
     Grid,
     make_pl,
-    metric_context,
     model_from_interval,
     rat,
 )
@@ -49,7 +48,7 @@ def psi3(grid3, ref3):
 
 @pytest.fixture(scope="session")
 def ctx3(psi3):
-    return metric_context(psi3)
+    return psi3
 
 
 @pytest.fixture(scope="session")
@@ -70,4 +69,4 @@ def psi5(grid5, ref5):
 
 @pytest.fixture(scope="session")
 def ctx5(psi5):
-    return metric_context(psi5)
+    return psi5

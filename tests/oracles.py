@@ -98,8 +98,39 @@ def envelope_values_by_minimax(nodes, values, s_lo, s_hi):
 
     The same candidate slopes and the same exact maximum, but each
     candidate's conjugate is computed once instead of once per query, so
-    the sweep stays affordable on 65-node grids.
+    the sweep stays affordable on 65-node grids.  The same route as
+    ``envelope_values_by_minimax_fractions``, on ints: with D the common
+    denominator of the nodes and values, X = D x and F = D f, a slope is a
+    reduced pair (n, d) with d > 0, its conjugate is C / (d D) with C the
+    max of n X - d F, and the candidates' (n X - C) / d are compared by
+    cross-multiplying.
     """
+    nodes, values = [rat(x) for x in nodes], [rat(f) for f in values]
+    scale = math.lcm(*(q.denominator for q in nodes + values))
+    xs = [int(x * scale) for x in nodes]
+    fs = [int(f * scale) for f in values]
+    (n_lo, d_lo), (n_hi, d_hi) = ((q.numerator, q.denominator) for q in (rat(s_lo), rat(s_hi)))
+    candidates = {(n_lo, d_lo), (n_hi, d_hi)}
+    for (xi, fi), (xj, fj) in itertools.combinations(zip(xs, fs), 2):
+        n, d = (fi - fj, xi - xj) if xi > xj else (fj - fi, xj - xi)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        if n_lo * d <= n * d_lo and n * d_hi <= n_hi * d:
+            candidates.add((n, d))
+    conj = [(n, d, max(n * x - d * f for x, f in zip(xs, fs))) for n, d in candidates]
+    out = []
+    for x in xs:
+        best, best_d = None, 1
+        for n, d, c in conj:
+            v = n * x - c
+            if best is None or v * best_d > best * d:
+                best, best_d = v, d
+        out.append(rat(best, best_d * scale))
+    return tuple(out)
+
+
+def envelope_values_by_minimax_fractions(nodes, values, s_lo, s_hi):
+    """envelope_values_by_minimax with every slope and conjugate a rational."""
     s_lo, s_hi = rat(s_lo), rat(s_hi)
     candidates = {s_lo, s_hi}
     for (xi, fi), (xj, fj) in itertools.combinations(zip(nodes, values), 2):

@@ -27,7 +27,6 @@ from femlab import (
     family_from_intervals,
     level_restriction_check,
     make_pl,
-    metric_context,
     model_from_interval,
     model_project,
     nested_family_distortions,
@@ -64,7 +63,7 @@ THEOREM_D_THRESHOLD = 0.02  # float tolerance applies to this threshold only
 
 
 def _ctx5(interval):
-    return metric_context(model_from_interval(GRID5, interval, REF5))
+    return model_from_interval(GRID5, interval, REF5)
 
 
 def _verdict(number, slug, ok):
@@ -106,7 +105,7 @@ def test_criterion_02_double_inequality():
         ok = ok and report.passed
         if report.rhs > 0 and report.lhs / report.rhs < rat(1, 2):
             below_half += 1
-    ctx3 = metric_context(model_from_interval(GRID3, GRID3.polytope, REF3))
+    ctx3 = model_from_interval(GRID3, GRID3.polytope, REF3)
     witness = REF3.shift(rat(-1, 4))
     ratio = dist(ctx3, TENT3, witness) / abs_diff_pairing(TENT3, witness)
     ok = ok and ratio == rat(1, 4)
@@ -140,24 +139,23 @@ def test_criterion_04_contraction():
     ctx1 = _ctx5(outer)
     for inner in CONTEXT_INTERVALS[1:]:
         psi2 = model_from_interval(GRID5, inner, REF5)
-        ctx2 = metric_context(psi2)
         for _ in range(PAIR_TRIALS):
             u = random_sector_potential(rng, GRID5, outer)
             v = random_sector_potential(rng, GRID5, outer)
             ok = ok and dist(
-                ctx2, model_project(psi2, u), model_project(psi2, v)
+                psi2, model_project(psi2, u), model_project(psi2, v)
             ) <= dist(ctx1, u, v)
         for _ in range(PAIR_TRIALS // 4):
             a = random_sector_potential(rng, GRID5, inner)
             b = random_sector_potential(rng, GRID5, inner)
             pa, pb = model_project(psi2, a), model_project(psi2, b)
             ok = ok and pl_equal(pa, a) and pl_equal(pb, b)
-            ok = ok and dist(ctx2, pa, pb) == dist(ctx2, a, b)
+            ok = ok and dist(psi2, pa, pb) == dist(psi2, a, b)
     assert _verdict(4, "projection-contraction", ok)
 
 
 def test_criterion_05_chain_convergence():
-    ctx3 = metric_context(model_from_interval(GRID3, GRID3.polytope, REF3))
+    ctx3 = model_from_interval(GRID3, GRID3.polytope, REF3)
     d = dist(ctx3, REF3, TENT3)
     ok = d == rat(1, 4)
     ok = ok and chain_rho(ctx3, REF3, TENT3, 1) == rat(1, 2)
@@ -259,7 +257,7 @@ def test_criterion_09_direct_limit_laws():
 
 
 def test_criterion_10_cauchy_envelope_bound():
-    ctx = metric_context(model_from_interval(GRID3, GRID3.polytope, REF3_ND))
+    ctx = model_from_interval(GRID3, GRID3.polytope, REF3_ND)
     sequence = []
     for j in range(1, 11):
         if j % 2 == 0:

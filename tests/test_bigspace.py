@@ -27,6 +27,7 @@ from femlab import (
 )
 from femlab.bigspace import BigPoint, ChainResult
 from femlab.errors import PreconditionViolated, SingularityMismatch
+from femlab.grid_convex import refine_to
 from femlab.sampling import random_candidates
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
@@ -131,18 +132,84 @@ def test_quasi_restricts_to_dist_on_a_shared_level():
                 assert sp.quasi(a, b) > 0
 
 
+def first_term_without_the_space(family, p, q):
+    """d_lo(lo, P_lo(hi)) from dist and model_project alone.
+
+    The lower point is the one whose level's interval lies inside the
+    other's; on a shared level it is the second point, as in
+    BigSpace.quasi_parts.
+    """
+    envs = family.levels + (family.limit,)
+    env_p, env_q = envs[p.level], envs[q.level]
+    inside = env_q.Q[0] <= env_p.Q[0] and env_p.Q[1] <= env_q.Q[1]
+    lo, hi = (p, q) if inside and env_p.Q != env_q.Q else (q, p)
+    env_lo = envs[lo.level]
+    return dist(env_lo, lo.potential, model_project(env_lo, hi.potential))
+
+
+def assert_first_terms_match(sp, pts, others):
+    """Check quasi_parts(p, q)[0] for every p in pts and q in others; the count checked."""
+    for p in pts:
+        for q in others:
+            assert sp.quasi_parts(p, q)[0] == first_term_without_the_space(sp.family, p, q)
+    return len(pts) * len(others)
+
+
+def member_points(sp):
+    members = range(len(sp.generator.members))
+    return [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
+
+
 def test_quasi_first_term_matches_a_computation_without_the_space():
     sp = seeded_space(seed=3, count=6)
-    envs = sp.family.levels + (sp.family.limit,)
-    members = range(len(sp.generator.members))
-    pts = [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
-    for p in pts:
-        for q in pts:
-            # decreasing schedule: the deeper level is the lower one; on a
-            # shared level the second point is, as in BigSpace.quasi_parts
-            lo, hi = (p, q) if p.level > q.level else (q, p)
-            expected = dist(envs[lo.level], lo.potential, model_project(envs[lo.level], hi.potential))
-            assert sp.quasi_parts(p, q)[0] == expected
+    pts = member_points(sp)
+    assert assert_first_terms_match(sp, pts, pts) == len(pts) ** 2
+
+
+def test_quasi_first_term_matches_on_an_increasing_family():
+    fam = family_from_intervals(
+        GRID3, ((0, rat(1, 2)), (0, rat(5, 8)), (0, rat(3, 4))), (0, 1), REF_ND
+    )
+    assert fam.direction == "increasing"
+    gen = entropy_cap_filter(random_candidates(random.Random(5), GRID3, REF_ND, 8), 4.0, rat(3), REF_ND)
+    sp = BigSpace(fam, gen)
+    pts = member_points(sp)
+    assert len(pts) == 32
+    assert assert_first_terms_match(sp, pts, pts) == 1024
+
+
+def test_quasi_first_term_of_points_that_are_not_member_projections():
+    """Only a point whose potential is its member's projection is read by index.
+
+    A potential off every projection has no member; a hand-built point may
+    name a member whose projection is not its potential; and a member
+    projection refined onto a finer grid is equal to it as a function but
+    not as a representation.  All three take the value path.
+    """
+    sp = seeded_space()
+    pts = member_points(sp)
+    level = 1
+    u0, u1 = sp.projection(level, 0), sp.projection(level, 1)
+    assert not pl_equal(u0, u1)
+    off = sp.make_point(level, u0.shift(100))
+    assert off.rep_index is None
+    mislabeled = BigPoint(level, u1, 0, sp.caps[0])
+    fine = Grid(nodes=(-1, rat(-1, 2), 0, rat(1, 2), 1), polytope=(0, 1))
+    refined = sp.make_point(level, refine_to(u0, fine))
+    assert refined.rep_index is not None and refined.potential != sp.projection(level, refined.rep_index)
+    for odd in (off, mislabeled, refined):
+        assert assert_first_terms_match(sp, [odd], pts) == assert_first_terms_match(sp, pts, [odd]) == len(pts)
+
+
+def test_the_quasi_matrix_of_member_points_projects_nothing_beyond_the_member_projections(monkeypatch):
+    sp = seeded_space()
+    calls = []
+    monkeypatch.setattr(bigspace, "model_project", lambda *args: calls.append(args) or model_project(*args))
+    member_points(sp)
+    projected = len(calls)
+    assert 0 < projected <= sp.level_count * len(sp.generator.members)
+    quasi_matrix(sp)
+    assert len(calls) == projected
 
 
 def test_a_cached_level_distance_still_checks_the_other_levels_sector():
@@ -156,8 +223,7 @@ def test_a_cached_level_distance_still_checks_the_other_levels_sector():
 
 def quasi_matrix(sp):
     """Every quasi-distance among the member points of every level."""
-    members = range(len(sp.generator.members))
-    pts = [sp.point_from_member(k, i) for k in range(sp.level_count) for i in members]
+    pts = member_points(sp)
     return [[sp.quasi(p, q) for q in pts] for p in pts]
 
 

@@ -21,7 +21,6 @@ from femlab import (
     is_leq,
     make_pl,
     member_cap,
-    metric_context,
     model_from_interval,
     model_project,
     monotone_distance_convergence,
@@ -225,21 +224,20 @@ def test_density_approximant_rejects_bad_parameters():
 
 def test_density_approximant_descends_to_exact_equality():
     psi = model_from_interval(GRID3, (rat(0), rat(3, 4)), REF_ND)
-    ctx = metric_context(psi)
     inside = make_pl(GRID3, (0, 0, rat(3, 4)), 0, rat(3, 4))
     assert pl_equal(model_project(psi, inside), inside)
     first = density_approximant(psi, inside, rat(1, 8))
-    assert dist(ctx, first, inside) == rat(5, 64)
+    assert dist(psi, first, inside) == rat(5, 64)
     prev = first
     for j in (rat(1, 4), rat(1, 2), 1, 2):
         cur = density_approximant(psi, inside, j)
         assert is_leq(cur, prev)
         assert is_leq(inside, cur)
-        assert dist(ctx, cur, inside) <= dist(ctx, prev, inside)
+        assert dist(psi, cur, inside) <= dist(psi, prev, inside)
         prev = cur
     # stabilizes exactly once the clip falls below u
     assert pl_equal(density_approximant(psi, inside, rat(1, 4)), inside)
-    assert dist(ctx, prev, inside) == 0
+    assert dist(psi, prev, inside) == 0
 
 
 def test_convergence_table_frozen_values():

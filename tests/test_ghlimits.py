@@ -21,7 +21,6 @@ from femlab import (
     gh_exact_witness,
     identity_correspondence,
     make_pl,
-    metric_context,
     model_from_interval,
     model_project,
     nested_family_distortions,
@@ -36,7 +35,7 @@ from femlab.sampling import nondegenerate_reference, random_candidates
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
 REF_ND = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
-CTX = metric_context(model_from_interval(GRID3, GRID3.polytope, REF_ND))
+CTX = model_from_interval(GRID3, GRID3.polytope, REF_ND)
 
 
 def seeded_space(seed, count):

@@ -49,6 +49,7 @@ from femlab.sampling import nondegenerate_reference, random_sector_potential, ra
 pytestmark = pytest.mark.scale
 
 DEN = 64
+GRID5 = Grid(nodes=tuple(range(-2, 3)), polytope=(0, 1))
 GRID17 = Grid(nodes=tuple(range(-8, 9)), polytope=(0, 1))
 GRID65 = Grid(nodes=tuple(rat(k, 8) for k in range(-32, 33)), polytope=(0, 1))
 GRIDS = [pytest.param(GRID17, id="17"), pytest.param(GRID65, id="65")]
@@ -181,6 +182,25 @@ def test_model_projection_matches_minimax_oracle(grid, data):
     s_hi = min(u.slope_right, psi.Q[1])
     expected = oracles.envelope_values_by_minimax(grid.nodes, u.values, s_lo, s_hi)
     assert model_project(psi, u).values == expected
+
+
+@pytest.mark.parametrize("grid", [pytest.param(GRID5, id="5")] + KERNEL_GRIDS)
+@settings(max_examples=3, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_the_int_sweep_oracle_agrees_with_its_fraction_form(grid, data):
+    """Rooftop and projection data, and a one-slope interval, at 5 to 65 nodes."""
+    u = potential(data, grid, interval(data))
+    v = potential(data, grid, interval(data))
+    mins = tuple(min(a, b) for a, b in zip(u.values, v.values))
+    q_lo, q_hi = interval(data)
+    for values, s_lo, s_hi in (
+        (mins, max(u.slope_left, v.slope_left), min(u.slope_right, v.slope_right)),
+        (u.values, max(u.slope_left, q_lo), min(u.slope_right, q_hi)),
+        (u.values, u.slope_left, u.slope_left),
+    ):
+        if s_lo <= s_hi:
+            expected = oracles.envelope_values_by_minimax_fractions(grid.nodes, values, s_lo, s_hi)
+            assert oracles.envelope_values_by_minimax(grid.nodes, values, s_lo, s_hi) == expected
 
 
 def test_the_sweep_oracle_agrees_with_the_per_query_minimax():

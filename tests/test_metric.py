@@ -19,7 +19,6 @@ from femlab import (
     energy,
     estimate_sup_bound_constants,
     make_pl,
-    metric_context,
     model_from_interval,
     pl_equal,
     pointwise_max,
@@ -34,7 +33,7 @@ from femlab.sampling import nondegenerate_reference
 
 GRID5 = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
 REF5 = nondegenerate_reference(GRID5)
-CTX5 = metric_context(model_from_interval(GRID5, GRID5.polytope, REF5))
+CTX5 = model_from_interval(GRID5, GRID5.polytope, REF5)
 
 
 def test_frozen_three_node_distances(ctx3, ref3, tent3):
@@ -108,16 +107,15 @@ def test_translation_distance_is_mass_times_shift(u, c):
 def test_zero_mass_sector_has_zero_distance(data):
     point = data.draw(own.rationals(0, 1))
     psi = model_from_interval(GRID5, (point, point), REF5)
-    ctx = metric_context(psi)
-    assert ctx.degenerate
+    assert psi.degenerate
     u = data.draw(own.sector_potentials(GRID5, (point, point)))
     v = data.draw(own.sector_potentials(GRID5, (point, point)))
-    assert dist(ctx, u, v) == 0
+    assert dist(psi, u, v) == 0
 
 
 def test_dist_checks_the_sector_before_the_rooftop():
     # disjoint dual domains: a rooftop would raise EmptyRooftop
-    ctx = metric_context(model_from_interval(GRID5, (0, rat(1, 2)), REF5))
+    ctx = model_from_interval(GRID5, (0, rat(1, 2)), REF5)
     inside = ctx.potential
     outside = model_from_interval(GRID5, (rat(3, 4), 1), REF5).potential
     for u, v in ((inside, outside), (outside, inside)):

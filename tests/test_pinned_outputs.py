@@ -2,8 +2,10 @@
 
 The six `femlab suite <name> --seed 2026 --count 20` stdouts and the five
 artifacts of `femlab run scenarios/canonical.json`, all run in process
-through `cli.main`.  A change that moves any of these bytes changes a
-published result and has to update the hash here on purpose.
+through `cli.main`, and the cross-level results of one seeded `BigSpace`:
+its quasi matrix, a level restriction check and the direct limit check.
+A change that moves any of these bytes changes a published result and has
+to update the hash here on purpose.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import io
 import os
 
 import pytest
+from test_bigspace import quasi_matrix, seeded_space
 
+from femlab import direct_limit_check, dumps_canonical, level_restriction_check, rat_str
 from femlab.cli import main
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
@@ -36,6 +40,9 @@ CANONICAL_ARTIFACTS = {
     "suite_0_metric_axioms.jsonl": "73d51085042f64932bb477a014882e2e80745c8a5918556274973054d98a5924",
 }
 
+# seeded_space(seed=7, count=14): 14 members at 5 levels, 70 points
+CROSS_LEVEL = "9d640d86c0dbd77f822b7b2ebbb8324ca28740e311e160d1993f0373c51d2aaf"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -55,3 +62,11 @@ def test_canonical_artifacts_are_byte_identical(tmp_path, monkeypatch):
     assert main(["run", SCENARIO, "--out", str(tmp_path)]) == 0
     written = {name: sha256((tmp_path / name).read_bytes()) for name in sorted(os.listdir(tmp_path))}
     assert written == CANONICAL_ARTIFACTS
+
+
+def test_cross_level_outputs_are_byte_identical():
+    sp = seeded_space(seed=7, count=14)
+    matrix = [[rat_str(v) for v in row] for row in quasi_matrix(sp)]
+    restriction = level_restriction_check(sp, sp.limit_level, range(5)).as_dict()
+    limit = direct_limit_check(sp.family, sp.generator).as_dict()
+    assert sha256(dumps_canonical([matrix, restriction, limit]).encode()) == CROSS_LEVEL
