@@ -17,12 +17,12 @@ Projections contract, so the sup term is also the distortion of the
 identity correspondence between the two levels on the pool, and each row
 of the gh table (``nested_family_distortions``) is read from it.  The chained
 distance is the shortest path in the complete graph over the queried
-points, found with a standard nonnegative-weights search.
+points, found by Dijkstra's dense array form: every pair is an edge, so a
+list of tentative values and a scan for the least one replace a heap.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from ._rational import ZERO, _Frozen
@@ -209,33 +209,31 @@ class BigSpace:
         return self._cache[key]
 
     def chain(self, p: BigPoint, q: BigPoint, nodes=()) -> ChainResult:
-        """Cheapest chain through the node pool; single edge bounds it above."""
+        """Cheapest chain through the node pool; single edge bounds it above.
+
+        Positions index [p, *nodes, q].  Tentative values start at p's
+        edges; each round settles the unsettled position with the least
+        (value, position) and relaxes its edges, until q settles.  Among
+        equal-cost paths the lower position settles first.
+        """
         pts = [p, *nodes, q]
         target = len(pts) - 1
-        best = {0: ZERO}
-        prev = {}
-        heap = [(ZERO, 0)]
-        done = set()
-        while heap:
-            d0, i = heapq.heappop(heap)
-            if i in done:
-                continue
-            done.add(i)
+        best = [ZERO] + [self.quasi(p, pt) for pt in pts[1:]]
+        prev = [0] * len(pts)
+        unsettled = list(range(1, len(pts)))
+        while True:
+            i = min(unsettled, key=lambda k: (best[k], k))
             if i == target:
                 break
-            for j in range(len(pts)):
-                if j in done or j == i:
-                    continue
-                nd = d0 + self.quasi(pts[i], pts[j])
-                if j not in best or nd < best[j]:
-                    best[j] = nd
-                    prev[j] = i
-                    heapq.heappush(heap, (nd, j))
+            unsettled.remove(i)
+            for j in unsettled:
+                nd = best[i] + self.quasi(pts[i], pts[j])
+                if nd < best[j]:
+                    best[j], prev[j] = nd, i
         path = [target]
         while path[-1] != 0:
             path.append(prev[path[-1]])
-        path.reverse()
-        return ChainResult(value=best[target], path=tuple(path))
+        return ChainResult(value=best[target], path=tuple(reversed(path)))
 
 
 def default_node_pools(space: BigSpace, level: int):

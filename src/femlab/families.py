@@ -39,9 +39,7 @@ class ModelFamily(_Frozen):
     _shown = ("levels", "limit")
 
     def __init__(self, levels: tuple, limit: ModelEnvelope):
-        self.__post_init__(tuple(levels), limit)
-
-    def __post_init__(self, levels, limit):
+        levels = tuple(levels)
         if not levels:
             raise ScheduleInvalid("a family needs at least one level")
         for env in levels + (limit,):
@@ -102,9 +100,7 @@ class SampledFamily(_Frozen):
     _shown = ("members", "cap", "sup_bound", "reference")
 
     def __init__(self, members: tuple, cap: float, sup_bound, reference: GridPLConvex):
-        self.__post_init__(tuple(members), cap, sup_bound, reference)
-
-    def __post_init__(self, members, cap, sup_bound, reference):
+        members = tuple(members)
         for i, u in enumerate(members):
             sup_part, ent = split_caps(u, reference)
             if not ent <= cap:

@@ -12,7 +12,7 @@ from operator import ge
 
 from ._rational import ZERO, _Frozen, at_most, lattice, rat
 from .bigspace import BigSpace
-from .errors import NotTotal, ScheduleInvalid, TooLarge, ValidationError
+from .errors import EmptyFamily, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from .families import (
     ModelFamily,
     SampledFamily,
@@ -91,9 +91,6 @@ class Correspondence(_Frozen):
     _shown = ("x", "y", "pairs")
 
     def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace, pairs: tuple):
-        self.__post_init__(x, y, pairs)
-
-    def __post_init__(self, x, y, pairs):
         for a, b in pairs:
             if type(a) is not int or type(b) is not int:
                 raise ValidationError("relation pair (%r, %r) must hold two ints" % (a, b))
@@ -114,18 +111,21 @@ def identity_correspondence(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Corre
     return Correspondence(x, y, tuple((i, i) for i in range(x.size)))
 
 
-def distortion(rel: Correspondence):
-    """max |d_x - d_y| over related pairs of pairs, on ints over dx * dy."""
-    (xm, dx), (ym, dy) = rel.x._ints, rel.y._ints
+def _int_distortion(x: FiniteMetricSpace, y: FiniteMetricSpace, pairs) -> int:
+    """max |d_x * dy - d_y * dx| over pairs of the related pairs: the distortion times dx * dy."""
+    (xm, dx), (ym, dy) = x._ints, y._ints
     worst = 0
-    pairs = rel.pairs
-    for a in range(len(pairs)):
-        i, j = pairs[a]
+    for a, (i, j) in enumerate(pairs):
         for k, l in pairs[a:]:
             gap = abs(xm[i][k] * dy - ym[j][l] * dx)
             if gap > worst:
                 worst = gap
-    return rat(worst, dx * dy)
+    return worst
+
+
+def distortion(rel: Correspondence):
+    """max |d_x - d_y| over related pairs of pairs, exact."""
+    return rat(_int_distortion(rel.x, rel.y, rel.pairs), rel.x._ints[1] * rel.y._ints[1])
 
 
 def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
@@ -145,7 +145,7 @@ def gh_exact_witness(x: FiniteMetricSpace, y: FiniteMetricSpace):
         (min(j, nx - 1), j) for j in range(ny)
     )
     best_pairs = tuple(sorted(set(seed)))
-    best = int(distortion(Correspondence(x, y, best_pairs)) * dx * dy)
+    best = _int_distortion(x, y, best_pairs)
     assigned = []
 
     def grow(slot, cur):
@@ -242,12 +242,17 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:
     (c) for each limit-level point, the clipped approximants at the j of
         DENSITY_SCHEDULE converge to it with exactly stabilizing distances.
 
+    A generator with no member is refused with EmptyFamily, since each law
+    would hold over nothing.
+
     Its ``BigSpace`` shares the cache of every other space over the same
     family and generator, so projections and level distances a caller's
     space already holds are read, not recomputed.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")
+    if not generator.members:
+        raise EmptyFamily("the limit experiment needs at least one generator member")
     space = BigSpace(family, generator)
     n, levels, limit = len(generator.members), space.level_count, space.limit_level
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -52,6 +52,8 @@ def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> 
     inputs themselves.  The links live only for this call.
     """
     steps = tuple(steps)
+    if not steps:
+        raise ValueError("no chain lengths given")
     for big_n in steps:
         if type(big_n) is not int or big_n < 1:
             raise ValueError("chain length must be a positive integer")

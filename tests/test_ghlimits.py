@@ -29,7 +29,7 @@ from femlab import (
 )
 from femlab import bigspace, ghlimits
 from femlab.bigspace import BigSpace
-from femlab.errors import GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
+from femlab.errors import EmptyFamily, GridMismatch, NotTotal, ScheduleInvalid, TooLarge, ValidationError
 from femlab.ghlimits import GH_EXACT_CAP, Correspondence
 from femlab.sampling import nondegenerate_reference, random_candidates
 
@@ -385,6 +385,16 @@ def test_direct_limit_rejects_increasing_schedules():
     gen = entropy_cap_filter([REF_ND], 1.0, rat(1), REF_ND)
     with pytest.raises(ScheduleInvalid):
         direct_limit_check(up, gen)
+
+
+def test_direct_limit_refuses_an_empty_generator():
+    """No member means no pair, no projection and no density row: the laws would hold vacuously."""
+    empty = entropy_cap_filter([], 1.0, rat(1), REF_ND)
+    with pytest.raises(EmptyFamily, match="at least one generator member"):
+        direct_limit_check(canonical_family(), empty)
+    up = family_from_intervals(GRID3, ((0, rat(1, 2)), (0, rat(3, 4))), (0, 1), REF_ND)
+    with pytest.raises(ScheduleInvalid):
+        direct_limit_check(up, empty)
 
 
 def test_direct_limit_rejects_a_generator_over_another_polytope():

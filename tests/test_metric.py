@@ -61,6 +61,13 @@ def test_chain_defect_report_on_the_canonical_pair(ctx3, ref3, tent3):
         chain_defect_report(ctx3, crossing, tent3, (1,))
 
 
+def test_chain_defect_report_refuses_an_empty_step_list(ctx3, ref3, tent3):
+    """With no N there is no row, and a report over no rows would pass vacuously."""
+    for steps in ([], ()):
+        with pytest.raises(ValueError, match="^no chain lengths given$"):
+            chain_defect_report(ctx3, ref3, tent3, steps)
+
+
 @given(u=own.potentials_on(GRID5), v=own.potentials_on(GRID5))
 def test_symmetry_and_identity(u, v):
     d = dist(CTX5, u, v)

@@ -12,7 +12,8 @@ module imports an underscore name from it or reads an underscore slot of
 its types, ``_memo`` aside.  A fresh
 interpreter imports the CLI without the stdlib's class-building modules,
 and each validated type runs its ``__post_init__`` once per construction,
-so a tracer that patches it there sees every validation.
+so a tracer that patches it there sees every validation; no other type
+defines one.
 """
 
 from __future__ import annotations
@@ -71,6 +72,19 @@ def test_one_construction_runs_the_class_validator_once(monkeypatch, cls):
 
 PACKAGE = pathlib.Path(femlab.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_only_the_validated_types_define_a_post_init():
+    """``__post_init__`` is the tracer's hook; a type that only forwards to it validates in ``__init__``."""
+    defining = {
+        node.name
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+    }
+    assert defining >= {cls.__name__ for cls in VALIDATED}, "the scan missed a validated type"
+    assert sorted(defining - {cls.__name__ for cls in VALIDATED}) == []
 
 
 def imported_names(tree):

@@ -3,7 +3,8 @@
 The six `femlab suite <name> --seed 2026 --count 20` stdouts and the five
 artifacts of `femlab run scenarios/canonical.json`, all run in process
 through `cli.main`, and the cross-level results of one seeded `BigSpace`:
-its quasi matrix, a level restriction check and the direct limit check.
+its quasi matrix, a level restriction check, the direct limit check, and
+the value and path of chains through its default node pools.
 A change that moves any of these bytes changes a published result and has
 to update the hash here on purpose.
 """
@@ -18,7 +19,13 @@ import os
 import pytest
 from test_bigspace import quasi_matrix, seeded_space
 
-from femlab import direct_limit_check, dumps_canonical, level_restriction_check, rat_str
+from femlab import (
+    default_node_pools,
+    direct_limit_check,
+    dumps_canonical,
+    level_restriction_check,
+    rat_str,
+)
 from femlab.cli import main
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "canonical.json")
@@ -42,6 +49,9 @@ CANONICAL_ARTIFACTS = {
 
 # seeded_space(seed=7, count=14): 14 members at 5 levels, 70 points
 CROSS_LEVEL = "9d640d86c0dbd77f822b7b2ebbb8324ca28740e311e160d1993f0373c51d2aaf"
+# the same space: 225 chains, each from a level-0 member point to a member
+# point at every level through every default pool; 56 of them are detours
+CHAINS = "440baf6b79e08663a4995342049bc06e216e8cd4becf13ba8841f12f0efd7e85"
 
 
 def sha256(data: bytes) -> str:
@@ -70,3 +80,17 @@ def test_cross_level_outputs_are_byte_identical():
     restriction = level_restriction_check(sp, sp.limit_level, range(5)).as_dict()
     limit = direct_limit_check(sp.family, sp.generator).as_dict()
     assert sha256(dumps_canonical([matrix, restriction, limit]).encode()) == CROSS_LEVEL
+
+
+def test_chain_values_and_paths_are_byte_identical():
+    """Pins the witness paths too: a passing restriction check reports none."""
+    sp = seeded_space(seed=7, count=14)
+    rows = []
+    for level in range(sp.level_count):
+        for pool in default_node_pools(sp, level):
+            for i in range(3):
+                for j in range(3):
+                    res = sp.chain(sp.point_from_member(0, i), sp.point_from_member(level, j), pool)
+                    rows.append([rat_str(res.value), list(res.path)])
+    assert len(rows) == 225
+    assert sha256(dumps_canonical(rows).encode()) == CHAINS
