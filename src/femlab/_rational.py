@@ -77,7 +77,10 @@ def at_most(x, tolerance) -> bool:
 
     ``float(x) <= tolerance`` would round x first: a value just above the
     tolerance can round onto it, and a tiny positive one underflows to 0.0.
+    An infinite tolerance has no exact value: inf admits every x, -inf none.
     """
+    if abs(tolerance) == math.inf:
+        return tolerance > 0
     return rat(x) <= _make(*tolerance.as_integer_ratio())
 
 

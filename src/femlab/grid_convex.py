@@ -222,35 +222,11 @@ class GridPLConvex(_Frozen):
     def dual_domain(self) -> tuple:
         return self._rationals("ends", self._ends)
 
-    def evaluate(self, x):
-        x = rat(x)
-        scale = math.lcm(self.grid._scale, x.denominator)
-        xs = _scaled(self.grid._xs, scale // self.grid._scale)
-        t = x.numerator * (scale // x.denominator)
-        num, mult = _value_at(self, xs, scale, bisect_right(xs, t), t)
-        return rat(num, self._den * mult)
-
     def shift(self, c) -> "GridPLConvex":
         c = rat(c)
         den = math.lcm(self._den, c.denominator)
         r, add = den // self._den, c.numerator * (den // c.denominator)
         return GridPLConvex(self.grid, Lattice(tuple(n * r + add for n in self._num), den), self._ends)
-
-
-def _value_at(u: GridPLConvex, xs, scale, k, x):
-    """u at any point x as (num, mult), meaning num / (u._den * mult).
-
-    The one rule for PL values at new points: xs are u's nodes and x a
-    point, all ints over ``scale``, and k is bisect_right(xs, x), the ray or
-    chord that holds x.  A node gives its own value with mult 1.
-    """
-    vs, den = u._num, u._den
-    if 0 < k < len(xs) or x == xs[-1]:
-        return _on_segment(xs, vs, k - 1, x)
-    (sl, sr), eden = u._ends
-    j, s = (0, sl) if k == 0 else (k - 1, sr)
-    mult = eden * scale
-    return vs[j] * mult + s * den * (x - xs[j]), mult
 
 
 def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
@@ -304,20 +280,6 @@ class DualPL(_Frozen):
     def points(self) -> tuple:
         ps = self._rationals("p", (self._p, self._pden))
         return tuple(zip(ps, self._rationals("w", (self._w, self._wden))))
-
-    @property
-    def domain(self) -> tuple:
-        return (rat(self._p[0], self._pden), rat(self._p[-1], self._pden))
-
-    def evaluate(self, p):
-        p = rat(p)
-        den = math.lcm(self._pden, p.denominator)
-        ps = _scaled(self._p, den // self._pden)
-        q = p.numerator * (den // p.denominator)
-        if q < ps[0] or q > ps[-1]:
-            raise ValueError("dual evaluated outside its domain")
-        num, mult = _on_segment(ps, self._w, bisect_right(ps, q) - 1, q)
-        return rat(num, self._wden * mult)
 
 
 def _on_segment(ps, ws, i, p):
@@ -484,25 +446,30 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: one walk over both node lists takes each new
-    node's exact value from ``_value_at``, the walk's position in the old
-    nodes being its segment, and ``_splice`` puts those values among u's
-    own; a target that skips an old node is refused.  On u's own grid, u is
-    returned, with its memoized values.
+    PL refinement is lossless: one walk over both node lists places each new
+    node, which takes ``_on_segment`` of its chord between old nodes and the
+    end value plus the end slope times the distance beyond either end.
+    ``_splice`` puts those values among u's own; a target that skips an old
+    node is refused.  On u's own grid, u is returned, with its memoized values.
     """
     if grid == u.grid:
         return u
     if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
     r, rest = divmod(grid._scale, u.grid._scale)
-    xs = _scaled(u.grid._xs, r)
+    xs, vs, n = _scaled(u.grid._xs, r), u._num, len(u._num)
+    (sl, sr), eden = u._ends
+    mult = eden * grid._scale  # a ray value is num / (u._den * mult)
     inserts, i = [], 0
     for x in grid._xs:
-        if i < len(xs) and x == xs[i]:
+        if i < n and x == xs[i]:
             i += 1
+        elif 0 < i < n:
+            inserts.append((i, _on_segment(xs, vs, i - 1, x)))
         else:
-            inserts.append((i, _value_at(u, xs, grid._scale, i, x)))
-    if rest or i < len(xs):
+            j, s = (0, sl) if i == 0 else (-1, sr)
+            inserts.append((i, (vs[j] * mult + s * u._den * (x - xs[j]), mult)))
+    if rest or i < n:
         raise GridMismatch("refinement target must contain all existing nodes")
     values, m = _splice(u._num, inserts)
     return GridPLConvex(grid, Lattice(values, u._den * m), u._ends)
@@ -684,11 +651,6 @@ class ModelEnvelope(_Frozen):
     def mass(self):
         (a, b), den = self.potential._ends
         return rat(b - a, den)
-
-    @property
-    def degenerate(self) -> bool:
-        a, b = self.potential._ends.nums
-        return a == b
 
     def require_in_sector(self, u: GridPLConvex):
         q = self.potential._ends

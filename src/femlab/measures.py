@@ -143,7 +143,12 @@ def normalize(mu: AtomicMeasure) -> AtomicMeasure:
     return AtomicMeasure(mu.grid, Lattice(mu._num, total))
 
 
-def _check_probability_pair(nu: AtomicMeasure, mu: AtomicMeasure):
+def entropy(nu: AtomicMeasure, mu: AtomicMeasure) -> float:
+    """Relative entropy sum nu_i log(nu_i / mu_i); +inf off mu's support.
+
+    The only float-valued quantity in the package: ratios stay exact
+    rationals until the final log.
+    """
     if nu.grid != mu.grid:
         raise GridMismatch("entropy needs measures on one grid")
     if nu.total != 1 or mu.total != 1:
@@ -151,15 +156,6 @@ def _check_probability_pair(nu: AtomicMeasure, mu: AtomicMeasure):
             "entropy needs probability measures, got totals %s and %s"
             % (rat_str(nu.total), rat_str(mu.total))
         )
-
-
-def entropy(nu: AtomicMeasure, mu: AtomicMeasure) -> float:
-    """Relative entropy sum nu_i log(nu_i / mu_i); +inf off mu's support.
-
-    The only float-valued quantity in the package: ratios stay exact
-    rationals until the final log.
-    """
-    _check_probability_pair(nu, mu)
     acc = 0.0
     for n, m in zip(nu.masses, mu.masses):
         if n == 0:

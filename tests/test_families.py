@@ -277,6 +277,16 @@ def test_convergence_compares_the_exact_defect_with_the_exact_tolerance():
     assert monotone_distance_convergence(fam, seq_a, seq_b, math.nextafter(float(defect), 1)).passed
 
 
+def test_convergence_decides_an_infinite_tolerance():
+    fam = canonical_family()
+    tent = make_pl(GRID3, (0, 0, 1), 0, 1)
+    ramp = make_pl(GRID3, (0, rat(1, 2), 1), 0, 1)
+    seq_a = [model_project(env, tent) for env in (*fam.levels, fam.limit)]
+    seq_b = [model_project(env, ramp) for env in (*fam.levels, fam.limit)]
+    assert monotone_distance_convergence(fam, seq_a, seq_b, math.inf).passed
+    assert not monotone_distance_convergence(fam, seq_a, seq_b, -math.inf).passed
+
+
 def test_convergence_requires_one_entry_per_level_plus_limit():
     fam = canonical_family()
     tent = make_pl(GRID3, (0, 0, 1), 0, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -234,6 +235,12 @@ def test_nested_distortions_pass_at_zero_tolerance_when_every_final_is_zero():
     assert report.passed and report.witnesses["finals"] == [0]
     cands = random_candidates(random.Random(5), GRID3, REF_ND, 10)
     assert not nested_family_distortions(canonical_family(), cands, [1.0], 0.0)[1].passed
+
+
+def test_nested_distortions_decide_an_infinite_tolerance():
+    cands = random_candidates(random.Random(5), GRID3, REF_ND, 10)
+    assert nested_family_distortions(canonical_family(), cands, [1.0], math.inf)[1].passed
+    assert not nested_family_distortions(canonical_family(), cands, [1.0], -math.inf)[1].passed
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

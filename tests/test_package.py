@@ -9,11 +9,13 @@ rational backend behind ``_rational.py``, every level read of
 ``bigspace.py`` inside ``BigSpace._env``, and the int representation
 inside the kernel (``grid_convex``, ``measures``, ``sampling``): no other
 module imports an underscore name from it or reads an underscore slot of
-its types, ``_memo`` aside.  A fresh
-interpreter imports the CLI without the stdlib's class-building modules,
-and each validated type runs its ``__post_init__`` once per construction,
-so a tracer that patches it there sees every validation; no other type
-defines one.
+its types, ``_memo`` aside.  Every public method or property of a public
+class is read as an attribute by the package or perfbench's modules, or
+named in the class's ``_shown``: no member exists for the tests alone.  A
+fresh interpreter imports the CLI without the stdlib's class-building
+modules, and each validated type runs its ``__post_init__`` once per
+construction, so a tracer that patches it there sees every validation; no
+other type defines one.
 """
 
 from __future__ import annotations
@@ -294,3 +296,41 @@ def test_outside_the_kernel_no_module_reads_its_representation():
             elif isinstance(node, ast.Attribute) and node.attr in slots:
                 sites.append("%s:%d .%s" % (name, node.lineno, node.attr))
     assert sites == []
+
+
+PERFBENCH_TREES = [
+    ast.parse(path.read_text()) for path in sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+]
+
+
+def shown_fields(cls):
+    """The names a class lists in ``_shown``, read from its source; () if none."""
+    for item in cls.body:
+        if [getattr(t, "id", None) for t in getattr(item, "targets", ())] == ["_shown"]:
+            return ast.literal_eval(item.value)
+    return ()
+
+
+def test_every_public_member_of_a_public_class_is_read_by_the_lab():
+    """A method or property that only the tests read is dead code: the lab
+    (the package and perfbench's modules) reads each one as an attribute,
+    or the class names it in ``_shown``, which its repr and key read."""
+    read = {
+        node.attr
+        for tree in [*TREES.values(), *PERFBENCH_TREES]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members, unread = 0, []
+    for name, tree in TREES.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            shown = shown_fields(cls)
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    members += 1
+                    if item.name not in read and item.name not in shown:
+                        unread.append("%s:%d %s.%s" % (name, item.lineno, cls.name, item.name))
+    assert members, "the scan found no public members at all"
+    assert unread == []

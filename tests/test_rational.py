@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -101,3 +102,9 @@ def test_at_most_compares_with_the_exact_value_of_the_float():
     assert not at_most(Fraction(1e-9) + Fraction(1, 10**40), 1e-9)
     assert not at_most(rat(1, 2**1100), 0.0)
     assert at_most(Fraction(1e-9), 1e-9) and at_most(0, 0.0)
+
+
+def test_at_most_decides_infinite_tolerances_and_refuses_nan():
+    assert at_most(rat(10**400), math.inf) and not at_most(rat(-(10**400)), -math.inf)
+    with pytest.raises(ValueError):
+        at_most(0, math.nan)
