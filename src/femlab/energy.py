@@ -22,8 +22,8 @@ def energy(psi: ModelEnvelope, u: GridPLConvex):
     """E(u) relative to the level psi, exact, computed once per (psi, u).
 
     The potential must lie in the sector (same dual domain as psi); grids
-    may differ by refinement and are aligned losslessly.  u's memo keys the
-    energy by the level's value, so equal levels share it.
+    may differ, and ``pairings`` reads each potential on the other's nodes.
+    u's memo keys the energy by the level's value, so equal levels share it.
     """
     psi.require_in_sector(u)
     memo = u._memo

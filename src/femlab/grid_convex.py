@@ -28,7 +28,8 @@ denominator with one ``math.lcm``, and the constructor reduces it with one
 interval (the polytope, a potential's end slopes, a level's Q) is a reduced
 two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
 ``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
-backend rationals, built on first read.
+backend rationals, built on first read.  ``_values_on`` reads a potential at
+another grid's nodes as ints, so comparisons and pairings build no object.
 """
 
 from __future__ import annotations
@@ -443,36 +444,42 @@ def max_dual(d1: DualPL, d2: DualPL) -> DualPL:
 # --- grid alignment ---------------------------------------------------------
 
 
+def _values_on(u: GridPLConvex, grid: Grid) -> tuple:
+    """u at the nodes of grid (same polytope): (ints, denominator), unreduced.
+
+    One walk over both node lists: ``_on_segment`` of u's chord, or its ray.
+    """
+    if grid is u.grid or grid == u.grid:
+        return u._num, u._den
+    scale = math.lcm(u.grid._scale, grid._scale)
+    xs, vs, n = _scaled(u.grid._xs, scale // u.grid._scale), u._num, len(u._num)
+    out, i, mult = [], 0, u._ends.den * scale  # a ray value is num / (u._den * mult)
+    m = math.lcm(u.grid._step_lcm * (scale // u.grid._scale), mult)  # every multiplier divides m
+    for x in _scaled(grid._xs, scale // grid._scale):
+        while i < n and xs[i] <= x:
+            i += 1
+        if i and x <= xs[-1]:
+            num, k = _on_segment(xs, vs, i - 1, x)
+        else:
+            j = -1 if i else 0  # the end and its slope
+            num, k = vs[j] * mult + u._ends.nums[j] * u._den * (x - xs[j]), mult
+        out.append(num * (m // k))
+    return tuple(out), u._den * m
+
+
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
-    PL refinement is lossless: one walk over both node lists places each new
-    node, which takes ``_on_segment`` of its chord between old nodes and the
-    end value plus the end slope times the distance beyond either end.
-    ``_splice`` puts those values among u's own; a target that skips an old
-    node is refused.  On u's own grid, u is returned, with its memoized values.
+    PL refinement is lossless: the values are ``_values_on`` the target, one
+    that skips an old node is refused, and on u's own grid u is returned.
     """
     if grid == u.grid:
         return u
     if grid._poly != u.grid._poly:
         raise GridMismatch("refinement target has a different polytope")
-    r, rest = divmod(grid._scale, u.grid._scale)
-    xs, vs, n = _scaled(u.grid._xs, r), u._num, len(u._num)
-    (sl, sr), eden = u._ends
-    mult = eden * grid._scale  # a ray value is num / (u._den * mult)
-    inserts, i = [], 0
-    for x in grid._xs:
-        if i < n and x == xs[i]:
-            i += 1
-        elif 0 < i < n:
-            inserts.append((i, _on_segment(xs, vs, i - 1, x)))
-        else:
-            j, s = (0, sl) if i == 0 else (-1, sr)
-            inserts.append((i, (vs[j] * mult + s * u._den * (x - xs[j]), mult)))
-    if rest or i < n:
+    if _grid_on([grid, u.grid]) is not grid:  # grid holds the union only if it holds u's nodes
         raise GridMismatch("refinement target must contain all existing nodes")
-    values, m = _splice(u._num, inserts)
-    return GridPLConvex(grid, Lattice(values, u._den * m), u._ends)
+    return GridPLConvex(grid, Lattice(*_values_on(u, grid)), u._ends)
 
 
 def align(*us: GridPLConvex):
@@ -514,8 +521,8 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
 
     Sign changes between nodes, or on either ray, are rational and are
     inserted so the result represents max(u, v) exactly, never a node-wise
-    max with its kinks forgotten.  A crossing on a ray refines both inputs;
-    ``_max_merge``, shared with ``max_dual``, places the others.
+    max with its kinks forgotten.  ``_values_on`` reads both at the ray
+    crossings too; ``_max_merge``, shared with ``max_dual``, places the others.
     """
     u, v = align(u, v)
     xs, scale, ud, vd = u.grid._xs, u.grid._scale, u._den, v._den
@@ -528,13 +535,11 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
         roots.append(_ray_root(xs[0], dl, ud * vd, sl, ue * ve, scale))
     if dr * sr < 0:  # and right of the last one
         roots.append(_ray_root(xs[-1], dr, ud * vd, sr, ue * ve, scale))
-    if roots:
-        grid = _grid_on([u.grid], roots)
-        u, v = refine_to(u, grid), refine_to(v, grid)
-    den = math.lcm(u._den, v._den)
-    w1, w2 = _scaled(u._num, den // u._den), _scaled(v._num, den // v._den)
-    (ps, pm), (ws, vm) = _max_merge(u.grid._xs, w1, w2)
-    grid = u.grid if len(ps) == len(u._num) else Grid(Lattice(ps, u.grid._scale * pm), u.grid._poly)
+    grid = _grid_on([u.grid], roots) if roots else u.grid
+    (w1, d1), (w2, d2) = _values_on(u, grid), _values_on(v, grid)
+    den = math.lcm(d1, d2)
+    (ps, pm), (ws, vm) = _max_merge(grid._xs, _scaled(w1, den // d1), _scaled(w2, den // d2))
+    grid = grid if len(ps) == len(w1) else Grid(Lattice(ps, grid._scale * pm), grid._poly)
     return GridPLConvex(
         grid,
         Lattice(ws, den * vm),
@@ -566,14 +571,19 @@ def more_singular(u: GridPLConvex, v: GridPLConvex) -> bool:
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     """u <= v pointwise on the whole line, decided exactly: at every node and on both rays.
 
-    Inputs on one grid object are compared as they are, without ``align``.
+    Over one polytope: v's end slopes contain u's, and u <= v at u's nodes
+    and at v's (together the union's), read by ``_values_on`` in place.
     """
-    if u.grid is not v.grid:
-        u, v = align(u, v)
+    if u.grid._poly != v.grid._poly:
+        raise GridMismatch("potentials live over different polytopes")
     if not _contains(v._ends, u._ends):
         return False
-    den = math.lcm(u._den, v._den)
-    return all(map(le, _scaled(u._num, den // u._den), _scaled(v._num, den // v._den)))
+    for g in (u.grid,) if u.grid is v.grid else {u.grid, v.grid}:
+        (a, ad), (b, bd) = _values_on(u, g), _values_on(v, g)
+        den = math.lcm(ad, bd)
+        if not all(map(le, _scaled(a, den // ad), _scaled(b, den // bd))):
+            return False
+    return True
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):

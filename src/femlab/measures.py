@@ -10,8 +10,8 @@ floats appear; it reads exact masses and converts only at the final log.
 Masses are kept as ints over one reduced denominator, like potential
 values.  Every Monge-Ampere pairing lives here and is an int dot product:
 ``_charged_sum`` pairs node values with a measure; ``pairings`` pairs
-u - v with MA(u) and MA(v) for the energy as the pairing of u minus that
-of v, and returns both as ints over one unreduced denominator, so the
+u - v with MA(u) and MA(v), each on the nodes of its measure, for the
+energy, and returns both as ints over one unreduced denominator, so the
 energy, the difference identity and the chain gap each build one rational
 from them; ``rho`` pairs hi - lo with MA(lo) for an ordered pair, and
 ``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
@@ -32,6 +32,7 @@ from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
     _difference,
+    _values_on,
     align,
     is_leq,
     model_project,
@@ -101,18 +102,21 @@ def _charged_sum(values: Lattice, mu: AtomicMeasure):
 def pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
     """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one denominator.
 
-    Both pairings are int dot products on the aligned grid, brought to the
-    shared denominator u.den * v.den * MA(u).den * MA(v).den, which is not
-    reduced: a caller builds the one rational it needs from the ints.
+    Each pairing is an int dot product over the nodes of the measure that
+    charges it, where ``_values_on`` reads the other potential.  Both are
+    brought to one denominator, which is not reduced: a caller builds the
+    one rational it needs from the ints.
     """
-    u, v = align(u, v)
-    mu, mv = monge_ampere(u), monge_ampere(v)
-    ud, vd = u._den, v._den
+    if u.grid._poly != v.grid._poly:
+        raise GridMismatch("potentials live over different polytopes")
 
-    def pairing(m):
-        return sum(map(mul, u._num, m._num)) * vd - sum(map(mul, v._num, m._num)) * ud
+    def pairing(w):  # integral (u - v) dMA(w) as (int, denominator)
+        (a, ad), (b, bd), m = _values_on(u, w.grid), _values_on(v, w.grid), monge_ampere(w)
+        return sum(map(mul, a, m._num)) * bd - sum(map(mul, b, m._num)) * ad, ad * bd * m._den
 
-    return Lattice((pairing(mu) * mv._den, pairing(mv) * mu._den), ud * vd * mu._den * mv._den)
+    (pu, du), (pv, dv) = pairing(u), pairing(v)
+    den = math.lcm(du, dv)
+    return Lattice((pu * (den // du), pv * (den // dv)), den)
 
 
 def rho(u: GridPLConvex, v: GridPLConvex):
@@ -185,7 +189,7 @@ def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
     """MA(u)({v < u}) <= MA(v)({v < u}) for u at least as singular as v."""
     if not more_singular(u, v):
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
-    u, v = align(u, v)
+    u, v = align(u, v)  # the witnesses are node indices on the union grid
     mu, mv = monge_ampere(u), monge_ampere(v)
     inside = [i for i, d in enumerate(_difference(u, v).nums) if d > 0]
     lhs = rat(sum(mu._num[i] for i in inside), mu._den)
@@ -205,7 +209,7 @@ def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
     lhs is the mass of p, rhs the total mass of the bounds; the witnesses
     are the violating nodes and, per bound w, the contact nodes where p = w.
     """
-    p, *ws = align(p, *bounds)
+    p, *ws = align(p, *bounds)  # the witnesses are node indices on the union grid
     mws = [monge_ampere(w) for w in ws]
     contact = [[i for i, d in enumerate(_difference(p, w).nums) if d == 0] for w in ws]
     den = math.lcm(*(mw._den for mw in mws))

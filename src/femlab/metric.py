@@ -36,12 +36,11 @@ def dist(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex):
     an ordered pair, on any grids, costs its two memoized energies.
     """
     eu, ev = energy(psi, u), energy(psi, v)  # each checks the sector before the rooftop
-    a, b = align(u, v)
-    if is_leq(a, b):
+    if is_leq(u, v):
         return ev - eu
-    if is_leq(b, a):
+    if is_leq(v, u):
         return eu - ev
-    return eu + ev - 2 * energy(psi, rooftop(a, b))
+    return eu + ev - 2 * energy(psi, rooftop(u, v))
 
 
 def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> list:

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import oracles
 import strategies as own
 from femlab import (
+    AtomicMeasure,
     Grid,
+    GridPLConvex,
     affine_combine,
     biconjugate,
     check_reference,
@@ -41,6 +43,7 @@ from femlab.errors import (
 )
 from femlab._rational import Lattice
 from femlab.grid_convex import DualPL, align, max_dual, refine_to, restrict_dual
+from femlab.measures import pairings
 from femlab.sampling import nondegenerate_reference, random_sector_potential
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
@@ -363,7 +366,10 @@ def test_sup_diff_bounds_the_difference(u, v):
 
 @given(u=own.potentials_on(GRID5))
 def test_refinement_preserves_the_function(u):
-    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(1, 2), rat(-3, 2)})), GRID5.polytope)
+    # midpoints, nodes off the midpoints and nodes beyond both ends: the chord
+    # rule, not the average of its two ends, and each ray with its own slope
+    new = {rat(1, 2), rat(-3, 2), rat(1, 3), rat(-7, 4), rat(-3), rat(5, 2)}
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | new)), GRID5.polytope)
     r = refine_to(u, finer)
     for x in finer.nodes:
         assert oracles.ray_value(r, x) == oracles.ray_value(u, x)
@@ -398,6 +404,109 @@ def test_a_grid_that_holds_the_union_is_the_union(monkeypatch):
     assert dist(psi, coarse, fine) == dist(psi, fine, coarse) > 0
     assert rooftop(coarse, fine).grid is finer
     assert built == []
+
+
+def test_potentials_over_different_polytopes_are_refused():
+    """Comparing or pairing across polytopes raises, whether or not the end slopes nest."""
+    wide = Grid((-2, 0, 2), (0, 2))
+    wide_level = model_from_interval(wide, (0, 1), make_pl(wide, (0, 0, 4), 0, 2))
+    u = make_pl(GRID5, (0, 0, 0, 1, 2), 0, 1)
+    same_ends = make_pl(wide, (0, 0, 1), 0, 1)  # ends (0, 1) as u's
+    wider_ends = make_pl(wide, (0, 0, 4), 0, 2)  # ends (0, 2) leave u's: is_leq(v, u) fails on them alone
+    psi = model_from_interval(GRID5, (0, 1), REF5)
+    calls = [
+        (energy, wide_level, u),
+        (dist, wide_level, u, u),
+        (energy, psi, same_ends),
+        (dist, psi, u, same_ends),
+        (dist, psi, same_ends, u),
+    ]
+    for v in (same_ends, wider_ends):
+        calls += [(is_leq, u, v), (is_leq, v, u), (pairings, u, v), (pairings, v, u)]
+    for f, *args in calls:
+        assert message(GridMismatch, f, *args) == "potentials live over different polytopes"
+
+
+# (grid, a grid over its polytope that neither holds nor is held by it, with
+# nodes beyond both of its ends, largest slope denominator, examples); the
+# 65-node pair runs under marker scale
+CROSS_GRIDS = [
+    pytest.param(GRID5, Grid((-3, rat(-1, 2), rat(1, 3), 2, rat(7, 2)), (0, 1)), 8, 30, id="5"),
+    pytest.param(
+        GRID65,
+        Grid(tuple(rat(9 * k - 288, 64) for k in range(65)), (0, 1)),
+        64,
+        4,
+        id="65",
+        marks=pytest.mark.scale,
+    ),
+]
+
+
+@pytest.mark.parametrize("grid, other, den, examples", CROSS_GRIDS)
+def test_reads_across_grids_agree_with_the_aligned_pair(grid, other, den, examples):
+    """is_leq, pairings, energy and dist on two grids equal those of align(u, v).
+
+    On the aligned pair every read is on one grid, and the level is the same
+    function on the union grid, built from the reference refined there.
+    """
+    reference = nondegenerate_reference(grid)
+
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        u = data.draw(own.sector_potentials(grid, q, max_denominator=den))
+        w = data.draw(own.sector_potentials(other, q, max_denominator=den))
+        q2 = data.draw(own.subintervals(max_denominator=den))
+        x = data.draw(own.sector_potentials(other, q2, max_denominator=den))
+        c = sup_diff(u, w)
+        psi = model_from_interval(grid, q, reference)
+        # crossing, touching u from above, strictly above, u itself on the union grid, another sector
+        for v in (w, w.shift(c), w.shift(c + rat(1, den)), align(u, w)[0], x):
+            a, b = align(u, v)
+            assert (is_leq(u, v), is_leq(v, u)) == (is_leq(a, b), is_leq(b, a))
+            (iu, iv), d = pairings(u, v)
+            (ju, jv), e = pairings(a, b)
+            assert (rat(iu, d), rat(iv, d)) == (rat(ju, e), rat(jv, e))
+            if v is not x:
+                level = model_from_interval(a.grid, q, refine_to(reference, a.grid))
+                assert level.potential.grid == a.grid
+                assert (energy(psi, u), energy(psi, v)) == (energy(level, a), energy(level, b))
+                assert dist(psi, u, v) == dist(level, a, b) == dist(psi, v, u)
+        assert is_leq(u, w.shift(c)) and not is_leq(w.shift(c + rat(1, den)), u)
+
+    run_examples(examples, check)
+
+
+def test_cross_grid_reads_build_no_potential(monkeypatch):
+    """dist of an ordered pair, energy and a ray-crossing pointwise_max build only their results."""
+    u = make_pl(GRID5, (rat(1, 4), rat(1, 4), rat(1, 4), rat(3, 4), rat(5, 4)), 0, 1)
+    v = pointwise_max(u, REF5)  # u <= v on a strict refinement of GRID5
+    assert is_leq(u, v) and not is_leq(v, u) and set(GRID5.nodes) < set(v.grid.nodes)
+    psi = model_from_interval(GRID5, (0, 1), REF5)
+    flat = make_pl(GRID5, (0, 0, 0, 0, 0), 0, 1)
+    line = make_pl(GRID5, (-1, rat(-1, 2), 0, rat(1, 2), 1), rat(1, 2), rat(1, 2))  # crosses flat at 4
+    built = {Grid: [], GridPLConvex: [], AtomicMeasure: []}
+    for cls, log in built.items():
+
+        def counted(self, *args, _real=cls.__init__, _log=log, **kwargs):
+            _log.append(self)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def building(f, *args):
+        for log in built.values():
+            log.clear()
+        result = f(*args)
+        return result, {cls.__name__: list(log) for cls, log in built.items()}
+
+    e_u, _ = building(energy, psi, u)
+    e_v, made = building(energy, psi, v)
+    assert made == {"Grid": [], "GridPLConvex": [], "AtomicMeasure": [monge_ampere(v)]}
+    assert building(dist, psi, u, v) == (e_v - e_u, {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []})
+    assert building(dist, psi, v, u) == (e_v - e_u, {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []})
+    top, made = building(pointwise_max, flat, line)
+    assert 4 in top.grid.nodes and made["GridPLConvex"] == [top]
 
 
 def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
