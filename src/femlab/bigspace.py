@@ -18,14 +18,16 @@ identity correspondence between the two levels on the pool, and each row
 of the gh table (``nested_family_distortions``) is read from it.  The chained
 distance is the shortest path in the complete graph over the queried
 points, found by Dijkstra's dense array form: every pair is an edge, so a
-list of tentative values and a scan for the least one replace a heap.
+list of tentative values and a scan for the least one replace a heap.  The
+values are ints over one denominator, widened by an lcm when an edge needs
+it, so the search adds and compares ints and builds one rational.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._rational import ZERO, _Frozen
+from ._rational import ZERO, _Frozen, rat
 from .errors import PreconditionViolated
 from .families import ModelFamily, SampledFamily, member_cap
 from .grid_convex import GridPLConvex, model_project, more_singular, pl_equal
@@ -218,22 +220,33 @@ class BigSpace:
         """
         pts = [p, *nodes, q]
         target = len(pts) - 1
-        best = [ZERO] + [self.quasi(p, pt) for pt in pts[1:]]
-        prev = [0] * len(pts)
+        best, prev, den = [0] * len(pts), [0] * len(pts), 1
+
+        def edge(a, b):  # quasi(a, b) as an int over den, widening best first
+            nonlocal den
+            n, d = self.quasi(a, b).as_integer_ratio()
+            if den % d:
+                r = d // math.gcd(den, d)
+                den *= r
+                best[:] = [v * r for v in best]
+            return n * (den // d)
+
+        for k in range(1, len(pts)):
+            best[k] = edge(p, pts[k])
         unsettled = list(range(1, len(pts)))
         while True:
-            i = min(unsettled, key=lambda k: (best[k], k))
+            i = min(unsettled, key=best.__getitem__)
             if i == target:
                 break
             unsettled.remove(i)
             for j in unsettled:
-                nd = best[i] + self.quasi(pts[i], pts[j])
+                nd = edge(pts[i], pts[j]) + best[i]  # the read first: it may widen best[i]
                 if nd < best[j]:
                     best[j], prev[j] = nd, i
         path = [target]
         while path[-1] != 0:
             path.append(prev[path[-1]])
-        return ChainResult(value=best[target], path=tuple(reversed(path)))
+        return ChainResult(value=rat(best[target], den), path=tuple(reversed(path)))
 
 
 def default_node_pools(space: BigSpace, level: int):

@@ -138,15 +138,18 @@ def density_approximant(psi: ModelEnvelope, u: GridPLConvex, j) -> GridPLConvex:
     """Project max(u, reference - j) to the level: the bounded-from-below stand-in.
 
     Decreasing in j, above u, and equal to u once j dominates the gap to
-    the reference; distances to u shrink to exact zero at finite j.
+    the reference; distances to u shrink to exact zero at finite j.  The
+    floor reference - j is built once, in the reference's memo as ("floor", j).
     """
     j = rat(j)
     if j <= 0:
         raise ValueError("approximation parameter must be positive")
     if not more_singular(u, psi.potential):
         raise PreconditionViolated("approximant needs u at least as singular as the level")
-    clipped = pointwise_max(u, psi.reference.shift(-j))
-    return model_project(psi, clipped)
+    memo = psi.reference._memo
+    if ("floor", j) not in memo:
+        memo["floor", j] = psi.reference.shift(-j)
+    return model_project(psi, pointwise_max(u, memo["floor", j]))
 
 
 def monotone_distance_convergence(family: ModelFamily, u1_seq, u2_seq, tolerance: float) -> Report:

@@ -8,7 +8,7 @@ threshold a caller may impose on the last row.
 
 from __future__ import annotations
 
-from operator import ge
+from operator import add, ge
 
 from ._rational import ZERO, _Frozen, at_most, lattice, rat
 from .bigspace import BigSpace
@@ -60,11 +60,9 @@ class FiniteMetricSpace(_Frozen):
         # Symmetric and non-negative, so the first failing (i, j, k) has i < j.
         for i in range(n):
             for j in range(i + 1, n):
-                for k in range(n):
-                    if m[i][j] > m[i][k] + m[j][k]:
-                        raise ValidationError(
-                            "triangle inequality fails at (%d, %d, %d)" % (i, j, k)
-                        )
+                if m[i][j] > min(map(add, m[i], m[j])):
+                    k = next(k for k in range(n) if m[i][j] > m[i][k] + m[j][k])
+                    raise ValidationError("triangle inequality fails at (%d, %d, %d)" % (i, j, k))
 
     @property
     def size(self) -> int:
@@ -247,7 +245,8 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:
 
     Its ``BigSpace`` shares the cache of every other space over the same
     family and generator, so projections and level distances a caller's
-    space already holds are read, not recomputed.
+    space already holds are read, not recomputed.  The density gaps are
+    read by plain ``dist``: each approximant is fresh and read once.
     """
     if family.direction != "decreasing":
         raise ScheduleInvalid("the limit experiment needs a decreasing schedule")
@@ -268,7 +267,7 @@ def direct_limit_check(family: ModelFamily, generator: SampledFamily) -> Report:
         for a in range(n)
     )
     density_rows = [
-        [space.level_dist(limit, u, density_approximant(family.limit, u, j)) for j in DENSITY_SCHEDULE]
+        [dist(family.limit, u, density_approximant(family.limit, u, j)) for j in DENSITY_SCHEDULE]
         for u in (space.projection(limit, a) for a in range(n))
     ]
     density_ok = all(gaps[-1] == 0 and all(map(ge, gaps, gaps[1:])) for gaps in density_rows)

@@ -163,8 +163,8 @@ class GridPLConvex(_Frozen):
     most once: ``_memo`` holds its hash, ``values``, ``legendre(u)``,
     ``monge_ampere(u)``, ``energy(psi, u)`` per level,
     ``split_caps(u, reference)`` per reference and, for a reference, the
-    level potential of ``model_from_interval`` per Q, and lives and dies
-    with it.
+    level potential of ``model_from_interval`` per Q and the floor of
+    ``density_approximant`` per j, and lives and dies with it.
     """
 
     __slots__ = ("grid", "_num", "_den", "_ends", "_slope_lattice", "_memo")

@@ -13,8 +13,8 @@ values.  Every Monge-Ampere pairing lives here and is an int dot product:
 u - v with MA(u) and MA(v), each on the nodes of its measure, for the
 energy, and returns both as ints over one unreduced denominator, so the
 energy, the difference identity and the chain gap each build one rational
-from them; ``rho`` pairs hi - lo with MA(lo) for an ordered pair, and
-``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
+from them; ``rho`` is the second of ``pairings(hi, lo)`` for an ordered
+pair, and ``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u).
@@ -62,9 +62,9 @@ class AtomicMeasure(_Frozen):
         nums, den = lattice(masses)
         if len(nums) != len(grid._xs):
             raise ValueError("%d masses for %d nodes" % (len(nums), len(grid._xs)))
-        for m in nums:
-            if m < 0:
-                raise ValueError("negative mass %s" % rat_str(rat(m, den)))
+        if min(nums) < 0:
+            m = next(m for m in nums if m < 0)
+            raise ValueError("negative mass %s" % rat_str(rat(m, den)))
         self._set(grid=grid, _num=nums, _den=den, _memo={})
 
     def _key(self):
@@ -124,12 +124,12 @@ def rho(u: GridPLConvex, v: GridPLConvex):
 
     Dominates d on a common sector and contracts under envelope projection.
     """
-    a, b = align(u, v)
-    if not is_leq(b, a):
-        if not is_leq(a, b):
+    if not is_leq(v, u):
+        if not is_leq(u, v):
             raise NotComparable("rho needs a pointwise-ordered pair")
-        a, b = b, a
-    return _charged_sum(_difference(a, b), monge_ampere(b))
+        u, v = v, u
+    (_, lo_pairing), den = pairings(u, v)
+    return rat(lo_pairing, den)
 
 
 def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):

@@ -330,6 +330,34 @@ def shortest_path_by_floyd_warshall(matrix):
     return d[0][-1]
 
 
+def chain_by_fraction_dijkstra(matrix):
+    """(value, path) of the cheapest path from point 0 to the last, on rationals.
+
+    Dijkstra's dense form as the chain search ran before it moved to ints:
+    tentative values are rationals, and each round settles the unsettled
+    point with the least (value, position), so among equal-cost paths the
+    lower position settles first.
+    """
+    m = [[rat(v) for v in row] for row in matrix]
+    target = len(m) - 1
+    best = [rat(0)] + m[0][1:]
+    prev = [0] * len(m)
+    unsettled = list(range(1, len(m)))
+    while True:
+        i = min(unsettled, key=lambda k: (best[k], k))
+        if i == target:
+            break
+        unsettled.remove(i)
+        for j in unsettled:
+            nd = best[i] + m[i][j]
+            if nd < best[j]:
+                best[j], prev[j] = nd, i
+    path = [target]
+    while path[-1] != 0:
+        path.append(prev[path[-1]])
+    return best[target], tuple(reversed(path))
+
+
 def first_triangle_failure(matrix):
     """The first (i, j, k) in index order with d(i, j) > d(i, k) + d(k, j), or None.
 

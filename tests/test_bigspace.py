@@ -308,18 +308,68 @@ def test_chain_triangle_through_an_explicit_node():
 
 
 def test_chain_is_the_floyd_warshall_shortest_path_through_each_default_pool():
-    sp = seeded_space()
-    p, q = sp.point_from_member(0, 0), sp.point_from_member(sp.limit_level, 1)
     detours = 0
-    for pool in default_node_pools(sp, 2):
-        pts = [p, *pool, q]
-        res = sp.chain(p, q, pool)
-        matrix = [[sp.quasi(a, b) for b in pts] for a in pts]
-        assert res.value == oracles.shortest_path_by_floyd_warshall(matrix)
-        hops = [pts[i] for i in res.path]
-        assert sum(sp.quasi(a, b) for a, b in zip(hops, hops[1:])) == res.value
-        detours += len(res.path) > 2
+    for seed in (1, 2, 3, 4, 5, 7):
+        sp = seeded_space(seed)
+        p, q = sp.point_from_member(0, 0), sp.point_from_member(sp.limit_level, 1)
+        for pool in default_node_pools(sp, 2):
+            pts = [p, *pool, q]
+            res = sp.chain(p, q, pool)
+            matrix = [[sp.quasi(a, b) for b in pts] for a in pts]
+            assert res.value == oracles.shortest_path_by_floyd_warshall(matrix)
+            assert (res.value, res.path) == oracles.chain_by_fraction_dijkstra(matrix)
+            hops = [pts[i] for i in res.path]
+            assert sum(sp.quasi(a, b) for a, b in zip(hops, hops[1:])) == res.value
+            detours += len(res.path) > 2
     assert detours  # some pool undercuts the direct edge, so the search is exercised
+
+
+# Hand-picked exact weights on points 0..5 (0 is p, 5 is q).  The first
+# row's denominators divide 21; the edges read while relaxing bring in 2,
+# 5, 11 and 13, so the search widens its denominator mid-way.  Points 1
+# and 2 tie at 1/3, and 0-1-5, 0-2-5 and 0-4-5 all cost 23/15, under the
+# direct edge's 2: the lower position settles first and keeps its path.
+HAND_WEIGHTS = {
+    (0, 1): rat(1, 3), (0, 2): rat(1, 3), (0, 3): rat(6, 7), (0, 4): rat(1), (0, 5): rat(2),
+    (1, 2): rat(1, 2), (1, 3): rat(3, 7), (1, 4): rat(4, 3), (1, 5): rat(6, 5),
+    (2, 3): rat(3, 11), (2, 4): rat(4, 5), (2, 5): rat(6, 5),
+    (3, 4): rat(6, 13), (3, 5): rat(1),
+    (4, 5): rat(8, 15),
+}
+
+
+def weight_table(weights, n):
+    return [[rat(0) if a == b else weights[min(a, b), max(a, b)] for b in range(n)] for a in range(n)]
+
+
+def chain_on_table(monkeypatch, table):
+    """BigSpace.chain from point 0 to the last, with quasi read from the table."""
+    monkeypatch.setattr(BigSpace, "quasi", lambda self, a, b: table[a][b])
+    n = len(table)
+    return two_level_space().chain(0, n - 1, range(1, n - 1))
+
+
+def test_chain_widens_its_denominator_and_keeps_the_lowest_of_equal_paths(monkeypatch):
+    table = weight_table(HAND_WEIGHTS, 6)
+    res = chain_on_table(monkeypatch, table)
+    assert res.value == rat(23, 15) == oracles.shortest_path_by_floyd_warshall(table)
+    assert res.path == (0, 1, 5)
+    assert (res.value, res.path) == oracles.chain_by_fraction_dijkstra(table)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_chain_on_coprime_weights_matches_the_fraction_search(monkeypatch, seed):
+    rng = random.Random(seed)
+    n = 9
+    weights = {
+        (a, b): rat(rng.randint(1, 12), rng.choice((1, 2, 3, 5, 7, 11, 13)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    table = weight_table(weights, n)
+    res = chain_on_table(monkeypatch, table)
+    assert res.value == oracles.shortest_path_by_floyd_warshall(table)
+    assert (res.value, res.path) == oracles.chain_by_fraction_dijkstra(table)
 
 
 def test_default_node_pools_cover_the_other_levels_and_their_union():

@@ -13,8 +13,10 @@ import strategies as own
 from femlab import (
     FiniteMetricSpace,
     Grid,
+    GridPLConvex,
     SampledFamily,
     direct_limit_check,
+    dist,
     distortion,
     entropy_cap_filter,
     family_from_intervals,
@@ -25,6 +27,7 @@ from femlab import (
     model_from_interval,
     model_project,
     nested_family_distortions,
+    pointwise_max,
     rat,
     space_from_potentials,
 )
@@ -64,6 +67,14 @@ def test_space_validation_names_the_offending_indices():
         FiniteMetricSpace(((0, -1), (-1, 0)))
     with pytest.raises(ValidationError, match="triangle inequality fails"):
         FiniteMetricSpace(((0, 1, 5), (1, 0, 1), (5, 1, 0)))
+
+
+def test_triangle_failure_names_a_third_point_past_the_pair():
+    matrix = ((0, 5, 3, 1), (5, 0, 3, 1), (3, 3, 0, 2), (1, 1, 2, 0))
+    assert oracles.first_triangle_failure(matrix) == (0, 1, 3)
+    with pytest.raises(ValidationError) as caught:
+        FiniteMetricSpace(matrix)
+    assert str(caught.value) == "triangle inequality fails at (0, 1, 3)"
 
 
 @given(matrix=own.distance_matrices())
@@ -383,6 +394,27 @@ def test_direct_limit_reports_the_same_with_a_shared_or_a_fresh_generator():
     fresh = SampledFamily(gen.members, gen.cap, gen.sup_bound, gen.reference)
     shared = direct_limit_check(space.family, gen).as_dict()
     assert shared == direct_limit_check(canonical_family(), fresh).as_dict()
+
+
+def test_direct_limit_builds_each_density_floor_once_per_reference(monkeypatch):
+    reference = make_pl(GRID3, (0, rat(1, 4), 1), 0, 1)
+    fam = family_from_intervals(
+        GRID3, ((0, 1), (0, rat(3, 4)), (0, rat(5, 8)), (0, rat(9, 16))), (0, rat(1, 2)), reference
+    )
+    gen = entropy_cap_filter(random_candidates(random.Random(5), GRID3, reference, 10), 2.0, rat(2), reference)
+    limit, schedule = fam.limit, ghlimits.DENSITY_SCHEDULE
+    by_hand = [
+        [dist(limit, u, model_project(limit, pointwise_max(u, reference.shift(-j)))) for j in schedule]
+        for u in (model_project(limit, g) for g in gen.members)
+    ]
+    shifted = []
+    shift = GridPLConvex.shift
+    monkeypatch.setattr(GridPLConvex, "shift", lambda u, c: shifted.append((u, c)) or shift(u, c))
+    report = direct_limit_check(fam, gen)
+    assert report.passed and report.witnesses["density_rows"] == by_hand
+    assert direct_limit_check(fam, gen).as_dict() == report.as_dict()
+    assert shifted == [(reference, -rat(j)) for j in schedule]
+    assert all(reference._memo["floor", rat(j)] == shift(reference, -j) for j in schedule)
 
 
 def test_direct_limit_rejects_increasing_schedules():

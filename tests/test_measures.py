@@ -23,6 +23,7 @@ from femlab import (
     rho,
     rooftop,
 )
+from femlab import grid_convex
 from femlab.errors import NotNormalized, SingularityMismatch
 from femlab.measures import (
     AtomicMeasure,
@@ -40,6 +41,22 @@ REF5 = nondegenerate_reference(GRID5)
 def test_atomic_measure_rejects_negative_mass():
     with pytest.raises(ValueError):
         AtomicMeasure(GRID5, (1, -1, 0, 0, 0))
+
+
+def test_negative_mass_message_names_the_first_negative_mass():
+    with pytest.raises(ValueError) as caught:
+        AtomicMeasure(GRID5, (1, 0, rat(-1, 3), -2, 0))
+    assert str(caught.value) == "negative mass -1/3"
+
+
+def test_rho_of_an_ordered_pair_on_two_grids_refines_nothing(monkeypatch):
+    lo = make_pl(GRID5, (0, 0, 0, rat(1, 2), rat(3, 2)), 0, 1)
+    hi = make_pl(Grid(nodes=(-2, rat(1, 2), 2), polytope=(0, 1)), (1, 1, rat(5, 2)), 0, 1)
+    calls = []
+    refine = grid_convex.refine_to
+    monkeypatch.setattr(grid_convex, "refine_to", lambda u, grid: calls.append(grid) or refine(u, grid))
+    assert rho(hi, lo) == rho(lo, hi) == oracles.rho_by_sampling(hi, lo)
+    assert calls == []
 
 
 @given(u=own.potentials_on(GRID5))
