@@ -28,8 +28,8 @@ denominator with one ``math.lcm``, and the constructor reduces it with one
 interval (the polytope, a potential's end slopes, a level's Q) is a reduced
 two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
 ``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
-backend rationals, built on first read.  ``_values_on`` reads a potential at
-another grid's nodes as ints, so comparisons and pairings build no object.
+backend rationals, built on first read.  ``_values_on`` reads a potential and
+``_pair_on`` two at a grid's nodes as ints, so comparisons and pairings build no object.
 """
 
 from __future__ import annotations
@@ -228,13 +228,6 @@ class GridPLConvex(_Frozen):
         den = math.lcm(self._den, c.denominator)
         r, add = den // self._den, c.numerator * (den // c.denominator)
         return GridPLConvex(self.grid, Lattice(tuple(n * r + add for n in self._num), den), self._ends)
-
-
-def _difference(u: GridPLConvex, v: GridPLConvex) -> Lattice:
-    """u - v node by node, on a grid both share; not reduced."""
-    den = math.lcm(u._den, v._den)
-    a, b = den // u._den, den // v._den
-    return Lattice(tuple([x * a - y * b for x, y in zip(u._num, v._num)]), den)
 
 
 def make_pl(grid: Grid, values, slope_left, slope_right) -> GridPLConvex:
@@ -467,6 +460,26 @@ def _values_on(u: GridPLConvex, grid: Grid) -> tuple:
     return tuple(out), u._den * m
 
 
+def _pair_on(u: GridPLConvex, v: GridPLConvex, grid: Grid) -> tuple:
+    """u and v at grid's nodes as ((a, ra), (b, rb), den): u is a * ra / den and v is b * rb / den.
+
+    The one reader of two potentials: it refuses two polytopes before it reads
+    anything; a dot product scales its sum once, a comparison the ints.
+    """
+    if u.grid._poly != v.grid._poly:
+        raise GridMismatch("potentials live over different polytopes")
+    (a, ad), (b, bd) = _values_on(u, grid), _values_on(v, grid)
+    den = math.lcm(ad, bd)
+    return (a, den // ad), (b, den // bd), den
+
+
+def _union_reads(u: GridPLConvex, v: GridPLConvex):
+    """(u's ints, v's ints, den) at u's nodes, then lazily at v's if v has another grid: the union's."""
+    for grid in (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid):
+        (a, ra), (b, rb), den = _pair_on(u, v, grid)
+        yield _scaled(a, ra), _scaled(b, rb), den
+
+
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
     """Re-represent u on a finer grid (superset of nodes, same polytope).
 
@@ -498,9 +511,8 @@ def align(*us: GridPLConvex):
 
 
 def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """Equality as functions on the line, not as representations."""
-    u, v = align(u, v)
-    return u == v
+    """Equality as functions on the line: equal values at u's nodes and at v's, and equal end slopes."""
+    return all(a == b for a, b, _ in _union_reads(u, v)) and u._ends == v._ends
 
 
 # --- pointwise operations ---------------------------------------------------
@@ -521,7 +533,7 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
 
     Sign changes between nodes, or on either ray, are rational and are
     inserted so the result represents max(u, v) exactly, never a node-wise
-    max with its kinks forgotten.  ``_values_on`` reads both at the ray
+    max with its kinks forgotten.  ``_pair_on`` reads both at the ray
     crossings too; ``_max_merge``, shared with ``max_dual``, places the others.
     """
     u, v = align(u, v)
@@ -536,9 +548,8 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     if dr * sr < 0:  # and right of the last one
         roots.append(_ray_root(xs[-1], dr, ud * vd, sr, ue * ve, scale))
     grid = _grid_on([u.grid], roots) if roots else u.grid
-    (w1, d1), (w2, d2) = _values_on(u, grid), _values_on(v, grid)
-    den = math.lcm(d1, d2)
-    (ps, pm), (ws, vm) = _max_merge(grid._xs, _scaled(w1, den // d1), _scaled(w2, den // d2))
+    (w1, r1), (w2, r2), den = _pair_on(u, v, grid)
+    (ps, pm), (ws, vm) = _max_merge(grid._xs, _scaled(w1, r1), _scaled(w2, r2))
     grid = grid if len(ps) == len(w1) else Grid(Lattice(ps, grid._scale * pm), grid._poly)
     return GridPLConvex(
         grid,
@@ -571,33 +582,25 @@ def more_singular(u: GridPLConvex, v: GridPLConvex) -> bool:
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     """u <= v pointwise on the whole line, decided exactly: at every node and on both rays.
 
-    Over one polytope: v's end slopes contain u's, and u <= v at u's nodes
-    and at v's (together the union's), read by ``_values_on`` in place.
+    Over one polytope: u <= v at u's nodes and at v's, and v's end slopes contain u's.
     """
-    if u.grid._poly != v.grid._poly:
-        raise GridMismatch("potentials live over different polytopes")
-    if not _contains(v._ends, u._ends):
-        return False
-    for g in (u.grid,) if u.grid is v.grid else {u.grid, v.grid}:
-        (a, ad), (b, bd) = _values_on(u, g), _values_on(v, g)
-        den = math.lcm(ad, bd)
-        if not all(map(le, _scaled(a, den // ad), _scaled(b, den // bd))):
+    # the loop of _union_reads without its generator: is_leq is the hottest read of a pair
+    for grid in (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid):
+        (a, ra), (b, rb), _ = _pair_on(u, v, grid)
+        if not all(map(le, _scaled(a, ra), _scaled(b, rb))):
             return False
-    return True
+    return _contains(v._ends, u._ends)
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
     """sup over the line of u - v: a rational, or math.inf when unbounded.
 
     Unbounded iff v's dual domain fails to contain u's on either side; else
-    the sup is attained at a node because the difference is affine on rays
-    with the favorable slope signs.
+    the sup is attained at a node of u or of v because the difference is
+    affine on rays with the favorable slope signs.
     """
-    u, v = align(u, v)
-    if not _contains(v._ends, u._ends):
-        return math.inf
-    d, den = _difference(u, v)
-    return rat(max(d), den)
+    top = max(rat(max(map(sub, a, b)), den) for a, b, den in _union_reads(u, v))
+    return top if _contains(v._ends, u._ends) else math.inf
 
 
 # --- envelopes --------------------------------------------------------------

@@ -8,13 +8,13 @@ measure that arises from a potential.  Relative entropy is the single place
 floats appear; it reads exact masses and converts only at the final log.
 
 Masses are kept as ints over one reduced denominator, like potential
-values.  Every Monge-Ampere pairing lives here and is an int dot product:
-``_charged_sum`` pairs node values with a measure; ``pairings`` pairs
-u - v with MA(u) and MA(v), each on the nodes of its measure, for the
-energy, and returns both as ints over one unreduced denominator, so the
+values.  Every Monge-Ampere pairing lives here and reads both potentials
+in place, with ``_pair_on``, on the nodes of its measure: ``_pairing`` is
+integral (u - v) dMA(w) as two int dot products; ``pairings`` takes it for
+MA(u) and MA(v), for the energy, over one unreduced denominator, so the
 energy, the difference identity and the chain gap each build one rational
-from them; ``rho`` is the second of ``pairings(hi, lo)`` for an ordered
-pair, and ``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
+from them; ``rho`` takes it once, against MA(lo), for an ordered pair; and
+``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u).
@@ -31,8 +31,8 @@ from .grid_convex import (
     Grid,
     GridPLConvex,
     ModelEnvelope,
-    _difference,
-    _values_on,
+    _pair_on,
+    _union_reads,
     align,
     is_leq,
     model_project,
@@ -93,28 +93,21 @@ def monge_ampere(u: GridPLConvex) -> AtomicMeasure:
     return mu
 
 
-def _charged_sum(values: Lattice, mu: AtomicMeasure):
-    """integral of the node values against mu, one int dot product."""
-    nums, den = values
-    return rat(sum(map(mul, nums, mu._num)), den * mu._den)
+def _pairing(u: GridPLConvex, v: GridPLConvex, w: GridPLConvex) -> tuple:
+    """integral (u - v) dMA(w) over w's own nodes as (int, denominator), unreduced: two int dot products."""
+    (a, ra), (b, rb), den = _pair_on(u, v, w.grid)
+    mu = monge_ampere(w)
+    return sum(map(mul, a, mu._num)) * ra - sum(map(mul, b, mu._num)) * rb, den * mu._den
 
 
 def pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
     """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one denominator.
 
-    Each pairing is an int dot product over the nodes of the measure that
-    charges it, where ``_values_on`` reads the other potential.  Both are
-    brought to one denominator, which is not reduced: a caller builds the
-    one rational it needs from the ints.
+    Each is ``_pairing`` over the nodes of the measure that charges it.
+    Both are brought to one denominator, which is not reduced: a caller
+    builds the one rational it needs from the ints.
     """
-    if u.grid._poly != v.grid._poly:
-        raise GridMismatch("potentials live over different polytopes")
-
-    def pairing(w):  # integral (u - v) dMA(w) as (int, denominator)
-        (a, ad), (b, bd), m = _values_on(u, w.grid), _values_on(v, w.grid), monge_ampere(w)
-        return sum(map(mul, a, m._num)) * bd - sum(map(mul, b, m._num)) * ad, ad * bd * m._den
-
-    (pu, du), (pv, dv) = pairing(u), pairing(v)
+    (pu, du), (pv, dv) = _pairing(u, v, u), _pairing(u, v, v)
     den = math.lcm(du, dv)
     return Lattice((pu * (den // du), pv * (den // dv)), den)
 
@@ -128,16 +121,17 @@ def rho(u: GridPLConvex, v: GridPLConvex):
         if not is_leq(u, v):
             raise NotComparable("rho needs a pointwise-ordered pair")
         u, v = v, u
-    (_, lo_pairing), den = pairings(u, v)
-    return rat(lo_pairing, den)
+    return rat(*_pairing(u, v, v))
 
 
 def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
     """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
-    a, b = align(u, v)
-    nums, den = _difference(a, b)
-    diff = Lattice(tuple(map(abs, nums)), den)
-    return _charged_sum(diff, monge_ampere(a)) + _charged_sum(diff, monge_ampere(b))
+    reads = list(_union_reads(u, v))  # on one grid, one read serves both measures
+    total = ZERO
+    for (a, b, den), w in zip((reads[0], reads[-1]), (u, v)):
+        mu = monge_ampere(w)
+        total += rat(sum(map(mul, map(abs, map(sub, a, b)), mu._num)), den * mu._den)
+    return total
 
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:
@@ -191,7 +185,7 @@ def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
     u, v = align(u, v)  # the witnesses are node indices on the union grid
     mu, mv = monge_ampere(u), monge_ampere(v)
-    inside = [i for i, d in enumerate(_difference(u, v).nums) if d > 0]
+    inside = [i for a, b, _ in _union_reads(u, v) for i, (x, y) in enumerate(zip(a, b)) if x > y]
     lhs = rat(sum(mu._num[i] for i in inside), mu._den)
     rhs = rat(sum(mv._num[i] for i in inside), mv._den)
     return Report(
@@ -211,7 +205,9 @@ def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
     """
     p, *ws = align(p, *bounds)  # the witnesses are node indices on the union grid
     mws = [monge_ampere(w) for w in ws]
-    contact = [[i for i, d in enumerate(_difference(p, w).nums) if d == 0] for w in ws]
+    contact = [
+        [i for a, b, _ in _union_reads(p, w) for i, (x, y) in enumerate(zip(a, b)) if x == y] for w in ws
+    ]
     den = math.lcm(*(mw._den for mw in mws))
     bound = [0] * len(p._num)  # over den
     for mw, nodes in zip(mws, contact):

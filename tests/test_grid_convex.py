@@ -43,7 +43,7 @@ from femlab.errors import (
 )
 from femlab._rational import Lattice
 from femlab.grid_convex import DualPL, align, max_dual, refine_to, restrict_dual
-from femlab.measures import pairings
+from femlab.measures import abs_diff_pairing, pairings, rho
 from femlab.sampling import nondegenerate_reference, random_sector_potential
 
 GRID3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
@@ -422,7 +422,8 @@ def test_potentials_over_different_polytopes_are_refused():
         (dist, psi, same_ends, u),
     ]
     for v in (same_ends, wider_ends):
-        calls += [(is_leq, u, v), (is_leq, v, u), (pairings, u, v), (pairings, v, u)]
+        for f in (is_leq, pairings, sup_diff, pl_equal, abs_diff_pairing):
+            calls += [(f, u, v), (f, v, u)]
     for f, *args in calls:
         assert message(GridMismatch, f, *args) == "potentials live over different polytopes"
 
@@ -445,7 +446,7 @@ CROSS_GRIDS = [
 
 @pytest.mark.parametrize("grid, other, den, examples", CROSS_GRIDS)
 def test_reads_across_grids_agree_with_the_aligned_pair(grid, other, den, examples):
-    """is_leq, pairings, energy and dist on two grids equal those of align(u, v).
+    """The reads of two potentials on two grids equal those of align(u, v).
 
     On the aligned pair every read is on one grid, and the level is the same
     function on the union grid, built from the reference refined there.
@@ -467,6 +468,11 @@ def test_reads_across_grids_agree_with_the_aligned_pair(grid, other, den, exampl
             (iu, iv), d = pairings(u, v)
             (ju, jv), e = pairings(a, b)
             assert (rat(iu, d), rat(iv, d)) == (rat(ju, e), rat(jv, e))
+            assert (sup_diff(u, v), sup_diff(v, u)) == (sup_diff(a, b), sup_diff(b, a))
+            assert pl_equal(u, v) == pl_equal(v, u) == (a == b)
+            assert abs_diff_pairing(u, v) == abs_diff_pairing(a, b)
+            if v is not w and v is not x:  # the ordered pairs
+                assert rho(u, v) == rho(a, b) == rho(v, u)
             if v is not x:
                 level = model_from_interval(a.grid, q, refine_to(reference, a.grid))
                 assert level.potential.grid == a.grid
@@ -478,7 +484,8 @@ def test_reads_across_grids_agree_with_the_aligned_pair(grid, other, den, exampl
 
 
 def test_cross_grid_reads_build_no_potential(monkeypatch):
-    """dist of an ordered pair, energy and a ray-crossing pointwise_max build only their results."""
+    """dist of an ordered pair, energy and a ray-crossing pointwise_max build only their results;
+    sup_diff, pl_equal, rho and abs_diff_pairing build nothing."""
     u = make_pl(GRID5, (rat(1, 4), rat(1, 4), rat(1, 4), rat(3, 4), rat(5, 4)), 0, 1)
     v = pointwise_max(u, REF5)  # u <= v on a strict refinement of GRID5
     assert is_leq(u, v) and not is_leq(v, u) and set(GRID5.nodes) < set(v.grid.nodes)
@@ -505,6 +512,9 @@ def test_cross_grid_reads_build_no_potential(monkeypatch):
     assert made == {"Grid": [], "GridPLConvex": [], "AtomicMeasure": [monge_ampere(v)]}
     assert building(dist, psi, u, v) == (e_v - e_u, {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []})
     assert building(dist, psi, v, u) == (e_v - e_u, {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []})
+    for f in (sup_diff, pl_equal, rho, abs_diff_pairing):
+        for pair in ((u, v), (v, u)):
+            assert building(f, *pair)[1] == {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []}, f.__name__
     top, made = building(pointwise_max, flat, line)
     assert 4 in top.grid.nodes and made["GridPLConvex"] == [top]
 

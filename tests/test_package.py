@@ -11,11 +11,14 @@ inside the kernel (``grid_convex``, ``measures``, ``sampling``): no other
 module imports an underscore name from it or reads an underscore slot of
 its types, ``_memo`` aside.  Every public method or property of a public
 class is read as an attribute by the package or perfbench's modules, or
-named in the class's ``_shown``: no member exists for the tests alone.  A
-fresh interpreter imports the CLI without the stdlib's class-building
-modules, and each validated type runs its ``__post_init__`` once per
-construction, so a tracer that patches it there sees every validation; no
-other type defines one.
+named in the class's ``_shown``: no member exists for the tests alone.
+Every module-level public function is read by the package or perfbench,
+as a name, an attribute or a traced layer, or is one of a listed few
+paper quantities that only the tests compute.  A fresh interpreter
+imports the CLI without the stdlib's class-building modules, and each
+validated type runs its ``__post_init__`` once per construction, so a
+tracer that patches it there sees every validation; no other type
+defines one.
 """
 
 from __future__ import annotations
@@ -334,3 +337,36 @@ def test_every_public_member_of_a_public_class_is_read_by_the_lab():
                         unread.append("%s:%d %s.%s" % (name, item.lineno, cls.name, item.name))
     assert members, "the scan found no public members at all"
     assert unread == []
+
+
+# Quantities of the paper the lab defines for its users and that only the
+# tests compute: the Darboux sums of the chain rate and their limit, and
+# the fitted constants of the sup bound.
+PAPER_QUANTITIES = {"darboux_sum", "darboux_limit", "estimate_sup_bound_constants"}
+
+
+def traced_attributes():
+    """Every name in the attributes of perfbench's tracing ``LAYERS``, "Class.method" split."""
+    tree = ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return {part for _, attribute, _ in ast.literal_eval(node.value) for part in attribute.split(".")}
+    raise AssertionError("tracing.py defines no LAYERS")
+
+
+def test_every_public_function_is_read_by_the_lab_or_is_a_paper_quantity():
+    """A module-level public function is read by the package or by perfbench (as a
+    name, an attribute or a traced layer), or is one of the listed paper quantities."""
+    read = traced_attributes()
+    for tree in [*TREES.values(), *PERFBENCH_TREES]:
+        read.update(loaded_names(tree))
+    functions = {
+        node.name
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert functions, "the scan found no public functions at all"
+    unread = functions - read
+    assert sorted(unread - PAPER_QUANTITIES) == []
+    assert sorted(PAPER_QUANTITIES - unread) == [], "a listed quantity is read by the lab or is gone"
