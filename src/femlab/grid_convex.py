@@ -28,8 +28,8 @@ denominator with one ``math.lcm``, and the constructor reduces it with one
 interval (the polytope, a potential's end slopes, a level's Q) is a reduced
 two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
 ``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
-backend rationals, built on first read.  ``_values_on`` reads a potential and
-``_pair_on`` two at a grid's nodes as ints, so comparisons and pairings build no object.
+backend rationals, built on first read.  Comparisons and pairings build no
+object: they read ints in place with ``_values_on``, ``_pair_on`` and ``_union_reads``.
 """
 
 from __future__ import annotations
@@ -474,8 +474,15 @@ def _pair_on(u: GridPLConvex, v: GridPLConvex, grid: Grid) -> tuple:
 
 
 def _union_reads(u: GridPLConvex, v: GridPLConvex):
-    """(u's ints, v's ints, den) at u's nodes, then lazily at v's if v has another grid: the union's."""
-    for grid in (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid):
+    """``_reads_on`` u's grid, then v's if another: the union's nodes; two polytopes are refused at the call."""
+    if u.grid._poly != v.grid._poly:
+        raise GridMismatch("potentials live over different polytopes")
+    return _reads_on(u, v, (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid))
+
+
+def _reads_on(u: GridPLConvex, v: GridPLConvex, grids):
+    """(u's ints, v's ints, den) at each grid's nodes, lazily: a reduction that fails on one skips the rest."""
+    for grid in grids:
         (a, ra), (b, rb), den = _pair_on(u, v, grid)
         yield _scaled(a, ra), _scaled(b, rb), den
 
@@ -511,8 +518,9 @@ def align(*us: GridPLConvex):
 
 
 def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """Equality as functions on the line: equal values at u's nodes and at v's, and equal end slopes."""
-    return all(a == b for a, b, _ in _union_reads(u, v)) and u._ends == v._ends
+    """Equality as functions on the line: equal end slopes, and equal values at u's nodes and at v's."""
+    reads = _union_reads(u, v)
+    return u._ends == v._ends and all(a == b for a, b, _ in reads)
 
 
 # --- pointwise operations ---------------------------------------------------
@@ -580,16 +588,9 @@ def more_singular(u: GridPLConvex, v: GridPLConvex) -> bool:
 
 
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
-    """u <= v pointwise on the whole line, decided exactly: at every node and on both rays.
-
-    Over one polytope: u <= v at u's nodes and at v's, and v's end slopes contain u's.
-    """
-    # the loop of _union_reads without its generator: is_leq is the hottest read of a pair
-    for grid in (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid):
-        (a, ra), (b, rb), _ = _pair_on(u, v, grid)
-        if not all(map(le, _scaled(a, ra), _scaled(b, rb))):
-            return False
-    return _contains(v._ends, u._ends)
+    """u <= v on the whole line, exactly: v's end slopes contain u's, and u <= v at u's nodes and at v's."""
+    reads = _union_reads(u, v)
+    return _contains(v._ends, u._ends) and all(all(map(le, a, b)) for a, b, _ in reads)
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -599,8 +600,10 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     the sup is attained at a node of u or of v because the difference is
     affine on rays with the favorable slope signs.
     """
-    top = max(rat(max(map(sub, a, b)), den) for a, b, den in _union_reads(u, v))
-    return top if _contains(v._ends, u._ends) else math.inf
+    reads = _union_reads(u, v)
+    if not _contains(v._ends, u._ends):
+        return math.inf
+    return max(rat(max(map(sub, a, b)), den) for a, b, den in reads)
 
 
 # --- envelopes --------------------------------------------------------------

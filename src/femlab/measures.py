@@ -101,11 +101,10 @@ def _pairing(u: GridPLConvex, v: GridPLConvex, w: GridPLConvex) -> tuple:
 
 
 def pairings(u: GridPLConvex, v: GridPLConvex) -> Lattice:
-    """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one denominator.
+    """(integral (u - v) dMA(u), integral (u - v) dMA(v)) as ints over one unreduced denominator.
 
-    Each is ``_pairing`` over the nodes of the measure that charges it.
-    Both are brought to one denominator, which is not reduced: a caller
-    builds the one rational it needs from the ints.
+    Each is ``_pairing`` over the nodes of the measure that charges it; a
+    caller builds the one rational it needs from the ints.
     """
     (pu, du), (pv, dv) = _pairing(u, v, u), _pairing(u, v, v)
     den = math.lcm(du, dv)
@@ -185,7 +184,8 @@ def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
     u, v = align(u, v)  # the witnesses are node indices on the union grid
     mu, mv = monge_ampere(u), monge_ampere(v)
-    inside = [i for a, b, _ in _union_reads(u, v) for i, (x, y) in enumerate(zip(a, b)) if x > y]
+    a, b, _ = next(_union_reads(u, v))  # the read at u's nodes, which are the union's
+    inside = [i for i, (x, y) in enumerate(zip(a, b)) if x > y]
     lhs = rat(sum(mu._num[i] for i in inside), mu._den)
     rhs = rat(sum(mv._num[i] for i in inside), mv._den)
     return Report(
@@ -205,9 +205,8 @@ def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
     """
     p, *ws = align(p, *bounds)  # the witnesses are node indices on the union grid
     mws = [monge_ampere(w) for w in ws]
-    contact = [
-        [i for a, b, _ in _union_reads(p, w) for i, (x, y) in enumerate(zip(a, b)) if x == y] for w in ws
-    ]
+    reads = [next(_union_reads(p, w)) for w in ws]  # each at p's nodes, which are the union's
+    contact = [[i for i, (x, y) in enumerate(zip(a, b)) if x == y] for a, b, _ in reads]
     den = math.lcm(*(mw._den for mw in mws))
     bound = [0] * len(p._num)  # over den
     for mw, nodes in zip(mws, contact):

@@ -71,10 +71,7 @@ def _chain_sums(psi: ModelEnvelope, u: GridPLConvex, v: GridPLConvex, steps) -> 
             if key not in links:
                 links[key] = affine_combine(rat(*key), u, v)
             chain.append(links[key])
-        acc = ZERO
-        for w0, w1 in zip(chain, chain[1:]):
-            acc += rho(w0, w1)
-        rows.append((big_n, acc))
+        rows.append((big_n, sum(map(rho, chain, chain[1:]), ZERO)))
     return rows
 
 

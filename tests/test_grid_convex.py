@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies as own
+from femlab import grid_convex
 from femlab import (
     AtomicMeasure,
     Grid,
@@ -524,6 +525,18 @@ def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
     for part in (make_pl(GRID3, (0, 0, rat(1, 2)), 0, rat(1, 2)), make_pl(GRID3, (-1, 0, 1), 1, 1)):
         assert sup_diff(full, part) == math.inf
         assert sup_diff(part, full) != math.inf
+
+
+def test_a_pair_that_fails_on_its_end_slopes_reads_no_node(monkeypatch):
+    """is_leq, sup_diff and pl_equal decide such a two-grid pair from the end slopes alone."""
+    full = make_pl(GRID5, (0, 0, 0, 1, 2), 0, 1)
+    part = make_pl(GRID3, (0, 0, rat(1, 2)), 0, rat(1, 2))  # end slopes (0, 1/2) miss full's (0, 1)
+    reads, real = [], grid_convex._values_on
+    monkeypatch.setattr(grid_convex, "_values_on", lambda u, grid: reads.append(u) or real(u, grid))
+    assert not is_leq(full, part) and sup_diff(full, part) == math.inf
+    assert not pl_equal(full, part) and not pl_equal(part, full)
+    assert reads == []
+    assert is_leq(part, full) and reads  # a pair that passes them is read
 
 
 @given(data=st.data())
