@@ -1,11 +1,11 @@
 """Exact rational arithmetic backend.
 
 Every quantity in this package except relative entropy is an exact rational.
-The backend is gmpy2's GMP-backed ``mpq`` when importable, else
-``fractions.Fraction``; set ``FEMLAB_PURE_RATIONAL=1`` to force the pure
-Python fallback.  Both types normalize to lowest terms with positive
-denominator, hash consistently and interoperate with ints, so the rest of
-the package never needs to know which one it got.
+The backend is gmpy2's GMP-backed ``mpq`` when it is installed, else
+``fractions.Fraction``; the choice is made once, at import.  Both types
+normalize to lowest terms with positive denominator, hash consistently and
+interoperate with ints, so the rest of the package never needs to know
+which one it got.
 
 The exact objects keep their numbers as a ``Lattice``: Python ints over one
 shared denominator, so checks and kernels run on int arithmetic and backend
@@ -17,23 +17,16 @@ a canonical key, printed from their public fields.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import NamedTuple
 
-_mpq = None
-if os.environ.get("FEMLAB_PURE_RATIONAL", "") in ("", "0"):
-    try:
-        from gmpy2 import mpq as _mpq
-    except ImportError:
-        _mpq = None
+try:
+    from gmpy2 import mpq as _make
 
-if _mpq is not None:
     BACKEND = "gmpy2"
-    _make = _mpq
-else:
-    BACKEND = "fractions"
+except ImportError:
     _make = Fraction
+    BACKEND = "fractions"
 
 Rational = type(_make(0))
 

@@ -610,14 +610,15 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
 
 
 def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
-    """Largest convex minorant of min(u1, ..., uk).
+    """Largest convex minorant of min(u1, ..., uk), on the union of their grids.
 
-    An input below all others on the common grid is returned as it is: it
+    An input below all others is returned as it is, on the union grid: it
     is the minorant, and the conjugation below gives it back exactly (its
     dual domain lies inside theirs, so max of the duals is its own dual).
-    Otherwise: the conjugate of max of duals on the intersection of dual
-    domains; raises EmptyRooftop when that intersection is empty, because
-    then no convex function sits below both inputs.
+    Otherwise: the conjugate, at the union's nodes, of max of the inputs'
+    own memoized duals on the intersection of dual domains; raises
+    EmptyRooftop when that intersection is empty, because then no convex
+    function sits below both inputs.
     """
     if len(potentials) < 2:
         raise ValueError("rooftop needs at least two potentials")
@@ -631,7 +632,7 @@ def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
     if lo > hi:
         raise EmptyRooftop("slope ranges %s are disjoint" % ", ".join(_interval_str(u._ends) for u in us))
     lo, hi = rat(lo, den), rat(hi, den)
-    duals = [restrict_dual(legendre(u), lo, hi) for u in us]
+    duals = [restrict_dual(legendre(u), lo, hi) for u in potentials]
     g = duals[0]
     for d in duals[1:]:
         g = max_dual(g, d)

@@ -17,7 +17,8 @@ from them; ``rho`` takes it once, against MA(lo), for an ordered pair; and
 ``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
-model projection P[psi](u).
+model projection P[psi](u); each reads its pairs with ``_pair_on`` on the
+union grid, where its node-index witnesses live.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ def check_comparison_principle(u: GridPLConvex, v: GridPLConvex) -> Report:
     """MA(u)({v < u}) <= MA(v)({v < u}) for u at least as singular as v."""
     if not more_singular(u, v):
         raise PreconditionViolated("comparison principle needs u at least as singular as v")
-    u, v = align(u, v)  # the witnesses are node indices on the union grid
+    u, v = align(u, v)  # the witnesses are node indices on the union grid, now u's
     mu, mv = monge_ampere(u), monge_ampere(v)
-    a, b, _ = next(_union_reads(u, v))  # the read at u's nodes, which are the union's
-    inside = [i for i, (x, y) in enumerate(zip(a, b)) if x > y]
+    (a, ra), (b, rb), _ = _pair_on(u, v, u.grid)
+    inside = [i for i, (x, y) in enumerate(zip(a, b)) if x * ra > y * rb]
     lhs = rat(sum(mu._num[i] for i in inside), mu._den)
     rhs = rat(sum(mv._num[i] for i in inside), mv._den)
     return Report(
@@ -203,10 +204,10 @@ def _contact_mass_report(name: str, p: GridPLConvex, bounds) -> Report:
     lhs is the mass of p, rhs the total mass of the bounds; the witnesses
     are the violating nodes and, per bound w, the contact nodes where p = w.
     """
-    p, *ws = align(p, *bounds)  # the witnesses are node indices on the union grid
+    p, *ws = align(p, *bounds)  # the witnesses are node indices on the union grid, now p's
     mws = [monge_ampere(w) for w in ws]
-    reads = [next(_union_reads(p, w)) for w in ws]  # each at p's nodes, which are the union's
-    contact = [[i for i, (x, y) in enumerate(zip(a, b)) if x == y] for a, b, _ in reads]
+    reads = [_pair_on(p, w, p.grid) for w in ws]
+    contact = [[i for i, (x, y) in enumerate(zip(a, b)) if x * ra == y * rb] for (a, ra), (b, rb), _ in reads]
     den = math.lcm(*(mw._den for mw in mws))
     bound = [0] * len(p._num)  # over den
     for mw, nodes in zip(mws, contact):

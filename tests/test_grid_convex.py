@@ -277,6 +277,23 @@ def test_rooftop_of_an_unordered_pair_matches_the_minimax_oracle(grid, den, exam
     run_examples(examples, check)
 
 
+def test_an_unordered_two_grid_rooftop_conjugates_its_inputs_as_given(monkeypatch):
+    """rooftop takes the memoized dual of each input itself, never of a copy refined onto the union grid."""
+    args, real = [], grid_convex.legendre
+    monkeypatch.setattr(grid_convex, "legendre", lambda u: args.append(u) or real(u))
+
+    def check(data):
+        q = data.draw(own.subintervals())
+        u, v = (data.draw(own.sector_potentials(data.draw(own.grids()), q)) for _ in range(2))
+        assume(u.grid != v.grid and not (is_leq(u, v) or is_leq(v, u)))
+        args.clear()
+        r = rooftop(u, v)
+        assert args and all(x is u or x is v for x in args)
+        assert r == minimax_rooftop(u, v)
+
+    run_examples(50, check)
+
+
 @pytest.mark.scale
 def test_rooftop_of_a_frozen_unordered_pair_on_65_nodes():
     rng = random.Random(3)

@@ -23,8 +23,9 @@ from femlab import (
     rho,
     rooftop,
 )
-from femlab import grid_convex
+from femlab import grid_convex, measures
 from femlab.errors import NotNormalized, SingularityMismatch
+from femlab.grid_convex import align
 from femlab.measures import (
     AtomicMeasure,
     abs_diff_pairing,
@@ -182,6 +183,32 @@ def test_model_mass_bound(data):
     psi = model_from_interval(GRID5, q, REF5)
     u = data.draw(own.potentials_on(GRID5))
     assert check_model_mass_bound(psi, u).passed
+
+
+@given(a=own.grids(), b=own.grids(), data=st.data())
+def test_the_checks_read_each_aligned_pair_on_the_union_grid(a, b, data):
+    """Each check reads its pairs with ``_pair_on`` on the union grid, never through ``_union_reads``."""
+    u, w = data.draw(own.potentials_on(a)), data.draw(own.potentials_on(b))
+    psi = model_from_interval(b, data.draw(own.subintervals()), nondegenerate_reference(b))
+    hi = pointwise_max(u, w)
+    # model_project(psi, u) lives on u's grid, so that check's inputs are aligned as given
+    expected = (
+        check_comparison_principle(*align(u, hi)),
+        check_rooftop_mass_bound(*align(u, w)),
+        check_model_mass_bound(psi, u),
+    )
+
+    def refuse(u, v):
+        raise AssertionError("a check read its pair through _union_reads")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_union_reads", refuse)
+        got = (
+            check_comparison_principle(u, hi),
+            check_rooftop_mass_bound(u, w),
+            check_model_mass_bound(psi, u),
+        )
+    assert got == expected
 
 
 def test_check_witnesses_on_the_documented_instance(grid3, ref3, tent3):

@@ -104,12 +104,17 @@ def imported_names(tree):
 
 
 def loaded_names(tree):
-    """Every name the module reads: bare names and attribute names."""
+    """Every name the module reads: bare names and attribute names, each in a load."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
+
+
+def test_an_assignment_reads_no_name_it_stores():
+    tree = ast.parse("obj.name = 1\nname = 2\ndel obj.gone\nx = obj.read")
+    assert sorted(loaded_names(tree)) == ["obj", "obj", "obj", "read"]
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -1,7 +1,8 @@
-"""Rational backend: construction, canonical form, backend forcing."""
+"""Rational backend: construction, canonical form, backend choice."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import femlab
 from femlab import BACKEND, Rational, rat, rat_str
 from femlab._rational import at_most
 
@@ -81,16 +83,22 @@ def test_rational_type_is_closed_under_arithmetic():
     assert x == rat(1, 2)
 
 
-def test_pure_backend_can_be_forced():
-    env = dict(os.environ, FEMLAB_PURE_RATIONAL="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from femlab import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "fractions"
+def test_the_installed_backend_is_taken_and_gives_the_same_bytes(tmp_path):
+    src = os.path.dirname(os.path.dirname(femlab.__file__))
+
+    def stdout(path, *args):  # a child python that imports from path, then femlab's source
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([*path, src]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True).stdout
+
+    (tmp_path / "gmpy2").mkdir()
+    (tmp_path / "gmpy2" / "__init__.py").write_text("from fractions import Fraction as mpq\n")
+    stub = [str(tmp_path)]
+    probe = ("-c", "from femlab import BACKEND; print(BACKEND)")
+    assert stdout(stub, *probe).strip() == b"gmpy2"
+    if importlib.util.find_spec("gmpy2") is None:
+        assert stdout([], *probe).strip() == b"fractions"
+    suite = ("-m", "femlab.cli", "suite", "metric_axioms", "--seed", "2026", "--count", "2")
+    assert stdout(stub, *suite) == stdout([], *suite)
 
 
 def test_default_backend_is_reported():
