@@ -29,13 +29,15 @@ interval (the polytope, a potential's end slopes, a level's Q) is a reduced
 two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
 ``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
 backend rationals, built on first read.  Comparisons and pairings build no
-object: they read ints in place with ``_values_on``, ``_pair_on`` and ``_union_reads``.
+object: they read ints in place with ``_values_on`` and ``_pair_on``, and
+only ``is_leq``, ``sup_diff`` and ``pl_equal`` through ``_union_reads``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import compress, repeat
 from operator import gt, le, mul, sub
 
@@ -107,9 +109,11 @@ class Grid(_Frozen):
 def _grid_on(grids, points=()) -> Grid:
     """The grid on the nodes of all grids plus points, given as (num, den) int pairs.
 
-    The grids share one polytope.  A grid with as many nodes as the union
-    holds all of it and is returned as it is, memo and all.
+    The grids share one polytope.  Equal grids give the first unless points are
+    given; a grid with as many nodes as the union holds it and is returned, memo and all.
     """
+    if not points and all(g == grids[0] for g in grids):
+        return grids[0]
     den = math.lcm(*(g._scale for g in grids), *(d for _, d in points))
     xs = {x * (den // g._scale) for g in grids for x in g._xs}
     xs.update(n * (den // d) for n, d in points)
@@ -555,7 +559,7 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
         roots.append(_ray_root(xs[0], dl, ud * vd, sl, ue * ve, scale))
     if dr * sr < 0:  # and right of the last one
         roots.append(_ray_root(xs[-1], dr, ud * vd, sr, ue * ve, scale))
-    grid = _grid_on([u.grid], roots) if roots else u.grid
+    grid = _grid_on([u.grid], roots)
     (w1, r1), (w2, r2), den = _pair_on(u, v, grid)
     (ps, pm), (ws, vm) = _max_merge(grid._xs, _scaled(w1, r1), _scaled(w2, r2))
     grid = grid if len(ps) == len(w1) else Grid(Lattice(ps, grid._scale * pm), grid._poly)
@@ -609,34 +613,29 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
 # --- envelopes --------------------------------------------------------------
 
 
-def rooftop(*potentials: GridPLConvex) -> GridPLConvex:
+def rooftop(*us: GridPLConvex) -> GridPLConvex:
     """Largest convex minorant of min(u1, ..., uk), on the union of their grids.
 
-    An input below all others is returned as it is, on the union grid: it
-    is the minorant, and the conjugation below gives it back exactly (its
-    dual domain lies inside theirs, so max of the duals is its own dual).
-    Otherwise: the conjugate, at the union's nodes, of max of the inputs'
-    own memoized duals on the intersection of dual domains; raises
-    EmptyRooftop when that intersection is empty, because then no convex
-    function sits below both inputs.
+    Compares and conjugates the inputs as given and places only the result
+    on the union grid: an input below all others, which the conjugation
+    would give back too, else the conjugate of max of the inputs' memoized
+    duals on the intersection of dual domains (EmptyRooftop when empty: no
+    convex function sits below them all).  The ``is_leq`` calls meet every
+    input, so two polytopes are refused before any grid is built.
     """
-    if len(potentials) < 2:
+    if len(us) < 2:
         raise ValueError("rooftop needs at least two potentials")
-    us = align(*potentials)
+    grids = [u.grid for u in us]
     for u in us:
         if all(is_leq(u, v) for v in us if v is not u):
-            return u
+            return refine_to(u, _grid_on(grids))
     den = math.lcm(*(u._ends.den for u in us))
     lo = max(u._ends.nums[0] * (den // u._ends.den) for u in us)
     hi = min(u._ends.nums[1] * (den // u._ends.den) for u in us)
     if lo > hi:
         raise EmptyRooftop("slope ranges %s are disjoint" % ", ".join(_interval_str(u._ends) for u in us))
     lo, hi = rat(lo, den), rat(hi, den)
-    duals = [restrict_dual(legendre(u), lo, hi) for u in potentials]
-    g = duals[0]
-    for d in duals[1:]:
-        g = max_dual(g, d)
-    return biconjugate(g, us[0].grid)
+    return biconjugate(reduce(max_dual, (restrict_dual(legendre(u), lo, hi) for u in us)), _grid_on(grids))
 
 
 class ModelEnvelope(_Frozen):

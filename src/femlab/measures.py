@@ -14,7 +14,8 @@ integral (u - v) dMA(w) as two int dot products; ``pairings`` takes it for
 MA(u) and MA(v), for the energy, over one unreduced denominator, so the
 energy, the difference identity and the chain gap each build one rational
 from them; ``rho`` takes it once, against MA(lo), for an ordered pair; and
-``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v).
+``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v), each on its own
+nodes.  ``_union_reads`` serves only ``is_leq``, ``sup_diff`` and ``pl_equal``.
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u); each reads its pairs with ``_pair_on`` on the
@@ -33,7 +34,6 @@ from .grid_convex import (
     GridPLConvex,
     ModelEnvelope,
     _pair_on,
-    _union_reads,
     align,
     is_leq,
     model_project,
@@ -126,11 +126,11 @@ def rho(u: GridPLConvex, v: GridPLConvex):
 
 def abs_diff_pairing(u: GridPLConvex, v: GridPLConvex):
     """integral |u - v| d(MA(u) + MA(v)); the two-sided comparison quantity."""
-    reads = list(_union_reads(u, v))  # on one grid, one read serves both measures
     total = ZERO
-    for (a, b, den), w in zip((reads[0], reads[-1]), (u, v)):
+    for w in (u, v):
+        (a, ra), (b, rb), den = _pair_on(u, v, w.grid)
         mu = monge_ampere(w)
-        total += rat(sum(map(mul, map(abs, map(sub, a, b)), mu._num)), den * mu._den)
+        total += rat(sum(abs(x * ra - y * rb) * m for x, y, m in zip(a, b, mu._num)), den * mu._den)
     return total
 
 

@@ -424,8 +424,9 @@ def test_a_grid_that_holds_the_union_is_the_union(monkeypatch):
     assert built == []
 
 
-def test_potentials_over_different_polytopes_are_refused():
-    """Comparing or pairing across polytopes raises, whether or not the end slopes nest."""
+def test_potentials_over_different_polytopes_are_refused(monkeypatch):
+    """Comparing, pairing or combining across polytopes raises, whether or not the end slopes nest;
+    rooftop refuses in its first ``is_leq``, wherever the foreign input sits, before building a grid."""
     wide = Grid((-2, 0, 2), (0, 2))
     wide_level = model_from_interval(wide, (0, 1), make_pl(wide, (0, 0, 4), 0, 2))
     u = make_pl(GRID5, (0, 0, 0, 1, 2), 0, 1)
@@ -439,11 +440,81 @@ def test_potentials_over_different_polytopes_are_refused():
         (dist, psi, u, same_ends),
         (dist, psi, same_ends, u),
     ]
-    for v in (same_ends, wider_ends):
-        for f in (is_leq, pairings, sup_diff, pl_equal, abs_diff_pairing):
+    w = REF5.shift(rat(-1, 3))  # crosses u, so no three-input rooftop below stops at an ordered pair
+    assert not is_leq(u, w) and not is_leq(w, u)
+    off_nodes = make_pl(Grid((-2, rat(1, 2), 2), (0, 2)), (0, 0, 3), 0, 2)  # a union with u's nodes is a new grid
+    for v in (same_ends, wider_ends, off_nodes):
+        for f in (is_leq, pairings, sup_diff, pl_equal, abs_diff_pairing, rooftop, pointwise_max, align):
             calls += [(f, u, v), (f, v, u)]
+        calls += [(affine_combine, rat(1, 2), u, v), (affine_combine, rat(1, 2), v, u)]
+        calls += [(rooftop, v, u, w), (rooftop, u, v, w), (rooftop, u, w, v), (rooftop, u, u.shift(1), v)]
+    built = []
+    real = Grid.__init__
+    monkeypatch.setattr(Grid, "__init__", lambda self, *a, **kw: built.append(a or kw) or real(self, *a, **kw))
     for f, *args in calls:
         assert message(GridMismatch, f, *args) == "potentials live over different polytopes"
+    assert built == []
+
+
+def test_grid_on_gives_back_an_equal_grid_without_building_one(monkeypatch):
+    built = []
+    real = Grid.__init__
+    twin = Grid(GRID5.nodes, GRID5.polytope)
+    monkeypatch.setattr(Grid, "__init__", lambda self, *a, **kw: built.append(a or kw) or real(self, *a, **kw))
+    assert grid_convex._grid_on([GRID5, GRID5]) is GRID5
+    assert grid_convex._grid_on([GRID5, twin, GRID5]) is GRID5
+    assert grid_convex._grid_on([twin]) is twin
+    assert built == []
+    assert grid_convex._grid_on([GRID5, GRID5], [(1, 2)]).nodes == (-2, -1, 0, rat(1, 2), 1, 2)
+
+
+def test_rooftop_refines_only_the_member_it_returns(monkeypatch):
+    """rooftop compares and conjugates its inputs as given: an unordered two-grid pair is refined
+    nowhere, and of an ordered one only the lower member, which is the result."""
+    refined, real = [], grid_convex.refine_to
+    monkeypatch.setattr(grid_convex, "refine_to", lambda u, grid: refined.append(u) or real(u, grid))
+    finer = Grid(tuple(sorted(set(GRID5.nodes) | {rat(-5, 3), rat(1, 7)})), GRID5.polytope)
+    fine = real(REF5, finer)
+    coarse = make_pl(GRID5, (rat(1, 4), rat(1, 4), rat(1, 4), rat(3, 4), rat(5, 4)), 0, 1)  # crosses fine
+    for pair in ((coarse, fine), (fine, coarse)):
+        refined.clear()
+        r = rooftop(*pair)
+        assert refined == [] and r.grid is finer and r == minimax_rooftop(*pair)
+
+    def check(data):
+        q = data.draw(own.subintervals())
+        u, w = (data.draw(own.sector_potentials(data.draw(own.grids()), q)) for _ in range(2))
+        assume(u.grid != w.grid)
+        for v in (w, pointwise_max(u, w)):  # often unordered, then ordered
+            lower = [x for x, y in ((u, v), (v, u)) if is_leq(x, y)][:1]
+            refined.clear()
+            r = rooftop(u, v)
+            assert refined == lower and r == minimax_rooftop(u, v)
+            if lower:
+                assert r == align(u, v)[0 if lower[0] is u else 1]
+
+    run_examples(50, check)
+
+
+def test_documented_refusals_raise_their_class_and_message():
+    """Each refusal the grid_convex docstrings promise, with its error class and message."""
+    wide = Grid(GRID5.nodes, (0, 2))
+    steep = make_pl(GRID5, (0, rat(1, 2), 1, rat(3, 2), 2), rat(1, 2), 1)  # dual domain [1/2, 1]
+    low = model_from_interval(GRID5, (0, rat(1, 4)), REF5)
+    cases = [
+        (ValueError, Grid, ((0,), (0, 1)), "grid needs at least two nodes"),
+        (ValueError, Grid, ((0, 1), (0, 1, 2)), "polytope must be a pair (p_min, p_max)"),
+        (ValueError, DualPL, (Lattice((), 1), Lattice((), 1)), "dual needs at least one breakpoint"),
+        (ValueError, DualPL, (Lattice((0, 1), 1), Lattice((0,), 1)), "1 values for 2 breakpoints"),
+        (EmptyRooftop, model_project, (low, steep), "dual domains miss the interval [1/2, 1/4]"),
+        (ValueError, max_dual, (legendre(REF5), legendre(steep)), "max_dual needs duals on a common domain"),
+        (GridMismatch, refine_to, (REF5, wide), "refinement target has a different polytope"),
+        (ValueError, affine_combine, (rat(3, 2), REF5, steep), "combination weight must lie in [0, 1]"),
+        (ValueError, affine_combine, (-1, REF5, steep), "combination weight must lie in [0, 1]"),
+        (ValueError, rooftop, (REF5,), "rooftop needs at least two potentials"),
+    ]
+    for error, f, args, text in cases:
+        assert message(error, f, *args) == text, f.__name__
 
 
 # (grid, a grid over its polytope that neither holds nor is held by it, with

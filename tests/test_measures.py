@@ -24,7 +24,7 @@ from femlab import (
     rooftop,
 )
 from femlab import grid_convex, measures
-from femlab.errors import NotNormalized, SingularityMismatch
+from femlab.errors import GridMismatch, NotNormalized, PreconditionViolated, SingularityMismatch
 from femlab.grid_convex import align
 from femlab.measures import (
     AtomicMeasure,
@@ -76,6 +76,48 @@ def test_rho_matches_the_sampling_oracle_on_two_grids(a, b, data):
 def test_abs_diff_pairing_matches_the_sampling_oracle_on_two_grids(a, b, data):
     u, v = data.draw(own.potentials_on(a)), data.draw(own.potentials_on(b))
     assert abs_diff_pairing(u, v) == abs_diff_pairing(v, u) == oracles.abs_diff_pairing_by_sampling(u, v)
+
+
+@given(a=own.grids(), b=own.grids(), data=st.data())
+def test_abs_diff_pairing_reads_each_measures_own_nodes(a, b, data):
+    """Each term reads the pair with ``_pair_on`` on its measure's grid, never through ``_union_reads``."""
+    u, v = data.draw(own.potentials_on(a)), data.draw(own.potentials_on(b))
+
+    def refuse(u, v):
+        raise AssertionError("abs_diff_pairing read its pair through _union_reads")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_union_reads", refuse, raising=False)
+        patch.setattr(grid_convex, "_union_reads", refuse)
+        got = abs_diff_pairing(u, v), abs_diff_pairing(v, u)
+    assert got[0] == got[1] == oracles.abs_diff_pairing_by_sampling(u, v)
+
+
+def test_documented_refusals_raise_their_class_and_message():
+    """Each refusal the measures docstrings promise, with its error class and message."""
+    g3 = Grid(nodes=(-1, 0, 1), polytope=(0, 1))
+    point = AtomicMeasure(g3, (1, 0, 0))
+    steep = make_pl(GRID5, (0, rat(1, 2), 1, rat(3, 2), 2), rat(1, 2), 1)  # dual domain [1/2, 1] inside REF5's
+    cases = [
+        (ValueError, AtomicMeasure, (GRID5, (0, 0, 0, 1)), "4 masses for 5 nodes"),
+        (GridMismatch, entropy, (point, AtomicMeasure(GRID5, (1, 0, 0, 0, 0))), "entropy needs measures on one grid"),
+        (
+            NotNormalized,
+            entropy,
+            (AtomicMeasure(g3, (1, 1, 0)), point),
+            "entropy needs probability measures, got totals 2/1 and 1/1",
+        ),
+        (
+            PreconditionViolated,
+            check_comparison_principle,
+            (REF5, steep),
+            "comparison principle needs u at least as singular as v",
+        ),
+    ]
+    for error, f, args, text in cases:
+        with pytest.raises(error) as caught:
+            f(*args)
+        assert str(caught.value) == text, f.__name__
 
 
 @given(data=st.data())
@@ -202,7 +244,7 @@ def test_the_checks_read_each_aligned_pair_on_the_union_grid(a, b, data):
         raise AssertionError("a check read its pair through _union_reads")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_union_reads", refuse)
+        patch.setattr(measures, "_union_reads", refuse, raising=False)  # measures imports it no more
         got = (
             check_comparison_principle(u, hi),
             check_rooftop_mass_bound(u, w),
