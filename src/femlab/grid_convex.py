@@ -29,8 +29,9 @@ interval (the polytope, a potential's end slopes, a level's Q) is a reduced
 two-entry ``Lattice``: containment cross-multiplies, equality is ``==``.
 ``nodes``, ``polytope``, ``values``, the end slopes and ``points`` are the
 backend rationals, built on first read.  Comparisons and pairings build no
-object: they read ints in place with ``_values_on`` and ``_pair_on``, and
-only ``is_leq``, ``sup_diff`` and ``pl_equal`` through ``_union_reads``.
+object: they read ints in place with ``_values_on`` and ``_pair_on``;
+``is_leq``, ``sup_diff`` and ``pl_equal`` test the end slopes first, then
+read one grid of ``_union_reads`` at a time, stopping at one that fails.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import compress, repeat
-from operator import gt, le, mul, sub
+from operator import eq, gt, le, mul, sub
 
 from ._rational import ONE, Lattice, _Frozen, lattice, rat, rat_str
 from .errors import (
@@ -477,18 +478,20 @@ def _pair_on(u: GridPLConvex, v: GridPLConvex, grid: Grid) -> tuple:
     return (a, den // ad), (b, den // bd), den
 
 
-def _union_reads(u: GridPLConvex, v: GridPLConvex):
-    """``_reads_on`` u's grid, then v's if another: the union's nodes; two polytopes are refused at the call."""
+def _union_reads(u: GridPLConvex, v: GridPLConvex) -> tuple:
+    """The grids u and v are compared on: u's, then v's if another; two polytopes are refused at the call."""
     if u.grid._poly != v.grid._poly:
         raise GridMismatch("potentials live over different polytopes")
-    return _reads_on(u, v, (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid))
+    return (u.grid,) if v.grid is u.grid or v.grid == u.grid else (u.grid, v.grid)
 
 
-def _reads_on(u: GridPLConvex, v: GridPLConvex, grids):
-    """(u's ints, v's ints, den) at each grid's nodes, lazily: a reduction that fails on one skips the rest."""
+def _holds_on(u: GridPLConvex, v: GridPLConvex, grids, op) -> bool:
+    """op holds between u's and v's ints at each grid's nodes, read up to the first grid that fails."""
     for grid in grids:
-        (a, ra), (b, rb), den = _pair_on(u, v, grid)
-        yield _scaled(a, ra), _scaled(b, rb), den
+        (a, ra), (b, rb), _ = _pair_on(u, v, grid)
+        if not all(map(op, _scaled(a, ra), _scaled(b, rb))):
+            return False
+    return True
 
 
 def refine_to(u: GridPLConvex, grid: Grid) -> GridPLConvex:
@@ -523,8 +526,8 @@ def align(*us: GridPLConvex):
 
 def pl_equal(u: GridPLConvex, v: GridPLConvex) -> bool:
     """Equality as functions on the line: equal end slopes, and equal values at u's nodes and at v's."""
-    reads = _union_reads(u, v)
-    return u._ends == v._ends and all(a == b for a, b, _ in reads)
+    grids = _union_reads(u, v)
+    return u._ends == v._ends and _holds_on(u, v, grids, eq)
 
 
 # --- pointwise operations ---------------------------------------------------
@@ -547,6 +550,7 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
     inserted so the result represents max(u, v) exactly, never a node-wise
     max with its kinks forgotten.  ``_pair_on`` reads both at the ray
     crossings too; ``_max_merge``, shared with ``max_dual``, places the others.
+    An ordered pair, which has no crossing, gives back its upper member as aligned.
     """
     u, v = align(u, v)
     xs, scale, ud, vd = u.grid._xs, u.grid._scale, u._den, v._den
@@ -561,7 +565,12 @@ def pointwise_max(u: GridPLConvex, v: GridPLConvex) -> GridPLConvex:
         roots.append(_ray_root(xs[-1], dr, ud * vd, sr, ue * ve, scale))
     grid = _grid_on([u.grid], roots)
     (w1, r1), (w2, r2), den = _pair_on(u, v, grid)
-    (ps, pm), (ws, vm) = _max_merge(grid._xs, _scaled(w1, r1), _scaled(w2, r2))
+    w1, w2 = _scaled(w1, r1), _scaled(w2, r2)
+    if _contains(v._ends, u._ends) and all(map(le, w1, w2)):
+        return v
+    if _contains(u._ends, v._ends) and all(map(le, w2, w1)):
+        return u
+    (ps, pm), (ws, vm) = _max_merge(grid._xs, w1, w2)
     grid = grid if len(ps) == len(w1) else Grid(Lattice(ps, grid._scale * pm), grid._poly)
     return GridPLConvex(
         grid,
@@ -593,8 +602,8 @@ def more_singular(u: GridPLConvex, v: GridPLConvex) -> bool:
 
 def is_leq(u: GridPLConvex, v: GridPLConvex) -> bool:
     """u <= v on the whole line, exactly: v's end slopes contain u's, and u <= v at u's nodes and at v's."""
-    reads = _union_reads(u, v)
-    return _contains(v._ends, u._ends) and all(all(map(le, a, b)) for a, b, _ in reads)
+    grids = _union_reads(u, v)
+    return _contains(v._ends, u._ends) and _holds_on(u, v, grids, le)
 
 
 def sup_diff(u: GridPLConvex, v: GridPLConvex):
@@ -604,10 +613,14 @@ def sup_diff(u: GridPLConvex, v: GridPLConvex):
     the sup is attained at a node of u or of v because the difference is
     affine on rays with the favorable slope signs.
     """
-    reads = _union_reads(u, v)
+    grids = _union_reads(u, v)
     if not _contains(v._ends, u._ends):
         return math.inf
-    return max(rat(max(map(sub, a, b)), den) for a, b, den in reads)
+    tops = []
+    for grid in grids:
+        (a, ra), (b, rb), den = _pair_on(u, v, grid)
+        tops.append(rat(max(map(sub, _scaled(a, ra), _scaled(b, rb))), den))
+    return max(tops)
 
 
 # --- envelopes --------------------------------------------------------------
@@ -716,9 +729,13 @@ def model_project(psi: ModelEnvelope, u: GridPLConvex) -> GridPLConvex:
     Equals the large-C limit of rooftop(ψ + C, u); the limit stabilizes at
     finite C in this model.  Raises EmptyRooftop when u's dual domain and Q
     are disjoint, since the limit then degenerates to -infinity.  The dual's
-    chords are nodes of u's grid, so it is the image's own ``legendre``.
+    chords are nodes of u's grid, so it is the image's own ``legendre``; when
+    Q covers u's dual domain, ``restrict_dual`` gives that dual back and so u.
     """
-    dual = restrict_dual(legendre(u), *psi.Q)
+    own = legendre(u)
+    dual = restrict_dual(own, *psi.Q)
+    if dual is own:
+        return u
     image = biconjugate(dual, u.grid)
     image._memo["legendre"] = dual
     return image

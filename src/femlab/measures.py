@@ -15,7 +15,7 @@ MA(u) and MA(v), for the energy, over one unreduced denominator, so the
 energy, the difference identity and the chain gap each build one rational
 from them; ``rho`` takes it once, against MA(lo), for an ordered pair; and
 ``abs_diff_pairing`` pairs |u - v| with MA(u) + MA(v), each on its own
-nodes.  ``_union_reads`` serves only ``is_leq``, ``sup_diff`` and ``pl_equal``.
+nodes.  Only ``is_leq``, ``sup_diff`` and ``pl_equal`` read on ``_union_reads``' grids.
 The checks are the comparison principle and one contact-mass law,
 MA(P) <= sum over w of 1_{P=w} MA(w), for the rooftop P(u, v) and the
 model projection P[psi](u); each reads its pairs with ``_pair_on`` on the

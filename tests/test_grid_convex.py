@@ -242,6 +242,26 @@ def test_rooftop_of_an_ordered_pair_is_its_lower_member(grid, den, examples, kin
     run_examples(examples, check)
 
 
+@pytest.mark.parametrize("kind", ["max", "coarse", "shift", "equal"])
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_pointwise_max_of_an_ordered_pair_is_its_upper_member(grid, den, examples, kind):
+    """The max of u <= v is v itself: in every kind v's grid holds u's nodes, so aligning keeps v."""
+
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        u, v = ordered_pair(data, grid, q, den, kind)
+        top = pointwise_max(u, v)
+        assert top is v and top == align(u, v)[1]
+        back = pointwise_max(v, u)  # an equal pair gives back its second member, aligned
+        assert back == v and (back is v or pl_equal(u, v))
+        xs = sorted(set(u.grid.nodes) | set(v.grid.nodes))
+        mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        for x in [xs[0] - 1, *xs, *mids, xs[-1] + 1]:
+            assert oracles.ray_value(top, x) == max(oracles.ray_value(u, x), oracles.ray_value(v, x))
+
+    run_examples(examples, check)
+
+
 @pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
 def test_rooftop_of_three_returns_the_lowest_member_in_the_middle(grid, den, examples):
     def check(data):
@@ -574,7 +594,7 @@ def test_reads_across_grids_agree_with_the_aligned_pair(grid, other, den, exampl
 
 def test_cross_grid_reads_build_no_potential(monkeypatch):
     """dist of an ordered pair, energy and a ray-crossing pointwise_max build only their results;
-    sup_diff, pl_equal, rho and abs_diff_pairing build nothing."""
+    sup_diff, pl_equal, rho, abs_diff_pairing and pointwise_max of an ordered pair build nothing."""
     u = make_pl(GRID5, (rat(1, 4), rat(1, 4), rat(1, 4), rat(3, 4), rat(5, 4)), 0, 1)
     v = pointwise_max(u, REF5)  # u <= v on a strict refinement of GRID5
     assert is_leq(u, v) and not is_leq(v, u) and set(GRID5.nodes) < set(v.grid.nodes)
@@ -606,6 +626,10 @@ def test_cross_grid_reads_build_no_potential(monkeypatch):
             assert building(f, *pair)[1] == {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []}, f.__name__
     top, made = building(pointwise_max, flat, line)
     assert 4 in top.grid.nodes and made["GridPLConvex"] == [top]
+    lift = u.shift(1)
+    for pair in ((u, lift), (lift, u)):  # an ordered pair on one grid: its upper member
+        top, made = building(pointwise_max, *pair)
+        assert top is lift and made == {"Grid": [], "GridPLConvex": [], "AtomicMeasure": []}
 
 
 def test_sup_diff_is_infinite_when_the_second_dual_domain_misses_the_first():
@@ -664,6 +688,40 @@ def test_model_projection_keeps_the_legendre_of_a_fresh_copy(grid, den, examples
         p = model_project(psi, u)
         fresh = make_pl(p.grid, p.values, p.slope_left, p.slope_right)
         assert legendre(p) == legendre(fresh) == restrict_dual(legendre(u), *psi.Q)
+
+    run_examples(examples, check)
+
+
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_model_projection_gives_back_a_potential_inside_its_sector(grid, den, examples):
+    """P_psi fixes its sector and every potential more singular: when Q covers u's dual domain, u itself."""
+    ref = nondegenerate_reference(grid)
+
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        psi = model_from_interval(grid, q, ref)
+        inner = data.draw(own.subintervals(q, max_denominator=den))
+        for dual_domain in (q, inner):
+            u = data.draw(own.sector_potentials(grid, dual_domain, max_denominator=den))
+            assert model_project(psi, u) is u
+        full = data.draw(own.potentials_on(grid, den))
+        assert (model_project(psi, full) is full) == (q == grid.polytope)
+
+    run_examples(examples, check)
+
+
+@pytest.mark.parametrize("grid, den, examples", ORDER_GRIDS)
+def test_conjugating_back_a_dual_inside_q_gives_the_potential(grid, den, examples):
+    """biconjugate(restrict_dual(legendre(u), *Q), u.grid) == u whenever Q covers u's dual domain:
+    the identity that lets model_project give such a u back, checked on the kernels themselves."""
+
+    def check(data):
+        q = data.draw(own.subintervals(max_denominator=den))
+        inner = data.draw(own.subintervals(q, max_denominator=den))
+        for dual_domain in (q, inner):
+            u = data.draw(own.sector_potentials(grid, dual_domain, max_denominator=den))
+            fresh = make_pl(u.grid, u.values, u.slope_left, u.slope_right)  # no memoized dual
+            assert biconjugate(restrict_dual(legendre(fresh), *q), u.grid) == u
 
     run_examples(examples, check)
 

@@ -9,7 +9,8 @@ rational backend behind ``_rational.py``, every level read of
 ``bigspace.py`` inside ``BigSpace._env``, and the int representation
 inside the kernel (``grid_convex``, ``measures``, ``sampling``): no other
 module imports an underscore name from it or reads an underscore slot of
-its types, ``_memo`` aside.  Every public method or property of a public
+its types, ``_memo`` aside, and no function of ``grid_convex`` or
+``measures`` is a generator.  Every public method or property of a public
 class is read as an attribute by the package or perfbench's modules, or
 named in the class's ``_shown``: no member exists for the tests alone.
 Every module-level public function is read by the package or perfbench,
@@ -266,6 +267,18 @@ def test_bigspace_reads_a_level_envelope_only_through_env():
     inside = envs_reads(env) if env else []
     assert [n.lineno for n in envs_reads(tree) if n not in inside] == []
     assert inside, "_env reads no envelope"
+
+
+def test_grid_convex_and_measures_define_no_generator():
+    """No function of grid_convex.py or measures.py yields: a read that may stop early
+    loops over its grids in the caller, with no generator frame per call."""
+    sites = [
+        "%s:%d" % (name, node.lineno)
+        for name in ("grid_convex.py", "measures.py")
+        for node in ast.walk(TREES[name])
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+    ]
+    assert sites == []
 
 
 KERNEL = ("grid_convex.py", "measures.py", "sampling.py")
