@@ -169,7 +169,8 @@ class GridPLConvex(_Frozen):
     ``monge_ampere(u)``, ``energy(psi, u)`` per level,
     ``split_caps(u, reference)`` per reference and, for a reference, the
     level potential of ``model_from_interval`` per Q and the floor of
-    ``density_approximant`` per j, and lives and dies with it.
+    ``density_approximant`` per j, and lives and dies with it; the suites'
+    built-in reference lives for the process and keeps at most 757 levels.
     """
 
     __slots__ = ("grid", "_num", "_den", "_ends", "_slope_lattice", "_memo")

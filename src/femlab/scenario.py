@@ -58,18 +58,16 @@ from .families import (
 from .ghlimits import nested_family_distortions
 from .grid_convex import (
     Grid,
-    check_reference,
     make_pl,
     model_from_interval,
     model_project,
     pointwise_max,
 )
-from .measures import is_nondegenerate_reference
 from .metric import chain_defect_report
 from .report import encode_value
 from .sampling import random_candidates
 from .serialize import write_csv, write_json, write_jsonl
-from .suites import SUITES, run_suite
+from .suites import SUITES, _checked_reference, run_suite
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_CHAIN_STEPS = (1, 2, 4, 8, 16)
@@ -212,11 +210,7 @@ def parse_scenario(doc) -> Scenario:
         raise ValidationError("grid: %s" % exc)
 
     reference = _potential(grid, _require(doc, "reference", "scenario"), "reference")
-    check_reference(grid, reference)
-    if not is_nondegenerate_reference(reference):
-        raise ValidationError(
-            "reference is degenerate: its slope measure must charge every node"
-        )
+    _checked_reference(grid, reference)
 
     potentials = {}
     for name, spec in _expect(doc.get("potentials", {}), dict, "potentials").items():

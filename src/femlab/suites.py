@@ -1,22 +1,25 @@
 """Seeded property suites, one JSON-ready record per check.
 
 Every suite draws its material from one fixed five-node harness with a
-nondegenerate reference, runs `count` independent trials, and reports each
-property as an exact rational comparison; identical seeds give identical
-records.  A suite is one trial function `(rng, grid, reference)` yielding
-`(property, passed, witness)` per check; `run_suite` owns the rest.
+nondegenerate reference, built once per process at first use, runs
+`count` independent trials, and reports each property as an exact
+rational comparison; identical seeds give identical records.  A suite is
+one trial function `(rng, grid, reference)` yielding `(property, passed,
+witness)` per check; `run_suite` owns the rest.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from ._rational import rat
 from .energy import energy, energy_diff_report
-from .errors import UnknownSuite, ValidationError
+from .errors import GridMismatch, UnknownSuite, ValidationError
 from .grid_convex import (
     Grid,
     affine_combine,
+    check_reference,
     model_from_interval,
     model_project,
     pl_equal,
@@ -27,6 +30,7 @@ from .measures import (
     check_comparison_principle,
     check_model_mass_bound,
     check_rooftop_mass_bound,
+    is_nondegenerate_reference,
 )
 from .metric import chain_defect_report, dist, double_inequality_report, rho
 from .ghlimits import (
@@ -143,13 +147,31 @@ _TRIALS = {
 SUITES = tuple(_TRIALS)
 
 
+@cache
+def _harness():
+    """The built-in five-node grid and its reference, built once per process at first use."""
+    grid = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
+    return grid, nondegenerate_reference(grid)
+
+
+def _checked_reference(grid, reference):
+    """The reference, if it lives on `grid`, spans its polytope and charges every node."""
+    check_reference(grid, reference)
+    if reference.grid != grid:
+        raise GridMismatch("reference lives on another grid")
+    if not is_nondegenerate_reference(reference):
+        raise ValidationError("reference is degenerate: its slope measure must charge every node")
+    return reference
+
+
 def run_suite(name: str, seed: int, count: int, grid=None, reference=None):
     """(records, summary) for one named suite; deterministic in the seed.
 
-    With no grid the suite runs on a built-in five-node harness; passing a
-    grid (and optionally a reference on it) reruns the same properties on
-    caller-supplied geometry.  A seed that is not an int or a negative
-    count raises ValidationError; count 0 gives the summary alone.
+    With no grid the suite runs on the built-in five-node harness, built
+    once per process; a given grid gets its own reference unless one is
+    passed, which is checked as a scenario file's is.  A seed that is not
+    an int or a negative count raises ValidationError; count 0 gives the
+    summary alone.
     """
     if name not in _TRIALS:
         raise UnknownSuite("no suite named %r; known: %s" % (name, ", ".join(SUITES)))
@@ -157,10 +179,11 @@ def run_suite(name: str, seed: int, count: int, grid=None, reference=None):
         raise ValidationError("suite count must be a non-negative integer, got %r" % (count,))
     if type(seed) is not int:
         raise ValidationError("suite seed must be an integer, got %r" % (seed,))
-    if grid is None:
-        grid = Grid(nodes=(-2, -1, 0, 1, 2), polytope=(0, 1))
-    if reference is None:
-        reference = nondegenerate_reference(grid)
+    if grid is None and reference is None:
+        grid, reference = _harness()
+    else:
+        grid = _harness()[0] if grid is None else grid
+        reference = nondegenerate_reference(grid) if reference is None else _checked_reference(grid, reference)
     rng = random.Random(seed)
     trial = _TRIALS[name]
     # Each trial's generator is drained before the next trial draws, so

@@ -15,7 +15,11 @@ class is read as an attribute by the package or perfbench's modules, or
 named in the class's ``_shown``: no member exists for the tests alone.
 Every module-level public function is read by the package or perfbench,
 as a name, an attribute or a traced layer, or is one of a listed few
-paper quantities that only the tests compute.  A fresh interpreter
+paper quantities that only the tests compute.  The execution guard runs
+``femlab run`` on every scenario file and ``femlab suite`` on the six
+suites in process under ``sys.setprofile``: every public function or
+method of a public class that it never enters is listed, with its reason,
+in ``NEVER_ENTERED``, and every listed one is still never entered.  A fresh interpreter
 imports the CLI without the stdlib's class-building modules, and each
 validated type runs its ``__post_init__`` once per construction, so a
 tracer that patches it there sees every validation; no other type
@@ -25,6 +29,7 @@ defines one.
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 import subprocess
 import sys
@@ -388,3 +393,79 @@ def test_every_public_function_is_read_by_the_lab_or_is_a_paper_quantity():
     unread = functions - read
     assert sorted(unread - PAPER_QUANTITIES) == []
     assert sorted(PAPER_QUANTITIES - unread) == [], "a listed quantity is read by the lab or is gone"
+
+
+# Public functions and methods that no user path enters, each with its
+# reason.  `femlab run` on every scenario file and `femlab suite` on the six
+# suites enter every other one.
+CROSS_LEVEL = "reached once item 4's cross_level kind lands"
+NO_KIND = "paper quantity with no kind"
+VIEW = "a view of the representation for users: repr and the tests read it, no run does"
+NEVER_ENTERED = {
+    ("__init__.py", "metric_context"): "perfbench's name for a level, which item 1 drops",
+    ("bigspace.py", "BigSpace.chain"): CROSS_LEVEL,
+    ("bigspace.py", "BigSpace.make_point"): CROSS_LEVEL,
+    ("bigspace.py", "BigSpace.point_from_member"): CROSS_LEVEL,
+    ("bigspace.py", "BigSpace.quasi"): CROSS_LEVEL,
+    ("bigspace.py", "BigSpace.quasi_parts"): CROSS_LEVEL,
+    ("bigspace.py", "BigSpace.volume_gap"): CROSS_LEVEL,
+    ("bigspace.py", "default_node_pools"): CROSS_LEVEL,
+    ("bigspace.py", "level_restriction_check"): CROSS_LEVEL,
+    ("families.py", "density_approximant"): CROSS_LEVEL,
+    ("ghlimits.py", "direct_limit_check"): CROSS_LEVEL,
+    ("families.py", "project_family"): NO_KIND,
+    ("metric.py", "chain_rho"): NO_KIND,
+    ("metric.py", "darboux_limit"): NO_KIND,
+    ("metric.py", "darboux_sum"): NO_KIND,
+    ("metric.py", "estimate_sup_bound_constants"): NO_KIND,
+    ("metric.py", "double_inequality_constant"): "runs once, at import, for the line model's constant",
+    ("ghlimits.py", "FiniteMetricSpace.d"): VIEW,
+    ("grid_convex.py", "DualPL.points"): VIEW,
+    ("grid_convex.py", "Grid.nodes"): VIEW,
+    ("grid_convex.py", "GridPLConvex.slope_left"): VIEW,
+    ("grid_convex.py", "GridPLConvex.slope_right"): VIEW,
+    ("grid_convex.py", "GridPLConvex.values"): VIEW,
+}
+
+
+def public_bodies():
+    """(module file, qualified name) of every public function and public method of a public class."""
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield name, node.name
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield name, "%s.%s" % (node.name, item.name)
+
+
+def test_every_public_function_not_entered_by_a_user_path_is_listed(monkeypatch, tmp_path, capsys):
+    """The CLI runs every scenario file and the six suites under ``sys.setprofile``;
+    the public bodies it never enters are exactly ``NEVER_ENTERED``."""
+    from femlab import cli, suites
+
+    monkeypatch.delenv("FEM_LAB_OUT", raising=False)
+    # A fresh harness, so its build and its levels are entered whatever ran before.
+    monkeypatch.setattr(suites, "_harness", functools.cache(suites._harness.__wrapped__))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for path in sorted((pathlib.Path(__file__).parents[1] / "scenarios").glob("*.json")):
+            assert cli.main(["run", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        for name in suites.SUITES:
+            assert cli.main(["suite", name, "--seed", "2026", "--count", "2"]) == 0
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    entered = {(pathlib.Path(f).name, q) for f, q in entered if pathlib.Path(f).parent == PACKAGE}
+    public = set(public_bodies())
+    assert len(public) > len(NEVER_ENTERED), "the scan found too few public bodies"
+    assert sorted(public - entered - set(NEVER_ENTERED)) == [], "a public body no user path enters"
+    assert sorted(set(NEVER_ENTERED) - (public - entered)) == [], "a listed body is entered or gone"
